@@ -1,8 +1,9 @@
 """Function families, least-squares curve fitting, dependent-axis selection.
 
-A family is a finite basis of functions R^{d-1} -> R, linear in coefficients.
-Every family contains the constant function and all coordinate projections,
-so plain Gaussians are always a special case of the curved model.
+A family is a finite monomial basis of functions R^{d-1} -> R, linear in
+coefficients, stored as an integer exponent matrix. Every family contains the
+constant function and all coordinate projections, so plain Gaussians are
+always a special case of the curved model.
 """
 
 import itertools
@@ -16,72 +17,74 @@ from .errors import DegenerateCluster, RankDeficient
 BUILTIN_KINDS = ("linear", "quadratic", "cubic")
 
 
-@dataclass(frozen=True)
-class BasisFunction:
-    """One basis element: a monomial given by its exponent tuple, or a callable."""
-
-    tag: str  # constant | linear | monomial | custom
-    exponents: tuple = None
-    fn: object = None
-
-    def __call__(self, xe):
-        # xe arrives as a (n, input_dim) array via design_matrix
-        if self.tag == "custom":
-            return np.asarray([float(self.fn(row)) for row in xe])
-        exp = np.asarray(self.exponents, dtype=float)
-        return np.prod(xe ** exp, axis=1)
-
-
-def constant_basis(input_dim):
-    return BasisFunction("constant", (0,) * input_dim)
-
-
-def projection_basis(input_dim, i):
-    e = [0] * input_dim
-    e[i] = 1
-    return BasisFunction("linear", tuple(e))
-
-
-def monomial_basis(exponents):
-    return BasisFunction("monomial", tuple(int(e) for e in exponents))
-
-
-def custom_basis(fn, input_dim):
-    return BasisFunction("custom", (0,) * input_dim, fn)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FunctionFamily:
-    """Ordered basis over R^{input_dim}. basis[0] must be the constant 1 and
-    all coordinate projections must be present."""
+    """Monomial basis over R^{input_dim}: basis function b is
+    prod_i x_i ** exponents[b, i].
+
+    exponents is a (size, input_dim) integer matrix. Row 0 must be all zeros
+    (the constant 1) and every unit row (coordinate projection) must be present.
+    """
 
     input_dim: int
-    basis: tuple
+    exponents: np.ndarray
     kind: str = "custom"
 
     def __post_init__(self):
         if self.input_dim < 1:
             raise ValueError("input_dim must be >= 1")
-        object.__setattr__(self, "basis", tuple(self.basis))
-        b0 = self.basis[0]
-        if b0.tag == "custom" or any(b0.exponents):
+        e = np.array(self.exponents, dtype=int, ndmin=2)
+        if e.ndim != 2 or e.shape[1] != self.input_dim or e.shape[0] == 0:
+            raise ValueError(f"exponents must be a (size, {self.input_dim}) matrix")
+        if np.any(e < 0):
+            raise ValueError("exponents must be non-negative")
+        if e[0].any():
             raise ValueError("basis[0] must be the constant function")
-        for i in range(self.input_dim):
-            want = tuple(1 if j == i else 0 for j in range(self.input_dim))
-            if not any(b.tag != "custom" and b.exponents == want for b in self.basis):
+        for i, unit in enumerate(np.eye(self.input_dim, dtype=int)):
+            if not (e == unit).all(axis=1).any():
                 raise ValueError(f"basis lacks the projection onto coordinate {i}")
+        e.setflags(write=False)
+        object.__setattr__(self, "exponents", e)
+
+    def __eq__(self, other):
+        if not isinstance(other, FunctionFamily):
+            return NotImplemented
+        return self.kind == other.kind and np.array_equal(self.exponents, other.exponents)
+
+    def __hash__(self):
+        return hash((self.kind, self.exponents.shape, self.exponents.tobytes()))
 
     @property
     def size(self):
-        return len(self.basis)
+        return self.exponents.shape[0]
 
     def design_matrix(self, xe):
+        """(n, size) design: column b is prod_i xe[:, i] ** exponents[b, i].
+
+        Each coordinate's powers are formed once by repeated multiplication
+        (x, x*x, x*x*x, ...) and every column is a product of them, so columns
+        of degree <= 2 are the correctly rounded monomials and cubes round
+        twice.
+        """
         xe = np.asarray(xe, dtype=float)
         if xe.ndim != 2:
             xe = xe.reshape(-1, self.input_dim)
         if xe.shape[1] != self.input_dim:
             raise ValueError(f"expected {self.input_dim} columns, got {xe.shape[1]}")
-        return np.column_stack([b(xe) for b in self.basis])
+        # powers[i][k] = xe[:, i] ** k for k >= 1
+        powers = []
+        for i, top in enumerate(self.exponents.max(axis=0).tolist()):
+            pw = [None, xe[:, i]]
+            for _ in range(2, top + 1):
+                pw.append(pw[-1] * xe[:, i])
+            powers.append(pw)
+        out = np.empty((xe.shape[0], self.size))
+        for col, row in zip(out.T, self.exponents.tolist()):
+            factors = [powers[i][k] for i, k in enumerate(row) if k]
+            col[...] = factors[0] if factors else 1.0
+            for f in factors[1:]:
+                col *= f
+        return out
 
 
 def builtin_family(kind, input_dim):
@@ -91,22 +94,14 @@ def builtin_family(kind, input_dim):
     if kind not in BUILTIN_KINDS:
         raise ValueError(f"unknown family kind {kind!r}")
     p = int(input_dim)
-    basis = [constant_basis(p)] + [projection_basis(p, i) for i in range(p)]
+    eye = np.eye(p, dtype=int)
+    rows = [np.zeros((1, p), dtype=int), eye]
     if kind in ("quadratic", "cubic"):
-        for pair in itertools.combinations_with_replacement(range(p), 2):
-            e = [0] * p
-            for i in pair:
-                e[i] += 1
-            basis.append(monomial_basis(e))
+        pairs = itertools.combinations_with_replacement(range(p), 2)
+        rows.append(np.array([eye[i] + eye[j] for i, j in pairs]))
     if kind == "cubic":
-        if p == 1:
-            basis.append(monomial_basis((3,)))
-        else:
-            for i in range(p):
-                e = [0] * p
-                e[i] = 3
-                basis.append(monomial_basis(e))
-    return FunctionFamily(p, tuple(basis), kind)
+        rows.append(3 * eye)
+    return FunctionFamily(p, np.concatenate(rows), kind)
 
 
 @dataclass(frozen=True)
@@ -159,7 +154,7 @@ def select_orientation(x, family):
     for k in range(d):
         try:
             curve = fit_curve(x, k, family)
-            h, params = fadapted_cross_entropy(x, k, curve)
+            h, params = fadapted_cross_entropy(x, k, curve, curve.sse)
         except (DegenerateCluster, RankDeficient):
             continue
         if best is None or h < best[2]:

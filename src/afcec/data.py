@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curves import CurveFit, FunctionFamily, BasisFunction
+from .curves import CurveFit, FunctionFamily
 from .density import FAdaptedParams
 from .engine import AfcecModel, ClusterModel
 from .errors import InvalidSpec, IoError, ParseError, SchemaVersionMismatch
@@ -184,25 +184,23 @@ def save_csv(ds, path, header=True):
         raise IoError(str(e)) from e
 
 
-def _basis_to_json(b):
-    if b.tag == "custom":
-        raise IoError("custom basis functions are not serializable")
-    return {"tag": b.tag, "exponents": list(b.exponents)}
+def _basis_tag(row):
+    """constant, linear or monomial, by the degree of one exponent row."""
+    degree = int(row.sum())
+    return ("constant", "linear")[degree] if degree < 2 else "monomial"
 
 
 def _family_to_json(fam):
     return {
         "kind": fam.kind,
         "input_dim": fam.input_dim,
-        "basis": [_basis_to_json(b) for b in fam.basis],
+        "basis": [{"tag": _basis_tag(e), "exponents": e.tolist()} for e in fam.exponents],
     }
 
 
 def _family_from_json(obj):
-    basis = tuple(
-        BasisFunction(b["tag"], tuple(int(e) for e in b["exponents"])) for b in obj["basis"]
-    )
-    return FunctionFamily(int(obj["input_dim"]), basis, obj.get("kind", "custom"))
+    exponents = [[int(e) for e in b["exponents"]] for b in obj["basis"]]
+    return FunctionFamily(int(obj["input_dim"]), exponents, obj.get("kind", "custom"))
 
 
 def model_to_json(model):

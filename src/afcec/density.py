@@ -155,7 +155,7 @@ def gaussian_cross_entropy(x):
     return h, GaussianParams(mean, cov_used)
 
 
-def fadapted_cross_entropy(x, j, curve):
+def fadapted_cross_entropy(x, j, curve, sse=None):
     """Empirical cross-entropy of x against the curve-adapted family member
     with dependent axis j and the given curve.
 
@@ -163,6 +163,8 @@ def fadapted_cross_entropy(x, j, curve):
     + 0.5*ln(resid_var) with resid_var = mean squared residual of the curve
     (its intercept absorbs the dependent mean, so mean_dep is 0). Residual
     variance below RESID_VAR_FLOOR is floored and flagged ZeroResidualWarning.
+    sse, when given, must be the curve's residual sum of squares on x (as
+    fit_curve returns it); the curve is then not evaluated again.
     """
     x = np.asarray(x, dtype=float)
     n, d = x.shape
@@ -172,8 +174,10 @@ def fadapted_cross_entropy(x, j, curve):
     mean_exp, cov_exp = mean_and_cov(xe)
     low, cov_used = _cholesky_reg(cov_exp)
     logdet = 2.0 * float(np.sum(np.log(np.diag(low))))
-    resid = x[:, j] - curve.evaluate(xe)
-    resid_var = float(resid @ resid) / n
+    if sse is None:
+        resid = x[:, j] - curve.evaluate(xe)
+        sse = float(resid @ resid)
+    resid_var = sse / n
     if resid_var < RESID_VAR_FLOOR:
         warnings.warn("residual variance floored", ZeroResidualWarning, stacklevel=2)
         resid_var = RESID_VAR_FLOOR

@@ -111,46 +111,49 @@ def _estimate_cluster(x, idx, n, family):
     return ClusterModel(params, len(idx) / n, len(idx), h)
 
 
+def _reassign(x, assignment, k, keep, survivors):
+    """Relabel keep[i] -> i (keep ascending, labels below k) and send every
+    point whose label is not kept to the survivor minimizing the assignment
+    cost."""
+    lookup = np.full(k, -1)
+    lookup[keep] = np.arange(len(keep))
+    out = lookup[assignment]
+    moved = out < 0
+    if moved.any():
+        out[moved] = np.argmin(_score_matrix(x[moved], survivors), axis=1)
+    return out
+
+
 def _reestimate(x, assignment, k, family):
     """Refit every cluster; drop the ones that fail, reassigning their points.
 
     Returns (clusters, assignment, dropped). Points of failed clusters go to
     the surviving cluster minimizing the assignment cost. Survivors that
     receive points are refit again; repeats until stable (k only shrinks).
+    Labels are compacted to 0..k'-1 in original order.
     """
     n = x.shape[0]
-    assignment = np.asarray(assignment).copy()
-    labels = list(range(k))
+    assignment = np.asarray(assignment)
     dropped = 0
     while True:
-        clusters = {}
-        failed = []
-        for lab in labels:
+        clusters, keep = [], []
+        for lab in range(k):
             idx = np.flatnonzero(assignment == lab)
             if len(idx) == 0:
-                failed.append(lab)
                 continue
             try:
-                clusters[lab] = _estimate_cluster(x, idx, n, family)
+                clusters.append(_estimate_cluster(x, idx, n, family))
             except (DegenerateCluster, RankDeficient):
-                failed.append(lab)
+                continue
+            keep.append(lab)
         if not clusters:
             raise AllClustersDegenerate("every cluster failed estimation")
-        if not failed:
-            break
-        dropped += len(failed)
-        labels = [lab for lab in labels if lab in clusters]
-        moved = np.isin(assignment, failed)
-        if moved.any():
-            order = [clusters[lab] for lab in labels]
-            sub = np.argmin(_score_matrix(x[moved], order), axis=1)
-            assignment[moved] = np.asarray(labels)[sub]
+        if len(keep) == k:
+            return clusters, assignment, dropped
+        dropped += k - len(keep)
         # refit survivors on their (possibly grown) point sets next pass
-    # compact labels to 0..k'-1 in original order
-    remap = {lab: i for i, lab in enumerate(labels)}
-    assignment = np.asarray([remap[a] for a in assignment])
-    ordered = [clusters[lab] for lab in labels]
-    return ordered, assignment, dropped
+        assignment = _reassign(x, assignment, k, keep, clusters)
+        k = len(keep)
 
 
 def delete_small(x, clusters, assignment, threshold_fraction):
@@ -159,7 +162,7 @@ def delete_small(x, clusters, assignment, threshold_fraction):
     the survivors (using the survivors' current weights), then renormalize all
     weights from the final sizes."""
     x = as_array(x)
-    assignment = np.asarray(assignment).copy()
+    assignment = np.asarray(assignment)
     n = x.shape[0]
     sizes = np.bincount(assignment, minlength=len(clusters))
     keep = [i for i, s in enumerate(sizes) if s > 0 and s >= threshold_fraction * n]
@@ -169,12 +172,7 @@ def delete_small(x, clusters, assignment, threshold_fraction):
     if deleted == 0:
         return list(clusters), assignment, 0
     survivors = [clusters[i] for i in keep]
-    moved = ~np.isin(assignment, keep)
-    if moved.any():
-        sub = np.argmin(_score_matrix(x[moved], survivors), axis=1)
-        assignment[moved] = np.asarray(keep)[sub]
-    remap = {old: new for new, old in enumerate(keep)}
-    assignment = np.asarray([remap[a] for a in assignment])
+    assignment = _reassign(x, assignment, len(clusters), keep, survivors)
     new_sizes = np.bincount(assignment, minlength=len(survivors))
     survivors = [
         replace(cl, weight=int(s) / n, size=int(s)) for cl, s in zip(survivors, new_sizes)

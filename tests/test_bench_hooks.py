@@ -1,0 +1,80 @@
+"""bench/spans.py times afcec by wrapping module attributes by name. A rename
+that drops one of them, or a call path that stops going through one, must
+fail here rather than crash the benchmark's traced run."""
+
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+
+from afcec import engine, selection
+from afcec.curves import builtin_family
+from afcec.data import GeneratorSpec, generate
+
+SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+
+# spans every plain fit must record
+FIT_SPANS = {
+    "engine.fit",
+    "engine.init",
+    "engine.assign",
+    "engine.delete",
+    "engine.refit",
+    "engine.cost",
+    "curves.select_orientation",
+    "curves.fit_curve",
+    "curves.design",
+    "numerics.lstsq",
+    "density.cross_entropy",
+    "density.cholesky_reg",
+    "density.log_density",
+    "selection.loglik",
+}
+# (child, parent) span pairs on the refit path the per-layer metrics describe
+REFIT_PATH = {
+    ("curves.select_orientation", "engine.refit"),
+    ("curves.fit_curve", "curves.select_orientation"),
+    ("density.cross_entropy", "curves.select_orientation"),
+    ("curves.design", "curves.fit_curve"),
+    ("numerics.lstsq", "curves.fit_curve"),
+    ("density.cross_entropy", "engine.cost"),
+    ("density.log_density", "engine.assign"),
+}
+
+
+def _load_spans():
+    spec = importlib.util.spec_from_file_location("bench_spans", SPANS)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def _current(owner, attr):
+    return owner.__dict__[attr] if isinstance(owner, type) else getattr(owner, attr)
+
+
+def test_trace_hooks_install_record_and_uninstall():
+    spans = _load_spans()
+    tracer = spans.Tracer()
+    x = generate(GeneratorSpec("strokes", n=300, seed=3)).rows
+    cfg = engine.EngineConfig(k_init=3, family=builtin_family("quadratic", 1), max_iters=3)
+    try:
+        spans.install(tracer)
+        patches = list(tracer._patches)
+        for owner, attr, orig in patches:
+            assert _current(owner, attr) is not orig, attr
+        model = engine.fit(x, cfg)
+        selection.log_likelihood(x, model)
+    finally:
+        tracer.uninstall()
+    for owner, attr, orig in patches:
+        assert _current(owner, attr) is orig, attr
+    names = {s[2] for s in tracer.spans}
+    assert FIT_SPANS <= names, sorted(FIT_SPANS - names)
+    name_of = {s[0]: s[2] for s in tracer.spans}
+    pairs = {(s[2], name_of.get(s[1])) for s in tracer.spans}
+    assert REFIT_PATH <= pairs, sorted(REFIT_PATH - pairs)
+    metrics = spans.layer_metrics(tracer.spans)
+    assert metrics["engine.iterations"] == model.iterations
+    assert metrics["curves.design_calls"] > 0
+    assert np.isfinite(metrics["curves.design_s"])

@@ -1,17 +1,19 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from afcec.curves import (
+    BUILTIN_KINDS,
     FunctionFamily,
     builtin_family,
-    constant_basis,
-    custom_basis,
     explanatory,
     fit_curve,
-    monomial_basis,
-    projection_basis,
     select_orientation,
 )
+from afcec.density import fadapted_cross_entropy
 from afcec.errors import DegenerateCluster, RankDeficient
 
 
@@ -32,9 +34,36 @@ def test_builtin_family_rejects_unknown_kind():
 
 def test_family_requires_constant_and_projections():
     with pytest.raises(ValueError):
-        FunctionFamily(input_dim=1, basis=(projection_basis(1, 0),))
+        FunctionFamily(input_dim=1, exponents=[[1]])
     with pytest.raises(ValueError):
-        FunctionFamily(input_dim=2, basis=(constant_basis(2), projection_basis(2, 0)))
+        FunctionFamily(input_dim=1, exponents=[[1], [0]])
+    with pytest.raises(ValueError):
+        FunctionFamily(input_dim=2, exponents=[[0, 0], [1, 0]])
+    with pytest.raises(ValueError):
+        FunctionFamily(input_dim=2, exponents=[[0, 0], [1, 0], [1, 1]])
+    fam = FunctionFamily(input_dim=2, exponents=[[0, 0], [0, 1], [1, 0], [1, 1]])
+    assert fam.size == 4
+
+
+def test_family_rejects_malformed_exponents():
+    with pytest.raises(ValueError):
+        FunctionFamily(input_dim=0, exponents=[[]])
+    with pytest.raises(ValueError):
+        FunctionFamily(input_dim=2, exponents=[[0], [1]])
+    with pytest.raises(ValueError):
+        FunctionFamily(input_dim=1, exponents=[[0], [1], [-1]])
+    with pytest.raises(ValueError):
+        FunctionFamily(input_dim=1, exponents=np.zeros((0, 1), dtype=int))
+
+
+def test_builtin_family_rows():
+    assert builtin_family("linear", 1).exponents.tolist() == [[0], [1]]
+    assert builtin_family("cubic", 1).exponents.tolist() == [[0], [1], [2], [3]]
+    assert builtin_family("cubic", 2).exponents.tolist() == [
+        [0, 0], [1, 0], [0, 1], [2, 0], [1, 1], [0, 2], [3, 0], [0, 3]
+    ]
+    quad3 = builtin_family("quadratic", 3).exponents.tolist()
+    assert quad3[4:] == [[2, 0, 0], [1, 1, 0], [1, 0, 1], [0, 2, 0], [0, 1, 1], [0, 0, 2]]
 
 
 def test_design_matrix_shapes():
@@ -49,15 +78,50 @@ def test_design_matrix_shapes():
 
 
 def test_monomial_basis_values():
-    b = monomial_basis((2, 1))
+    fam = FunctionFamily(input_dim=2, exponents=[[0, 0], [1, 0], [0, 1], [2, 1]])
     pts = np.array([[2.0, 3.0], [1.0, -1.0]])
-    assert np.allclose(b(pts), [12.0, -1.0])
+    assert fam.design_matrix(pts)[:, 3].tolist() == [12.0, -1.0]
 
 
-def test_custom_basis_evaluates_rowwise():
-    b = custom_basis(lambda row: row[0] * row[1], 2)
-    pts = np.array([[2.0, 3.0], [4.0, 0.5]])
-    assert np.allclose(b(pts), [6.0, 2.0])
+def _pow_reference(e, xe):
+    """The float-pow design: column b is prod(xe ** exponents[b])."""
+    return np.column_stack([np.prod(xe ** row.astype(float), axis=1) for row in e])
+
+
+def _exact_reference(e, xe):
+    """Each monomial in exact rational arithmetic, rounded once to a float."""
+    return np.array([
+        [float(np.prod([Fraction(v) ** int(k) for v, k in zip(row, ex)])) for ex in e]
+        for row in xe
+    ])
+
+
+_magnitudes = st.floats(min_value=1e-6, max_value=1e6)
+_coords = st.builds(lambda m, neg: -m if neg else m, _magnitudes, st.booleans())
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(BUILTIN_KINDS),
+    data=st.data(),
+    input_dim=st.integers(min_value=1, max_value=3),
+)
+def test_design_matrix_matches_pow_reference(kind, data, input_dim):
+    fam = builtin_family(kind, input_dim)
+    n = data.draw(st.integers(min_value=1, max_value=8))
+    xe = np.array(data.draw(st.lists(
+        st.lists(_coords, min_size=input_dim, max_size=input_dim), min_size=n, max_size=n
+    )))
+    dm = fam.design_matrix(xe)
+    assert dm.shape == (n, fam.size)
+    low = fam.exponents.max(axis=1) <= 2
+    # degree <= 2 columns are single products: exactly the rounded monomial
+    exact = _exact_reference(fam.exponents, xe)
+    assert np.array_equal(dm[:, low], exact[:, low])
+    assert np.allclose(dm[:, ~low], exact[:, ~low], rtol=1e-15, atol=0)
+    # float pow is not correctly rounded everywhere (vectorized pow can be
+    # off by an ulp), so it agrees to rounding only
+    assert np.allclose(dm, _pow_reference(fam.exponents, xe), rtol=1e-15, atol=0)
 
 
 def test_fit_curve_recovers_polynomial():
@@ -135,3 +199,16 @@ def test_select_orientation_degenerate_cluster():
     pts = np.zeros((2, 3))
     with pytest.raises(DegenerateCluster):
         select_orientation(pts, builtin_family("quadratic", 2))
+
+
+@pytest.mark.parametrize("kind,d", [("quadratic", 2), ("cubic", 3)])
+def test_select_orientation_h_equals_from_scratch(kind, d):
+    # select_orientation reuses fit_curve's SSE; a fresh evaluation of the
+    # returned curve must give the same H to the last bit
+    rng = np.random.default_rng(12)
+    pts = rng.standard_normal((200, d)) * [1.0, 3.0, 0.5][:d] + 2.0
+    pts[:, -1] += 0.4 * pts[:, 0] ** 2
+    axis, curve, h, params = select_orientation(pts, builtin_family(kind, d - 1))
+    h_fresh, p_fresh = fadapted_cross_entropy(pts, axis, curve)
+    assert h == h_fresh
+    assert params.resid_var == p_fresh.resid_var

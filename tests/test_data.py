@@ -128,6 +128,56 @@ def test_model_json_schema_guard():
         model_from_json(blob)
 
 
+# A schema-1 model file as save_model writes it, basis rows as {tag, exponents}:
+# one 3-d cluster on the quadratic family over two coordinates.
+SCHEMA1_MODEL = {
+    "schema": 1,
+    "clusters": [
+        {
+            "dependent_axis": 2,
+            "mean_exp": [0.25, -1.5],
+            "cov_exp": [[1.0, 0.125], [0.125, 2.0]],
+            "resid_var": 0.01,
+            "mean_dep": 0.0,
+            "curve": {
+                "family": {
+                    "kind": "quadratic",
+                    "input_dim": 2,
+                    "basis": [
+                        {"tag": "constant", "exponents": [0, 0]},
+                        {"tag": "linear", "exponents": [1, 0]},
+                        {"tag": "linear", "exponents": [0, 1]},
+                        {"tag": "monomial", "exponents": [2, 0]},
+                        {"tag": "monomial", "exponents": [1, 1]},
+                        {"tag": "monomial", "exponents": [0, 2]},
+                    ],
+                },
+                "coeffs": [0.5, -1.0, 2.0, 0.1, 0.2, -0.3],
+                "sse": 0.04,
+            },
+            "weight": 1.0,
+            "size": 4,
+            "cross_entropy": 1.2345678901234567,
+        }
+    ],
+    "assignment": [0, 0, 0, 0],
+    "cost_trace": [2.5, 1.2345678901234567],
+    "iterations": 1,
+    "deleted_count": 0,
+    "deletion_iterations": [],
+}
+
+
+def test_schema1_model_loads_and_reserializes_unchanged():
+    model = model_from_json(json.loads(json.dumps(SCHEMA1_MODEL)))
+    fam = model.clusters[0].params.curve.family
+    assert fam == builtin_family("quadratic", 2)
+    assert hash(fam) == hash(builtin_family("quadratic", 2))
+    curve = model.clusters[0].params.curve
+    assert curve.evaluate([1.0, 2.0]) == 0.5 - 1.0 + 4.0 + 0.1 + 0.4 - 1.2
+    assert json.dumps(model_to_json(model)) == json.dumps(SCHEMA1_MODEL)
+
+
 def test_load_model_bad_file(tmp_path):
     path = tmp_path / "junk.json"
     path.write_text("{not json")
