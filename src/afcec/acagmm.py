@@ -13,9 +13,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, special
 
 from .errors import BeyondCurvatureCenter
+from .numerics import simpson_grid_2d
 
 # Jacobian factors at/below this are treated as folded (the map collapses)
 FOLD_EPS = 1e-9
@@ -47,58 +47,32 @@ class ProjectionResult:
     side: str  # above | below the graph (empty for points on it)
 
 
-def _t0_candidates_scalar(a, px, py):
-    """Real roots of 2 a^2 t^3 + (1 - 2 a py) t - px = 0 (foot candidates)."""
-    q = (1.0 - 2.0 * a * py) / (6.0 * a * a)
-    r = px / (4.0 * a * a)
-    disc = q ** 3 + r ** 2
-    if disc > 0.0:
-        s = math.sqrt(disc)
-        return [float(np.cbrt(r + s) + np.cbrt(r - s))]
-    if disc == 0.0:
-        c = float(np.cbrt(r))
-        return [2.0 * c, -c]
-    phi = math.acos(r / math.sqrt((-q) ** 3))
-    return [
-        2.0 * math.sqrt(-q) * math.cos((phi + 2.0 * math.pi * i) / 3.0) for i in range(3)
-    ]
-
-
 def project_to_parabola(m, point):
-    """Nearest point of y = a x^2 via the closed-form cubic.
-
-    All critical-point candidates are compared by distance (ties to the
-    smaller t), which also covers the degenerate double-root case.
-    """
+    """Nearest point of y = a x^2: the grid solver (_project_t0_grid) run on
+    one point."""
     px, py = float(point[0]), float(point[1])
-    cands = _t0_candidates_scalar(m.a, px, py)
-    best_t, best_d2 = None, None
-    for t in sorted(cands):
-        d2 = (t - px) ** 2 + (m.a * t * t - py) ** 2
-        if best_d2 is None or d2 < best_d2 - 1e-15:
-            best_t, best_d2 = t, d2
-    p = math.sqrt(best_d2)
-    l = math.copysign(arc_length(m, best_t), best_t) if best_t != 0.0 else 0.0
+    t0 = float(_project_t0_grid(m.a, px, py))
     gap = py - m.a * px * px
-    side = "above" if gap > 0 else ("below" if gap < 0 else "")
-    return ProjectionResult(t0=best_t, p=p, l=l, side=side)
+    return ProjectionResult(
+        t0=t0,
+        p=math.hypot(px - t0, py - m.a * t0 * t0),
+        l=float(_signed_arc(m.a, t0)),
+        side="above" if gap > 0 else ("below" if gap < 0 else ""),
+    )
+
+
+def _signed_arc(a, t):
+    """Arc length of y = a x^2 from the vertex to (t, a t^2), signed by sign(t);
+    t may be an array."""
+    aa = abs(a)
+    root = np.sqrt(1.0 + 4.0 * a * a * t * t)
+    return 0.5 * t * root + np.arcsinh(2.0 * aa * t) / (4.0 * aa)
 
 
 def arc_length(m, t0):
-    """Arc length of y = a x^2 from the vertex to (t0, a t0^2), as a magnitude.
-
-    Callers wanting a signed coordinate apply sign(t0) themselves (that is the
-    convention ProjectionResult.l uses).
-    """
-    aa = abs(m.a)
-    t = abs(t0)
-    root = math.sqrt(1.0 + 4.0 * aa * aa * t * t)
-    return 0.5 * t * root + math.asinh(2.0 * aa * t) / (4.0 * aa)
-
-
-def curvature_radius(m, t0):
-    """Radius of the osculating circle at (t0, a t0^2)."""
-    return (1.0 + 4.0 * m.a * m.a * t0 * t0) ** 1.5 / (2.0 * abs(m.a))
+    """Arc length of y = a x^2 from the vertex to (t0, a t0^2), as a magnitude
+    (ProjectionResult.l carries the sign of t0)."""
+    return np.abs(_signed_arc(m.a, t0))
 
 
 def orientation_side(m, point, proj):
@@ -122,20 +96,14 @@ def aca_log_density(m, point, corrected=False):
     Raises BeyondCurvatureCenter when the factor is <= 0, i.e. the point lies
     at or past the curvature center on the concave side, where the map folds.
     """
-    proj = project_to_parabola(m, point)
-    raw = (
-        -math.log(2.0 * math.pi * m.sigma1 * m.sigma2)
-        - 0.5 * (proj.l / m.sigma1) ** 2
-        - 0.5 * (proj.p / m.sigma2) ** 2
-    )
+    raw, factor = _log_density_grid(m, float(point[0]), float(point[1]))
     if not corrected:
-        return raw
-    factor = _jacobian_factor(m.a, proj.t0, proj.p, proj.side != "below")
+        return float(raw)
     if factor <= FOLD_EPS:
         raise BeyondCurvatureCenter(
-            f"normal offset {proj.p:.6g} reaches the curvature center at t0={proj.t0:.6g}"
+            f"point ({point[0]:.6g}, {point[1]:.6g}) reaches the curvature center of its foot"
         )
-    return raw - math.log(factor)
+    return float(raw - math.log(factor))
 
 
 def _jacobian_factor(a, t0, p, above):
@@ -145,7 +113,14 @@ def _jacobian_factor(a, t0, p, above):
 
 
 def _project_t0_grid(a, px, py):
-    """Vectorized nearest-foot parameter for arrays of points."""
+    """Nearest-foot parameter for points given as scalars or arrays.
+
+    The foot is a real root of 2 a^2 t^3 + (1 - 2 a py) t - px = 0. With a
+    negative discriminant the three roots are compared by squared distance
+    (ties to the smaller t). Otherwise the Cardano root is taken; at a zero
+    discriminant that is the simple root, since the double root is an
+    inflection of the squared distance, never its minimum.
+    """
     q = (1.0 - 2.0 * a * py) / (6.0 * a * a)
     r = px / (4.0 * a * a)
     disc = q ** 3 + r ** 2
@@ -173,12 +148,9 @@ def _log_density_grid(m, px, py):
     a = m.a
     t0 = _project_t0_grid(a, px, py)
     p = np.hypot(px - t0, py - a * t0 * t0)
-    aa = abs(a)
-    root = np.sqrt(1.0 + 4.0 * a * a * t0 * t0)
-    l = 0.5 * t0 * root + np.arcsinh(2.0 * aa * t0) / (4.0 * aa)
     raw = (
         -math.log(2.0 * math.pi * m.sigma1 * m.sigma2)
-        - 0.5 * (l / m.sigma1) ** 2
+        - 0.5 * (_signed_arc(a, t0) / m.sigma1) ** 2
         - 0.5 * (p / m.sigma2) ** 2
     )
     factor = _jacobian_factor(a, t0, p, py > a * px * px)
@@ -190,14 +162,17 @@ def fold_mass(m, tail=40.0):
     i.e. normal offsets past c(t) = sqrt(1 + 4 a^2 t^2) / (2|a|) on the concave
     side. This is exactly what the single-nearest-foot corrected density loses,
     so its integral comes out at 1 minus this. Computed by 1-D quadrature."""
+    # imported here: only acagmm-check needs them, and scipy.integrate is slow
+    # to import
+    from scipy import integrate, special
+
     a, s1, s2 = m.a, m.sigma1, m.sigma2
     aa = abs(a)
 
     def g(t):
         root = np.sqrt(1.0 + 4.0 * a * a * t * t)
-        l = 0.5 * t * root + np.arcsinh(2.0 * aa * t) / (4.0 * aa)
         cut = root / (2.0 * aa)
-        n1 = np.exp(-0.5 * (l / s1) ** 2) / (math.sqrt(2.0 * math.pi) * s1)
+        n1 = np.exp(-0.5 * (_signed_arc(a, t) / s1) ** 2) / (math.sqrt(2.0 * math.pi) * s1)
         q = 0.5 * special.erfc(cut / (s2 * math.sqrt(2.0)))
         return n1 * q * root
 
@@ -223,15 +198,7 @@ def normalization_table(
     corrected integral; excluded_mass is the fold mass the correction cannot
     recover (see fold_mass).
     """
-    n = int(n)
-    if n < 2 or n % 2:
-        raise ValueError("n must be even and >= 2")
-    xs = np.linspace(-box, box, n + 1)
-    px, py = np.meshgrid(xs, xs, indexing="ij")
-    w = np.ones(n + 1)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    weights = np.outer(w, w) * (2.0 * box / n) ** 2 / 9.0
+    px, py, weights = simpson_grid_2d(-box, box, -box, box, n)
     rows = []
     for a in a_grid:
         for s1 in sigma_grid:

@@ -8,11 +8,8 @@ import argparse
 import csv
 import json
 import logging
-import math
-import os
 import sys
-
-import numpy as np
+from dataclasses import replace
 
 from . import acagmm, data, engine, selection
 from .curves import BUILTIN_KINDS, builtin_family
@@ -45,37 +42,26 @@ class _Parser(argparse.ArgumentParser):
         return EXIT_CONFIG
 
 
-def _threads():
-    """Restart concurrency cap from AFCEC_THREADS (0 or unset = auto)."""
-    raw = os.environ.get("AFCEC_THREADS", "").strip()
-    if not raw:
-        return None
-    try:
-        v = int(raw)
-    except ValueError:
-        raise InvalidConfig(f"AFCEC_THREADS must be an integer, got {raw!r}") from None
-    if v < 0:
-        raise InvalidConfig("AFCEC_THREADS must be >= 0")
-    return v if v else 0
-
-
 def build_parser():
     parser = _Parser(prog="afcec", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_fit = sub.add_parser("fit", help="cluster a CSV dataset")
-    p_fit.add_argument("--input", required=True)
+    # flags shared by fit and sweep; _engine_setup turns them into a config
+    engine_flags = argparse.ArgumentParser(add_help=False)
+    engine_flags.add_argument("--input", required=True)
+    engine_flags.add_argument("--family", choices=BUILTIN_KINDS, default="quadratic")
+    engine_flags.add_argument("--epsilon", type=float, default=1e-4)
+    engine_flags.add_argument("--deletion-fraction", type=float, default=0.01)
+    engine_flags.add_argument("--restarts", type=int, default=1)
+    engine_flags.add_argument("--seed", type=int, default=0)
+    engine_flags.add_argument("--init", choices=engine.INITS, default="random_partition")
+    engine_flags.add_argument("--max-iters", type=int, default=200)
+    engine_flags.add_argument("--ll-mode", choices=selection.LL_MODES, default="mixture")
+
+    p_fit = sub.add_parser("fit", parents=[engine_flags], help="cluster a CSV dataset")
     p_fit.add_argument("--k", type=int, required=True)
-    p_fit.add_argument("--family", choices=BUILTIN_KINDS, default="quadratic")
-    p_fit.add_argument("--epsilon", type=float, default=1e-4)
-    p_fit.add_argument("--deletion-fraction", type=float, default=0.01)
-    p_fit.add_argument("--restarts", type=int, default=1)
-    p_fit.add_argument("--seed", type=int, default=0)
-    p_fit.add_argument("--init", choices=engine.INITS, default="random_partition")
-    p_fit.add_argument("--max-iters", type=int, default=200)
     p_fit.add_argument("--output-model")
     p_fit.add_argument("--output-plot")
-    p_fit.add_argument("--ll-mode", choices=selection.LL_MODES, default="mixture")
 
     p_gen = sub.add_parser("generate", help="write a synthetic dataset CSV")
     p_gen.add_argument("--kind", choices=data.GENERATOR_KINDS, required=True)
@@ -84,17 +70,10 @@ def build_parser():
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("--out", required=True)
 
-    p_sweep = sub.add_parser("sweep", help="fit k=1..K, emit score table CSV")
-    p_sweep.add_argument("--input", required=True)
+    p_sweep = sub.add_parser(
+        "sweep", parents=[engine_flags], help="fit k=1..K, emit score table CSV"
+    )
     p_sweep.add_argument("--k-max", type=int, default=10)
-    p_sweep.add_argument("--family", choices=BUILTIN_KINDS, default="quadratic")
-    p_sweep.add_argument("--epsilon", type=float, default=1e-4)
-    p_sweep.add_argument("--deletion-fraction", type=float, default=0.01)
-    p_sweep.add_argument("--restarts", type=int, default=1)
-    p_sweep.add_argument("--seed", type=int, default=0)
-    p_sweep.add_argument("--init", choices=engine.INITS, default="random_partition")
-    p_sweep.add_argument("--max-iters", type=int, default=200)
-    p_sweep.add_argument("--ll-mode", choices=selection.LL_MODES, default="mixture")
 
     p_aca = sub.add_parser("acagmm-check", help="normalization table CSV")
     p_aca.add_argument("--a-grid", default=",".join(str(v) for v in acagmm.DEFAULT_A_GRID))
@@ -106,29 +85,30 @@ def build_parser():
     return parser
 
 
-def _fit_model(args):
+def _engine_setup(args, k, k_flag):
+    """Load --input and build the validated EngineConfig for k clusters from
+    the shared fit/sweep flags; raises before anything is written to stdout."""
     ds = data.load_csv(args.input)
-    if args.k < 1:
-        raise InvalidConfig("--k must be >= 1")
+    if k < 1:
+        raise InvalidConfig(f"{k_flag} must be >= 1")
     if args.restarts < 1:
         raise InvalidConfig("--restarts must be >= 1")
-    family = builtin_family(args.family, ds.d - 1)
     cfg = engine.EngineConfig(
-        k_init=args.k,
-        family=family,
+        k_init=k,
+        family=builtin_family(args.family, ds.d - 1),
         epsilon=args.epsilon,
         deletion_fraction=args.deletion_fraction,
         max_iters=args.max_iters,
         seed=args.seed,
         init=args.init,
     )
-    cfg.validate()
-    best, all_costs = engine.fit_restarts(ds, cfg, args.restarts, max_workers=_threads())
-    return ds, best, all_costs
+    cfg.validate_for((ds.n, ds.d))
+    return ds, cfg
 
 
 def cmd_fit(args):
-    ds, best, all_costs = _fit_model(args)
+    ds, cfg = _engine_setup(args, args.k, "--k")
+    best, all_costs = engine.fit_restarts(ds, cfg, args.restarts)
     sc = selection.score(ds, best, ll_mode=args.ll_mode)
     log.info(
         "fit: k=%d, %d iterations, %d restart(s), cost %.6f",
@@ -160,37 +140,19 @@ def cmd_generate(args):
 
 
 def cmd_sweep(args):
-    ds = data.load_csv(args.input)
-    if args.k_max < 1:
-        raise InvalidConfig("--k-max must be >= 1")
-    if args.restarts < 1:
-        raise InvalidConfig("--restarts must be >= 1")
-    family = builtin_family(args.family, ds.d - 1)
+    ds, cfg = _engine_setup(args, args.k_max, "--k-max")
+    other_mode = "max" if args.ll_mode == "mixture" else "mixture"
     writer = csv.writer(sys.stdout)
     writer.writerow(
         ["k", "k_final", "cost", "loglik_mixture", "loglik_max", "n_params", "bic", "aic"]
     )
-    workers = _threads()
     for k in range(1, args.k_max + 1):
-        cfg = engine.EngineConfig(
-            k_init=k,
-            family=family,
-            epsilon=args.epsilon,
-            deletion_fraction=args.deletion_fraction,
-            max_iters=args.max_iters,
-            seed=args.seed,
-            init=args.init,
-        )
-        cfg.validate()
-        best, _ = engine.fit_restarts(ds, cfg, args.restarts, max_workers=workers)
-        ll_mix = selection.log_likelihood(ds, best, "mixture")
-        ll_max = selection.log_likelihood(ds, best, "max")
-        ll = ll_mix if args.ll_mode == "mixture" else ll_max
-        n_params = selection.count_params(best)
+        best, _ = engine.fit_restarts(ds, replace(cfg, k_init=k), args.restarts)
+        sc = selection.score(ds, best, args.ll_mode)
+        ll = {args.ll_mode: sc.loglik, other_mode: selection.log_likelihood(ds, best, other_mode)}
         writer.writerow([
-            k, best.k, repr(best.final_cost), repr(ll_mix), repr(ll_max), n_params,
-            repr(-2.0 * ll + n_params * math.log(ds.n)),
-            repr(-2.0 * ll + 2.0 * n_params),
+            k, best.k, repr(best.final_cost), repr(ll["mixture"]), repr(ll["max"]),
+            sc.n_params, repr(sc.bic), repr(sc.aic),
         ])
         log.info("k=%d -> k_final=%d", k, best.k)
     return 0

@@ -67,6 +67,17 @@ class EngineConfig:
         if self.init not in INITS:
             raise InvalidConfig(f"init must be one of {INITS}")
 
+    def validate_for(self, shape):
+        """validate(), plus the checks against an (n, d) data shape."""
+        self.validate()
+        n, d = shape
+        if d < 2:
+            raise InvalidConfig("need at least 2 coordinates")
+        if n < self.k_init * (d + 1):
+            raise InvalidConfig(
+                f"need at least k_init*(d+1)={self.k_init * (d + 1)} points, got {n}"
+            )
+
 
 def as_array(x):
     """Accept a Dataset or a plain (n, d) array."""
@@ -223,13 +234,8 @@ def fit(x, cfg):
     (a deletion can bump the cost, and stopping there would freeze a partial
     model); every deletion lowers k, so this cannot loop forever.
     """
-    cfg.validate()
     x = as_array(x)
-    n, d = x.shape
-    if d < 2:
-        raise InvalidConfig("need at least 2 coordinates")
-    if n < cfg.k_init * (d + 1):
-        raise InvalidConfig(f"need at least k_init*(d+1)={cfg.k_init * (d + 1)} points, got {n}")
+    cfg.validate_for(x.shape)
 
     assignment = _init_partition(x, cfg)
     deleted_total = 0
@@ -265,44 +271,24 @@ def fit(x, cfg):
     )
 
 
-def fit_restarts(x, cfg, restarts, max_workers=None):
+def fit_restarts(x, cfg, restarts):
     """fit() with seeds cfg.seed .. cfg.seed+restarts-1; returns the lowest-cost
     model and the final costs of the successful restarts in seed order.
 
-    Ties between restarts break toward the smaller seed so the reduction is
-    order-independent. A restart failure propagates only if every restart
-    fails. max_workers > 1 runs restarts in a thread pool (0 = cpu count).
+    Ties between restarts break toward the smaller seed. A restart failure
+    propagates only if every restart fails.
     """
     if restarts < 1:
         raise InvalidConfig("restarts must be >= 1")
     x = as_array(x)
-    cfgs = [replace(cfg, seed=cfg.seed + i) for i in range(restarts)]
-
-    def run(c):
-        return fit(x, c)
-
-    results = [None] * restarts
-    failures = [None] * restarts
-    if max_workers is not None and max_workers != 1 and restarts > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        workers = max_workers if max_workers > 0 else None
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futs = [pool.submit(run, c) for c in cfgs]
-            for i, fut in enumerate(futs):
-                try:
-                    results[i] = fut.result()
-                except (DegenerateCluster, AllClustersDegenerate, RankDeficient) as e:
-                    failures[i] = e
-    else:
-        for i, c in enumerate(cfgs):
-            try:
-                results[i] = run(c)
-            except (DegenerateCluster, AllClustersDegenerate, RankDeficient) as e:
-                failures[i] = e
-
-    ok = [(i, m) for i, m in enumerate(results) if m is not None]
-    if not ok:
-        raise next(f for f in failures if f is not None)
-    best = min(ok, key=lambda im: (im[1].final_cost, im[0]))[1]
-    return best, [m.final_cost for _, m in ok]
+    models, failures = [], []
+    for i in range(restarts):
+        try:
+            models.append(fit(x, replace(cfg, seed=cfg.seed + i)))
+        except (DegenerateCluster, AllClustersDegenerate, RankDeficient) as e:
+            failures.append(e)
+    if not models:
+        raise failures[0]
+    # min keeps the first of equal costs, i.e. the smallest seed
+    best = min(models, key=lambda m: m.final_cost)
+    return best, [m.final_cost for m in models]

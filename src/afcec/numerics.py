@@ -3,41 +3,11 @@
 import numpy as np
 import scipy.linalg
 
-from .errors import NotPositiveDefinite, RankDeficient
+from .errors import RankDeficient
 
 # ridge scale for least-squares conditioning, relative to trace of the
 # normal matrix
 RIDGE_SCALE = 1e-10
-
-
-def symmetrize(m):
-    """Return 0.5*(m + m^T); makes covariance matrices exactly symmetric."""
-    m = np.asarray(m, dtype=float)
-    return 0.5 * (m + m.T)
-
-
-def determinant(m):
-    """Determinant via LU with partial pivoting. Returns 0 for singular input."""
-    m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError("determinant requires a square matrix")
-    if m.shape[0] > 64:
-        raise ValueError("dimension above supported limit (64)")
-    return float(np.linalg.det(m))
-
-
-def solve_spd(a, b):
-    """Solve a @ x = b for symmetric positive definite a (Cholesky).
-
-    Raises NotPositiveDefinite when the factorization fails.
-    """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    try:
-        c, low = scipy.linalg.cho_factor(a, lower=True)
-    except scipy.linalg.LinAlgError as e:
-        raise NotPositiveDefinite(str(e)) from e
-    return scipy.linalg.cho_solve((c, low), b)
 
 
 def least_squares(design, target):
@@ -67,25 +37,28 @@ def least_squares(design, target):
     return c
 
 
-def simpson_2d(f, xlo, xhi, ylo, yhi, n=500):
-    """Composite 2-D Simpson estimate of the integral of f over a box.
+def simpson_grid_2d(xlo, xhi, ylo, yhi, n):
+    """Nodes and weights of the composite 2-D Simpson rule on a box.
 
-    n is the (even) number of segments per axis. f is called once with full
-    meshgrid arrays when it supports that, otherwise per scalar pair.
+    n is the (even) number of segments per axis. Returns meshgrid arrays X, Y
+    ("ij" indexing) and weights W such that sum(W * f(X, Y)) estimates the
+    integral of f.
     """
     n = int(n)
     if n < 2 or n % 2:
         raise ValueError("n must be even and >= 2")
-    x = np.linspace(xlo, xhi, n + 1)
-    y = np.linspace(ylo, yhi, n + 1)
-    X, Y = np.meshgrid(x, y, indexing="ij")
-    try:
-        F = np.broadcast_to(np.asarray(f(X, Y), dtype=float), X.shape)
-    except (TypeError, ValueError):
-        F = np.array([[float(f(xi, yj)) for yj in y] for xi in x])
+    X, Y = np.meshgrid(np.linspace(xlo, xhi, n + 1), np.linspace(ylo, yhi, n + 1), indexing="ij")
     w = np.ones(n + 1)
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
-    hx = (xhi - xlo) / n
-    hy = (yhi - ylo) / n
-    return float(np.outer(w, w).ravel() @ F.ravel() * hx * hy / 9.0)
+    return X, Y, np.outer(w, w) * ((xhi - xlo) / n * ((yhi - ylo) / n) / 9.0)
+
+
+def simpson_2d(f, xlo, xhi, ylo, yhi, n=500):
+    """Composite 2-D Simpson estimate of the integral of f over a box.
+
+    n is the (even) number of segments per axis. f is called once with the
+    full meshgrid arrays.
+    """
+    X, Y, W = simpson_grid_2d(xlo, xhi, ylo, yhi, n)
+    return float(np.sum(W * f(X, Y)))

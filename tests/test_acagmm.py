@@ -8,10 +8,8 @@ from scipy import integrate, optimize
 
 from afcec.acagmm import (
     AcaParabolaModel,
-    _t0_candidates_scalar,
     aca_log_density,
     arc_length,
-    curvature_radius,
     fold_mass,
     normalization_table,
     orientation_side,
@@ -37,16 +35,15 @@ def _golden_foot(a, px, py):
 
 
 def test_cubic_candidates_match_numpy_roots():
+    # the chosen foot is a real root of the foot cubic
     rng = np.random.default_rng(0)
     for _ in range(200):
         a = rng.uniform(0.1, 3.0) * rng.choice([-1.0, 1.0])
         px, py = rng.uniform(-6.0, 6.0, 2)
-        ours = sorted(_t0_candidates_scalar(a, px, py))
+        t0 = project_to_parabola(AcaParabolaModel(a, 1.0, 1.0), (px, py)).t0
         roots = np.roots([2.0 * a * a, 0.0, 1.0 - 2.0 * a * py, -px])
-        real = sorted(float(r.real) for r in roots if abs(r.imag) < 1e-9)
-        assert len(ours) == len(real) or (len(ours) == 2 and len(real) == 3)
-        for o in ours:
-            assert min(abs(o - r) for r in real) < 1e-7
+        real = [float(r.real) for r in roots if abs(r.imag) < 1e-9]
+        assert min(abs(t0 - r) for r in real) < 1e-9
 
 
 def test_projection_matches_golden_section():
@@ -67,10 +64,8 @@ def test_projection_matches_golden_section():
 
 def test_projection_double_root_branch():
     # a=1/2, point (-1, 5/2) puts the discriminant at exactly zero;
-    # candidate feet are t=-2 (double) and t=1, and t=-2 is nearer
+    # candidate feet are t=-2 (simple) and t=1 (double), and t=-2 is nearer
     m = AcaParabolaModel(0.5, 1.0, 1.0)
-    cands = _t0_candidates_scalar(0.5, -1.0, 2.5)
-    assert sorted(cands) == pytest.approx([-2.0, 1.0], abs=1e-12)
     proj = project_to_parabola(m, (-1.0, 2.5))
     assert proj.t0 == pytest.approx(-2.0, abs=1e-12)
     assert proj.p == pytest.approx(math.sqrt(1.25), abs=1e-12)
@@ -113,17 +108,6 @@ def test_signed_arc_in_projection():
     right = project_to_parabola(m, (2.0, 1.0))
     assert left.l == pytest.approx(-right.l, abs=1e-12)
     assert right.l > 0
-
-
-def test_curvature_radius_against_curvature_formula():
-    # r = (1 + y'^2)^{3/2} / |y''| for y = a x^2
-    rng = np.random.default_rng(3)
-    for _ in range(30):
-        a = rng.uniform(0.1, 2.0) * rng.choice([-1.0, 1.0])
-        t = rng.uniform(-3.0, 3.0)
-        m = AcaParabolaModel(a, 1.0, 1.0)
-        ref = (1.0 + (2.0 * a * t) ** 2) ** 1.5 / abs(2.0 * a)
-        assert curvature_radius(m, t) == pytest.approx(ref, abs=1e-12)
 
 
 def test_orientation_side_samples():

@@ -14,7 +14,6 @@ from scipy import integrate, optimize
 
 from afcec.acagmm import (
     AcaParabolaModel,
-    _t0_candidates_scalar,
     arc_length,
     normalization_table,
     project_to_parabola,

@@ -1,10 +1,15 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import afcec
 from afcec.cli import main
 from afcec.data import GeneratorSpec, generate, save_csv
 
@@ -85,6 +90,52 @@ def test_bad_family_is_config_error(circle_csv):
     assert err.value.code == 1
 
 
+@pytest.mark.parametrize(
+    "command", [["fit", "--k", "2"], ["sweep", "--k-max", "2"]], ids=["fit", "sweep"]
+)
+@pytest.mark.parametrize(
+    "flag", [["--epsilon", "-1"], ["--max-iters", "0"]], ids=["epsilon", "max-iters"]
+)
+def test_bad_engine_flag_is_config_error_with_no_output(circle_csv, capsys, command, flag):
+    code, out = _run(capsys, *command, "--input", circle_csv, *flag)
+    assert code == 1
+    assert out == ""
+
+
+def test_sweep_k_max_beyond_data_is_config_error_with_no_output(tmp_path, capsys):
+    # 30 points in 2-d hold at most k=10 clusters of d+1 points
+    path = tmp_path / "small.csv"
+    save_csv(generate(GeneratorSpec(kind="circle", n=30, seed=0)), path)
+    code, out = _run(capsys, "sweep", "--input", str(path), "--k-max", "11")
+    assert code == 1
+    assert out == ""
+
+
+def test_fit_and_sweep_agree(circle_csv, capsys):
+    code, out = _run(capsys, "fit", "--input", circle_csv, "--k", "3", "--seed", "2",
+                     "--restarts", "2")
+    assert code == 0
+    fitted = json.loads(out)
+    code, out = _run(capsys, "sweep", "--input", circle_csv, "--k-max", "3", "--seed", "2",
+                     "--restarts", "2")
+    assert code == 0
+    row = list(csv.DictReader(io.StringIO(out)))[2]
+    assert row["k"] == "3"
+    assert float(row["cost"]) == fitted["cost"]
+    assert float(row["loglik_mixture"]) == fitted["loglik"]
+    assert float(row["bic"]) == fitted["bic"]
+
+
+def test_import_leaves_out_scipy_integrate():
+    # scipy.integrate is only needed by acagmm-check's fold mass
+    script = (
+        "import sys, afcec, afcec.cli; "
+        "sys.exit('scipy.integrate' in sys.modules)"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(afcec.__file__).parents[1]))
+    assert subprocess.run([sys.executable, "-c", script], env=env).returncode == 0
+
+
 def test_generate_writes_csv(tmp_path, capsys):
     out_path = tmp_path / "gen.csv"
     code, _ = _run(capsys, "generate", "--kind", "spiral", "--n", "100",
@@ -129,20 +180,4 @@ def test_acagmm_check_bad_grid_is_config_error(capsys):
     code, out = _run(capsys, "acagmm-check", "--a-grid", "1.0,zero")
     assert code == 1
     code, out = _run(capsys, "acagmm-check", "--a-grid", "0.0")
-    assert code == 1
-
-
-def test_threads_env(circle_csv, capsys, monkeypatch):
-    monkeypatch.setenv("AFCEC_THREADS", "2")
-    code, out = _run(capsys, "fit", "--input", circle_csv, "--k", "2",
-                     "--restarts", "3", "--seed", "0")
-    assert code == 0
-    baseline = json.loads(out)
-    monkeypatch.setenv("AFCEC_THREADS", "0")  # auto
-    code, out = _run(capsys, "fit", "--input", circle_csv, "--k", "2",
-                     "--restarts", "3", "--seed", "0")
-    assert code == 0
-    assert json.loads(out) == baseline  # concurrency must not change the result
-    monkeypatch.setenv("AFCEC_THREADS", "lots")
-    code, _ = _run(capsys, "fit", "--input", circle_csv, "--k", "2")
     assert code == 1

@@ -1,6 +1,10 @@
+from dataclasses import replace
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from afcec import engine
 from afcec.curves import builtin_family
 from afcec.data import Dataset, GeneratorSpec, generate
 from afcec.engine import EngineConfig, assign_step, cost, delete_small, fit, fit_restarts
@@ -150,13 +154,20 @@ def test_fit_restarts_returns_best():
     assert best.final_cost == min(costs)
 
 
-def test_fit_restarts_serial_and_threaded_agree():
+def test_fit_restarts_equals_separate_fits(monkeypatch):
     ds = _circle(seed=14)
-    cfg = EngineConfig(k_init=3, family=QUAD1, seed=0)
-    b1, c1 = fit_restarts(ds, cfg, restarts=4, max_workers=1)
-    b2, c2 = fit_restarts(ds, cfg, restarts=4, max_workers=4)
-    assert c1 == c2
-    assert b1.final_cost == b2.final_cost
+    cfg = EngineConfig(k_init=3, family=QUAD1, seed=5)
+    best, costs = fit_restarts(ds, cfg, restarts=4)
+    separate = [fit(ds, replace(cfg, seed=s)) for s in range(5, 9)]
+    assert costs == [m.final_cost for m in separate]
+    first = separate[costs.index(min(costs))]
+    assert np.array_equal(best.assignment, first.assignment)
+    # equal costs go to the smallest seed
+    fake = {s: SimpleNamespace(final_cost=c) for s, c in zip(range(3, 8), [2.0, 1.0, 3.0, 1.0, 1.5])}
+    monkeypatch.setattr(engine, "fit", lambda x, c: fake[c.seed])
+    best, costs = fit_restarts(ds, replace(cfg, seed=3), restarts=5)
+    assert best is fake[4]
+    assert costs == [2.0, 1.0, 3.0, 1.0, 1.5]
 
 
 def test_fit_restarts_propagates_total_failure():
