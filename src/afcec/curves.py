@@ -8,6 +8,7 @@ always a special case of the curved model.
 
 import itertools
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -125,6 +126,30 @@ def explanatory(x, j):
     """Columns of x with axis j removed, original order kept."""
     x = np.asarray(x, dtype=float)
     return np.delete(x, j, axis=1)
+
+
+class AxisDesign(NamedTuple):
+    """Rows of x split for dependent axis j, with the family's design over them.
+
+    xe_t is the explanatory block transposed, (d-1, n) with one contiguous row
+    per coordinate; xj is coordinate j, (n,); matrix is
+    family.design_matrix of the explanatory block, (n, family.size).
+    """
+
+    xe_t: np.ndarray
+    xj: np.ndarray
+    matrix: np.ndarray
+
+    def take(self, idx):
+        """The same split and design restricted to rows idx."""
+        return AxisDesign(self.xe_t[:, idx], self.xj[idx], self.matrix[idx])
+
+
+def axis_design(x, j, family):
+    """AxisDesign of the (n, d) rows x for dependent axis j."""
+    x = np.asarray(x, dtype=float)
+    xe_t = x.T[[i for i in range(x.shape[1]) if i != j]]
+    return AxisDesign(xe_t, x[:, j].copy(), family.design_matrix(xe_t.T))
 
 
 def fit_curve(x, j, family):

@@ -10,9 +10,8 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
-from .curves import explanatory
+from .curves import axis_design, explanatory
 from .errors import DegenerateCluster, NotPositiveDefinite, ZeroResidualWarning
 
 LOG_2PI = math.log(2.0 * math.pi)
@@ -90,44 +89,66 @@ def _cholesky_reg(cov):
     raise DegenerateCluster("covariance not positive definite after regularization")
 
 
-def _gauss_logpdf(mean, cov, x, strict=True):
-    """Log N(mean, cov) at x; x is (d,) or (n, d). strict -> NotPositiveDefinite."""
-    mean = np.asarray(mean, dtype=float).reshape(-1)
+def _log_normal(mean, cov, xe_t, out):
+    """Write log N(mean, cov) at the columns of xe_t ((p, n)) into out ((n,)).
+
+    The Mahalanobis term solves against the Cholesky factor by forward
+    substitution, one pass over the n columns per factor entry (for p = 1 the
+    same multiply by 1/L[0, 0] that OpenBLAS's triangular solve performs).
+    Raises NotPositiveDefinite when cov has no Cholesky factor.
+    """
+    try:
+        low = np.linalg.cholesky(cov)
+    except np.linalg.LinAlgError as e:
+        raise NotPositiveDefinite(str(e)) from e
     d = mean.size
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    pts = x.reshape(-1, d)
-    if strict:
-        try:
-            low = np.linalg.cholesky(np.asarray(cov, dtype=float))
-        except np.linalg.LinAlgError as e:
-            raise NotPositiveDefinite(str(e)) from e
-    else:
-        low, _ = _cholesky_reg(cov)
     logdet = 2.0 * float(np.sum(np.log(np.diag(low))))
-    diff = pts - mean
-    sol = scipy.linalg.solve_triangular(low, diff.T, lower=True)
-    out = -0.5 * d * LOG_2PI - 0.5 * logdet - 0.5 * np.sum(sol * sol, axis=0)
-    return float(out[0]) if single else out
+    sol = np.empty(xe_t.shape)
+    np.subtract(xe_t, mean[:, None], out=sol)
+    for i in range(d):
+        for m in range(i):
+            sol[i] -= low[i, m] * sol[m]
+        sol[i] *= 1.0 / low[i, i]
+    np.multiply(sol, sol, out=sol)
+    np.sum(sol, axis=0, out=out)
+    out *= -0.5
+    out += -0.5 * d * LOG_2PI - 0.5 * logdet
+    return out
 
 
 def gaussian_log_density(p, x):
     """Log density of N(p.mean, p.cov) at x ((d,) or (n,d))."""
-    return _gauss_logpdf(p.mean, p.cov, x)
-
-
-def fadapted_log_density(p, x):
-    """Log density of the curve-adapted Gaussian at x ((d,) or (n,d))."""
     x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
     pts = x.reshape(-1, p.dim)
-    j = p.dependent_axis
-    xe = explanatory(pts, j)
-    ge = _gauss_logpdf(p.mean_exp, p.cov_exp, xe)
-    resid = pts[:, j] - p.curve.evaluate(xe) - p.mean_dep
-    gd = -0.5 * (LOG_2PI + math.log(p.resid_var)) - 0.5 * resid * resid / p.resid_var
-    out = np.atleast_1d(ge) + gd
-    return float(out[0]) if single else out
+    out = _log_normal(p.mean, p.cov, pts.T, np.empty(len(pts)))
+    return float(out[0]) if x.ndim == 1 else out
+
+
+def fadapted_log_density(p, x, design=None, out=None):
+    """Log density of the curve-adapted Gaussian at x ((d,) or (n,d)).
+
+    design, when given, must be axis_design(x, p.dependent_axis,
+    p.curve.family) (the engine builds it once per fit); x is then not split
+    again. out, when given, is an (n,) float array the densities are written
+    into and returned.
+    """
+    x = np.asarray(x, dtype=float)
+    if design is None:
+        design = axis_design(x.reshape(-1, p.dim), p.dependent_axis, p.curve.family)
+    if out is None:
+        out = np.empty(design.xj.size)
+    _log_normal(p.mean_exp, p.cov_exp, design.xe_t, out)
+    # residual term -0.5*ln(2*pi*resid_var) - 0.5*resid^2/resid_var, in place
+    resid = design.matrix @ p.curve.coeffs
+    np.subtract(design.xj, resid, out=resid)
+    if p.mean_dep:
+        resid -= p.mean_dep
+    resid *= resid
+    resid *= 0.5
+    resid /= p.resid_var
+    np.subtract(-0.5 * (LOG_2PI + math.log(p.resid_var)), resid, out=resid)
+    out += resid
+    return float(out[0]) if x.ndim == 1 else out
 
 
 def mean_and_cov(x):

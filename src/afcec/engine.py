@@ -12,7 +12,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .curves import select_orientation
+from .curves import axis_design, select_orientation
 from .density import fadapted_cross_entropy, fadapted_log_density
 from .errors import AllClustersDegenerate, DegenerateCluster, InvalidConfig, RankDeficient
 
@@ -105,16 +105,66 @@ def cost(x, clusters, assignment):
     return total
 
 
-def _score_matrix(x, clusters):
-    """(n, k) matrix of -ln p_i - log_density_i(x)."""
-    cols = [-math.log(cl.weight) - fadapted_log_density(cl.params, x) for cl in clusters]
-    return np.column_stack(cols)
+class DesignCache:
+    """Per-axis designs over one fixed (n, d) point set.
+
+    A dependent axis's AxisDesign is built the first time a cluster with that
+    axis (and family) is scored, so a fit splits its data and builds each
+    design once per axis instead of once per cluster per iteration.
+    """
+
+    def __init__(self, x):
+        self.x = x
+        self._designs = {}
+
+    def design(self, params):
+        key = (params.dependent_axis, params.curve.family)
+        found = self._designs.get(key)
+        if found is None:
+            found = self._designs[key] = axis_design(self.x, *key)
+        return found
+
+    def take(self, rows):
+        """A cache over x[rows] holding this one's designs restricted to rows."""
+        sub = DesignCache(self.x[rows])
+        sub._designs = {key: found.take(rows) for key, found in self._designs.items()}
+        return sub
 
 
-def assign_step(x, clusters):
-    """Each point to argmin_i [-ln p_i - log f_i(x)]; ties to the lowest index."""
-    x = as_array(x)
-    return np.argmin(_score_matrix(x, clusters), axis=1)
+def _score_matrix(cache, clusters):
+    """(k, n) block of -ln p_i - log f_i(x) over the cache's points, one
+    contiguous row per cluster."""
+    scores = np.empty((len(clusters), cache.x.shape[0]))
+    for row, cl in zip(scores, clusters):
+        fadapted_log_density(cl.params, cache.x, cache.design(cl.params), out=row)
+        np.subtract(-math.log(cl.weight), row, out=row)
+    return scores
+
+
+def _argmin_rows(scores):
+    """np.argmin(scores, axis=0) of a (k, n) block, ties to the lowest row.
+
+    Takes the column minima, then marks each column's lowest row attaining
+    its minimum; this avoids the transposed (n, k) copy that numpy's argmin
+    along axis 0 makes. A column holding NaN goes to row 0.
+    """
+    best = scores.min(axis=0)
+    labels = np.zeros(scores.shape[1], dtype=np.intp)
+    hit = np.empty(scores.shape[1], dtype=bool)
+    for i in range(scores.shape[0] - 1, -1, -1):
+        np.equal(scores[i], best, out=hit)
+        np.copyto(labels, i, where=hit)
+    return labels
+
+
+def assign_step(x, clusters, cache=None):
+    """Each point to argmin_i [-ln p_i - log f_i(x)]; ties to the lowest index.
+
+    cache, when given, must be a DesignCache over x.
+    """
+    if cache is None:
+        cache = DesignCache(as_array(x))
+    return _argmin_rows(_score_matrix(cache, clusters))
 
 
 def _estimate_cluster(x, idx, n, family):
@@ -122,29 +172,32 @@ def _estimate_cluster(x, idx, n, family):
     return ClusterModel(params, len(idx) / n, len(idx), h)
 
 
-def _reassign(x, assignment, k, keep, survivors):
+def _reassign(cache, assignment, k, keep, survivors):
     """Relabel keep[i] -> i (keep ascending, labels below k) and send every
     point whose label is not kept to the survivor minimizing the assignment
-    cost."""
+    cost, scored from the cache's designs."""
     lookup = np.full(k, -1)
     lookup[keep] = np.arange(len(keep))
     out = lookup[assignment]
-    moved = out < 0
-    if moved.any():
-        out[moved] = np.argmin(_score_matrix(x[moved], survivors), axis=1)
+    moved = np.flatnonzero(out < 0)
+    if moved.size:
+        out[moved] = _argmin_rows(_score_matrix(cache.take(moved), survivors))
     return out
 
 
-def _reestimate(x, assignment, k, family):
+def _reestimate(x, assignment, k, family, cache=None):
     """Refit every cluster; drop the ones that fail, reassigning their points.
 
     Returns (clusters, assignment, dropped). Points of failed clusters go to
     the surviving cluster minimizing the assignment cost. Survivors that
     receive points are refit again; repeats until stable (k only shrinks).
-    Labels are compacted to 0..k'-1 in original order.
+    Labels are compacted to 0..k'-1 in original order. cache, when given,
+    must be a DesignCache over x.
     """
     n = x.shape[0]
     assignment = np.asarray(assignment)
+    if cache is None:
+        cache = DesignCache(x)
     dropped = 0
     while True:
         clusters, keep = [], []
@@ -163,17 +216,20 @@ def _reestimate(x, assignment, k, family):
             return clusters, assignment, dropped
         dropped += k - len(keep)
         # refit survivors on their (possibly grown) point sets next pass
-        assignment = _reassign(x, assignment, k, keep, clusters)
+        assignment = _reassign(cache, assignment, k, keep, clusters)
         k = len(keep)
 
 
-def delete_small(x, clusters, assignment, threshold_fraction):
+def delete_small(x, clusters, assignment, threshold_fraction, cache=None):
     """Remove clusters holding fewer than threshold_fraction*n points (empty
     ones always go); reassign their points by the assignment cost argmin over
     the survivors (using the survivors' current weights), then renormalize all
-    weights from the final sizes."""
+    weights from the final sizes. cache, when given, must be a DesignCache
+    over x."""
     x = as_array(x)
     assignment = np.asarray(assignment)
+    if cache is None:
+        cache = DesignCache(x)
     n = x.shape[0]
     sizes = np.bincount(assignment, minlength=len(clusters))
     keep = [i for i, s in enumerate(sizes) if s > 0 and s >= threshold_fraction * n]
@@ -183,7 +239,7 @@ def delete_small(x, clusters, assignment, threshold_fraction):
     if deleted == 0:
         return list(clusters), assignment, 0
     survivors = [clusters[i] for i in keep]
-    assignment = _reassign(x, assignment, len(clusters), keep, survivors)
+    assignment = _reassign(cache, assignment, len(clusters), keep, survivors)
     new_sizes = np.bincount(assignment, minlength=len(survivors))
     survivors = [
         replace(cl, weight=int(s) / n, size=int(s)) for cl, s in zip(survivors, new_sizes)
@@ -236,11 +292,12 @@ def fit(x, cfg):
     """
     x = as_array(x)
     cfg.validate_for(x.shape)
+    cache = DesignCache(x)
 
     assignment = _init_partition(x, cfg)
     deleted_total = 0
     deletion_iterations = []
-    clusters, assignment, dropped = _reestimate(x, assignment, cfg.k_init, cfg.family)
+    clusters, assignment, dropped = _reestimate(x, assignment, cfg.k_init, cfg.family, cache)
     if dropped:
         deleted_total += dropped
         deletion_iterations.append(0)
@@ -249,9 +306,13 @@ def fit(x, cfg):
     iterations = 0
     for it in range(1, cfg.max_iters + 1):
         iterations = it
-        assignment = assign_step(x, clusters)
-        clusters, assignment, ndel = delete_small(x, clusters, assignment, cfg.deletion_fraction)
-        clusters, assignment, dropped = _reestimate(x, assignment, len(clusters), cfg.family)
+        assignment = assign_step(x, clusters, cache)
+        clusters, assignment, ndel = delete_small(
+            x, clusters, assignment, cfg.deletion_fraction, cache
+        )
+        clusters, assignment, dropped = _reestimate(
+            x, assignment, len(clusters), cfg.family, cache
+        )
         ndel += dropped
         if ndel:
             deleted_total += ndel

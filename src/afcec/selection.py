@@ -7,7 +7,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .density import fadapted_log_density
-from .engine import as_array
+from .engine import DesignCache, as_array
 from .errors import InvalidConvention
 
 CONVENTIONS = ("general", "paper2d")
@@ -24,10 +24,14 @@ class ModelScore:
 
 
 def _weighted_log_densities(x, model):
-    """(n, k) matrix of ln p_i + log f_i(x)."""
-    return np.column_stack(
-        [math.log(cl.weight) + fadapted_log_density(cl.params, x) for cl in model.clusters]
-    )
+    """(k, n) block of ln p_i + log f_i(x), one row per cluster; each axis's
+    design is built once per call."""
+    cache = DesignCache(x)
+    wl = np.empty((len(model.clusters), x.shape[0]))
+    for row, cl in zip(wl, model.clusters):
+        fadapted_log_density(cl.params, x, cache.design(cl.params), out=row)
+        row += math.log(cl.weight)
+    return wl
 
 
 def log_likelihood(x, model, mode="mixture"):
@@ -38,8 +42,8 @@ def log_likelihood(x, model, mode="mixture"):
     x = as_array(x)
     wl = _weighted_log_densities(x, model)
     if mode == "mixture":
-        return float(np.sum(logsumexp(wl, axis=1)))
-    return float(np.sum(np.max(wl, axis=1)))
+        return float(np.sum(logsumexp(wl, axis=0)))
+    return float(np.sum(np.max(wl, axis=0)))
 
 
 def _cluster_params(cl):

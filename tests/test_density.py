@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from afcec.curves import builtin_family, fit_curve
+from afcec.curves import axis_design, builtin_family, fit_curve
 from afcec.density import (
     FAdaptedParams,
     GaussianParams,
@@ -14,7 +14,7 @@ from afcec.density import (
     gaussian_log_density,
     mean_and_cov,
 )
-from afcec.errors import DegenerateCluster, ZeroResidualWarning
+from afcec.errors import DegenerateCluster, NotPositiveDefinite, ZeroResidualWarning
 from afcec.numerics import simpson_2d
 
 
@@ -133,6 +133,31 @@ def test_fadapted_matches_factored_form():
         -0.5 * np.log(2.0 * np.pi * p.resid_var) - 0.5 * resid * resid / p.resid_var
     )
     assert np.allclose(got, expect, atol=1e-12)
+
+
+def test_fadapted_log_density_from_given_design_into_row():
+    rng = np.random.default_rng(6)
+    pts = rng.standard_normal((50, 3))
+    fam = builtin_family("cubic", 2)
+    _, p = fadapted_cross_entropy(pts, 0, fit_curve(pts, 0, fam))
+    row = np.empty(len(pts))
+    got = fadapted_log_density(p, pts, axis_design(pts, 0, fam), out=row)
+    assert got is row
+    assert np.array_equal(row, fadapted_log_density(p, pts))
+    assert fadapted_log_density(p, pts[7]) == pytest.approx(row[7], rel=1e-15)
+
+
+def test_non_positive_definite_covariance_raises():
+    fam = builtin_family("linear", 2)
+    pts = np.random.default_rng(7).standard_normal((20, 3))
+    bad = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues 3 and -1
+    p = FAdaptedParams(0, np.zeros(2), bad, 1.0, fit_curve(pts, 0, fam))
+    with pytest.raises(NotPositiveDefinite):
+        fadapted_log_density(p, pts)
+    with pytest.raises(NotPositiveDefinite):
+        fadapted_log_density(p, pts, axis_design(pts, 0, fam), out=np.empty(len(pts)))
+    with pytest.raises(NotPositiveDefinite):
+        gaussian_log_density(GaussianParams(np.zeros(2), bad), pts[:, 1:])
 
 
 def test_fadapted_cross_entropy_equals_empirical_mean():

@@ -1,14 +1,33 @@
+import math
 from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from afcec import engine
-from afcec.curves import builtin_family
+from afcec.curves import (
+    BUILTIN_KINDS,
+    FunctionFamily,
+    axis_design,
+    builtin_family,
+    select_orientation,
+)
 from afcec.data import Dataset, GeneratorSpec, generate
-from afcec.engine import EngineConfig, assign_step, cost, delete_small, fit, fit_restarts
-from afcec.errors import AllClustersDegenerate, InvalidConfig
+from afcec.density import fadapted_log_density
+from afcec.engine import (
+    ClusterModel,
+    DesignCache,
+    EngineConfig,
+    assign_step,
+    cost,
+    delete_small,
+    fit,
+    fit_restarts,
+)
+from afcec.errors import AllClustersDegenerate, DegenerateCluster, InvalidConfig
 
 QUAD1 = builtin_family("quadratic", 1)
 
@@ -174,3 +193,102 @@ def test_fit_restarts_propagates_total_failure():
     pts = np.zeros((30, 2))
     with pytest.raises(AllClustersDegenerate):
         fit_restarts(pts, EngineConfig(k_init=2, family=QUAD1, seed=0), restarts=3)
+
+
+def _column_scores(x, clusters):
+    """(n, k) assignment costs, one uncached log-density call per cluster."""
+    return np.column_stack(
+        [-math.log(cl.weight) - fadapted_log_density(cl.params, x) for cl in clusters]
+    )
+
+
+def _clusters_on(x, labels, family):
+    n = x.shape[0]
+    out = []
+    for lab in np.unique(labels):
+        pts = x[labels == lab]
+        _, _, h, params = select_orientation(pts, family)
+        out.append(ClusterModel(params, len(pts) / n, len(pts), h))
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    kind=st.sampled_from(BUILTIN_KINDS),
+    d=st.integers(min_value=2, max_value=4),
+    log_scale=st.floats(min_value=-3.0, max_value=3.0),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_cached_assignment_matches_uncached_scores(kind, d, log_scale, seed):
+    rng = np.random.default_rng(seed)
+    scale = 10.0**log_scale
+    x = rng.standard_normal((240, d))
+    x[:, -1] += 0.5 * x[:, 0] ** 2 - 0.2 * x[:, 1] ** 3
+    x = (x + rng.uniform(-2.0, 2.0, d)) * scale
+    family = builtin_family(kind, d - 1)
+    try:
+        clusters = _clusters_on(x, rng.integers(0, 3, x.shape[0]), family)
+    except DegenerateCluster:
+        assume(False)
+    cache = DesignCache(x)
+    ref = _column_scores(x, clusters)
+    assert np.array_equal(assign_step(x, clusters, cache), np.argmin(ref, axis=1))
+    np.testing.assert_allclose(engine._score_matrix(cache, clusters).T, ref, rtol=1e-12, atol=0)
+
+
+def test_argmin_rows_matches_numpy_with_ties():
+    rng = np.random.default_rng(17)
+    for k in (1, 2, 5, 20):
+        scores = rng.integers(0, 3, (k, 500)).astype(float)  # many exact ties
+        assert np.array_equal(engine._argmin_rows(scores), np.argmin(scores, axis=0))
+
+
+def test_assign_step_ties_go_to_lowest_index():
+    ds = _circle(seed=15)
+    m = fit(ds, EngineConfig(k_init=3, family=QUAD1, seed=2))
+    assert m.k >= 2
+    first, second = m.clusters[0], m.clusters[1]
+    labels = assign_step(ds.rows, [first, second, first])
+    assert not np.any(labels == 2)
+    assert np.array_equal(labels, assign_step(ds.rows, [first, second]))
+
+
+def test_orphan_reassignment_ties_go_to_lowest_index():
+    ds = _circle(seed=15)
+    m = fit(ds, EngineConfig(k_init=3, family=QUAD1, seed=2))
+    first, second = m.clusters[0], m.clusters[1]
+    cache = DesignCache(ds.rows)
+    expected = assign_step(ds.rows, [first, second], cache)  # fills the cache
+    # every point sits in label 3, which is dropped; survivors 0 and 2 are equal
+    orphans = np.full(ds.n, 3)
+    out = engine._reassign(cache, orphans, 4, [0, 1, 2], [first, second, first])
+    assert not np.any(out == 2)
+    assert np.array_equal(out, expected)
+
+
+def test_design_cache_take_equals_fresh_designs():
+    ds = generate(GeneratorSpec(kind="parametric3d", n=400, noise_sigma=0.1, seed=18))
+    m = fit(ds, EngineConfig(k_init=4, family=builtin_family("cubic", 2), seed=1, max_iters=3))
+    cache = DesignCache(ds.rows)
+    assign_step(ds.rows, m.clusters, cache)
+    rows = np.flatnonzero(np.arange(ds.n) % 7 == 3)
+    sub = cache.take(rows)
+    for cl in m.clusters:
+        fresh = axis_design(ds.rows[rows], cl.params.dependent_axis, cl.params.curve.family)
+        for got, want in zip(sub.design(cl.params), fresh):
+            assert np.array_equal(got, want)
+
+
+def test_fit_builds_each_full_design_once_per_axis(monkeypatch):
+    ds = generate(GeneratorSpec(kind="parametric3d", n=900, noise_sigma=0.1, seed=16))
+    original = FunctionFamily.design_matrix
+    full_rows = []
+
+    def counting(self, xe):
+        if np.shape(xe)[0] == ds.n:
+            full_rows.append(1)
+        return original(self, xe)
+
+    monkeypatch.setattr(FunctionFamily, "design_matrix", counting)
+    fit(ds, EngineConfig(k_init=6, family=builtin_family("quadratic", 2), seed=0, max_iters=5))
+    assert 1 <= len(full_rows) <= ds.d
