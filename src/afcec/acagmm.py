@@ -143,17 +143,24 @@ def _project_t0_grid(a, px, py):
     return best_t
 
 
-def _log_density_grid(m, px, py):
-    """(raw_log, factor) arrays for point grids; factor is the Jacobian term."""
-    a = m.a
+def _foot_grid(a, px, py):
+    """(signed arc length, normal distance p, Jacobian factor) of each point's
+    nearest foot on y = a x^2. None of it depends on the sigmas, so one call
+    serves every (sigma1, sigma2) pair with the same a."""
     t0 = _project_t0_grid(a, px, py)
     p = np.hypot(px - t0, py - a * t0 * t0)
+    return _signed_arc(a, t0), p, _jacobian_factor(a, t0, p, py > a * px * px)
+
+
+def _log_density_grid(m, px, py, foot=None):
+    """(raw_log, factor) arrays for point grids; factor is the Jacobian term.
+    foot, when given, is _foot_grid(m.a, px, py)."""
+    arc, p, factor = _foot_grid(m.a, px, py) if foot is None else foot
     raw = (
         -math.log(2.0 * math.pi * m.sigma1 * m.sigma2)
-        - 0.5 * (_signed_arc(a, t0) / m.sigma1) ** 2
+        - 0.5 * (arc / m.sigma1) ** 2
         - 0.5 * (p / m.sigma2) ** 2
     )
-    factor = _jacobian_factor(a, t0, p, py > a * px * px)
     return raw, factor
 
 
@@ -201,21 +208,28 @@ def normalization_table(
     px, py, weights = simpson_grid_2d(-box, box, -box, box, n)
     rows = []
     for a in a_grid:
-        for s1 in sigma_grid:
-            for s2 in sigma_grid:
-                m = AcaParabolaModel(a, s1, s2)
-                raw_log, factor = _log_density_grid(m, px, py)
-                raw = np.exp(raw_log)
-                ok = factor > FOLD_EPS
-                corr = np.where(ok, raw / np.where(ok, factor, 1.0), 0.0)
-                rows.append(
-                    {
-                        "a": a,
-                        "sigma1": s1,
-                        "sigma2": s2,
-                        "raw_integral": float(np.sum(weights * raw)),
-                        "corrected_integral": float(np.sum(weights * corr)),
-                        "excluded_mass": fold_mass(m),
-                    }
-                )
+        # built before the projection, which divides by a, so a = 0 is
+        # rejected first
+        models = [AcaParabolaModel(a, s1, s2) for s1 in sigma_grid for s2 in sigma_grid]
+        foot = _foot_grid(a, px, py)
+        ok = foot[2] > FOLD_EPS
+        divisor = np.where(ok, foot[2], 1.0)
+        for m in models:
+            raw_log, _ = _log_density_grid(m, px, py, foot)
+            raw = np.exp(raw_log)
+            corr = np.where(ok, raw / divisor, 0.0)
+            rows.append(
+                {
+                    "a": a,
+                    "sigma1": m.sigma1,
+                    "sigma2": m.sigma2,
+                    "raw_integral": float(np.sum(weights * raw)),
+                    "corrected_integral": float(np.sum(weights * corr)),
+                    "excluded_mass": fold_mass(m),
+                }
+            )
+            del raw_log, raw, corr
+        # memory peaks inside the next projection; hold none of this a's
+        # arrays through it
+        del foot, ok, divisor
     return rows

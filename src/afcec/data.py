@@ -1,6 +1,7 @@
 """Dataset container, CSV I/O, synthetic generators, model serialization."""
 
 import csv
+import io
 import json
 import math
 from dataclasses import dataclass, field
@@ -135,41 +136,83 @@ def generate(spec):
 
 
 def load_csv(path):
-    """Numeric CSV with an optional single header line."""
-    rows = []
+    """Numeric CSV with an optional single header line (the first line, when
+    one of its cells is not a number). Blank lines are skipped."""
     try:
         with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            for rix, rec in enumerate(reader, start=1):
-                if not rec or (len(rec) == 1 and not rec[0].strip()):
-                    continue
-                vals = []
-                for cix, cell in enumerate(rec, start=1):
-                    try:
-                        vals.append(float(cell))
-                    except ValueError:
-                        if rix == 1 and not rows:
-                            vals = None  # header line
-                            break
-                        raise ParseError(
-                            f"non-numeric cell {cell!r} at row {rix}, column {cix}",
-                            row=rix,
-                            col=cix,
-                        ) from None
-                if vals is not None:
-                    rows.append(vals)
+            text = fh.read()
     except OSError as e:
         raise IoError(str(e)) from e
+    rows = _parse_numeric(text)
+    if rows is None:
+        rows = _parse_records(text)
+    try:
+        return Dataset(rows)
+    except ValueError as e:
+        raise ParseError(str(e)) from e
+
+
+def _blank(rec):
+    return not rec or (len(rec) == 1 and not rec[0].strip())
+
+
+def _numeric(rec):
+    try:
+        for cell in rec:
+            float(cell)
+    except ValueError:
+        return False
+    return True
+
+
+def _parse_numeric(text):
+    """Every row past the header in one np.loadtxt call.
+
+    None when there is no row or loadtxt fails (a non-numeric cell, a quote,
+    ragged or whitespace-only rows); _parse_records then decides. loadtxt
+    parses a subset of what float() accepts, to the same values.
+    """
+    stream = io.StringIO(text, newline="")
+    first = next(csv.reader(stream), [])
+    if _blank(first) or _numeric(first):
+        stream.seek(0)
+    if not text[stream.tell():].strip():
+        return None
+    try:
+        return np.loadtxt(stream, delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return None
+
+
+def _parse_records(text):
+    """Row lists from csv.reader, one cell at a time; raises ParseError at the
+    first non-numeric cell past the header, or at the first ragged row."""
+    rows = []
+    for rix, rec in enumerate(csv.reader(io.StringIO(text, newline="")), start=1):
+        if _blank(rec):
+            continue
+        vals = []
+        for cix, cell in enumerate(rec, start=1):
+            try:
+                vals.append(float(cell))
+            except ValueError:
+                if rix == 1 and not rows:
+                    vals = None  # header line
+                    break
+                raise ParseError(
+                    f"non-numeric cell {cell!r} at row {rix}, column {cix}",
+                    row=rix,
+                    col=cix,
+                ) from None
+        if vals is not None:
+            rows.append(vals)
     if not rows:
         raise ParseError("no data rows")
     width = len(rows[0])
     for rix, r in enumerate(rows, start=1):
         if len(r) != width:
             raise ParseError(f"row {rix} has {len(r)} cells, expected {width}", row=rix)
-    try:
-        return Dataset(np.asarray(rows, dtype=float))
-    except ValueError as e:
-        raise ParseError(str(e)) from e
+    return rows
 
 
 def save_csv(ds, path, header=True):
@@ -264,11 +307,13 @@ def model_from_json(obj):
 
 
 def save_model(model, path):
-    """JSON round-trip; floats use shortest round-trip decimals, so every
-    numeric field reloads bit-identical."""
+    """Compact JSON round-trip; floats use shortest round-trip decimals, so
+    every numeric field reloads bit-identical."""
+    # json.dumps, unlike json.dump, encodes in one pass of the C encoder
+    text = json.dumps(model_to_json(model), separators=(",", ":"))
     try:
         with open(path, "w") as fh:
-            json.dump(model_to_json(model), fh, indent=1)
+            fh.write(text)
     except OSError as e:
         raise IoError(str(e)) from e
 

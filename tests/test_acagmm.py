@@ -1,4 +1,6 @@
+import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,8 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, optimize
 
+from afcec import acagmm
 from afcec.acagmm import (
+    FOLD_EPS,
     AcaParabolaModel,
+    _log_density_grid,
     aca_log_density,
     arc_length,
     fold_mass,
@@ -16,6 +21,7 @@ from afcec.acagmm import (
     project_to_parabola,
 )
 from afcec.errors import BeyondCurvatureCenter
+from afcec.numerics import simpson_grid_2d
 
 
 def _golden_foot(a, px, py):
@@ -211,6 +217,56 @@ def test_normalization_table_invariants():
         assert 0.0 <= r["excluded_mass"] < 0.5
     anchor = [r for r in rows if r["sigma1"] == 1.0 and r["sigma2"] == 1.0]
     assert anchor and anchor[0]["raw_integral"] == pytest.approx(1.038, abs=2e-3)
+
+
+def test_normalization_table_equals_per_configuration_recompute():
+    # the table projects once per a and shares the foot across the sigmas;
+    # each integral must equal a from-scratch projection bit for bit
+    a_grid, sigma_grid, box, n = (0.5, -1.0), (0.5, 1.0), 5.0, 100
+    rows = normalization_table(a_grid=a_grid, sigma_grid=sigma_grid, box=box, n=n)
+    keys = [(r["a"], r["sigma1"], r["sigma2"]) for r in rows]
+    assert keys == list(itertools.product(a_grid, sigma_grid, sigma_grid))
+    px, py, weights = simpson_grid_2d(-box, box, -box, box, n)
+    for r in rows:
+        m = AcaParabolaModel(r["a"], r["sigma1"], r["sigma2"])
+        raw_log, factor = _log_density_grid(m, px, py)
+        raw = np.exp(raw_log)
+        ok = factor > FOLD_EPS
+        corr = np.where(ok, raw / np.where(ok, factor, 1.0), 0.0)
+        assert r["raw_integral"] == float(np.sum(weights * raw))
+        assert r["corrected_integral"] == float(np.sum(weights * corr))
+        assert r["excluded_mass"] == fold_mass(m)
+        # the single-point path is the same solver on a grid of one node
+        for i in (0, 1234, 5050, 7777, px.size - 1):
+            pt = (px.flat[i], py.flat[i])
+            assert aca_log_density(m, pt) == pytest.approx(raw_log.flat[i], rel=1e-12)
+            if ok.flat[i]:
+                assert aca_log_density(m, pt, corrected=True) == pytest.approx(
+                    raw_log.flat[i] - math.log(factor.flat[i]), rel=1e-12, abs=1e-12
+                )
+
+
+def test_normalization_table_projects_once_per_a(monkeypatch):
+    calls = []
+    project = acagmm._project_t0_grid
+
+    def counted(*args):
+        calls.append(args[0])
+        return project(*args)
+
+    monkeypatch.setattr(acagmm, "_project_t0_grid", counted)
+    a_grid = (0.25, 0.5, 1.0)
+    normalization_table(a_grid=a_grid, sigma_grid=(0.25, 0.5, 1.0), n=20)
+    assert calls == list(a_grid)
+
+
+def test_normalization_table_rejects_zero_a_before_projecting():
+    # the projection divides by a; a = 0 must fail as a bad model, not as a
+    # division by zero
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="nonzero"):
+            normalization_table(a_grid=(0.0,), n=20)
 
 
 def test_normalization_table_rejects_odd_n():

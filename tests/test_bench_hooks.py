@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 
-from afcec import engine, selection
+from afcec import acagmm, engine, selection
 from afcec.curves import builtin_family
 from afcec.data import GeneratorSpec, generate
 
@@ -78,3 +78,27 @@ def test_trace_hooks_install_record_and_uninstall():
     assert metrics["engine.iterations"] == model.iterations
     assert metrics["curves.design_calls"] > 0
     assert np.isfinite(metrics["curves.design_s"])
+
+
+def test_trace_hooks_cover_the_aca_layers():
+    spans = _load_spans()
+    tracer = spans.Tracer()
+    a_grid, sigma_grid = (0.5, -1.0), (0.5, 1.0)
+    try:
+        spans.install(tracer)
+        patches = list(tracer._patches)
+        rows = tracer.call(
+            "cli", acagmm.normalization_table, (a_grid, sigma_grid), {"box": 3.0, "n": 40}
+        )
+    finally:
+        tracer.uninstall()
+    for owner, attr, orig in patches:
+        assert _current(owner, attr) is orig, attr
+    assert len(rows) == len(a_grid) * len(sigma_grid) ** 2
+    name_of = {s[0]: s[2] for s in tracer.spans}
+    for layer in ("acagmm.grid_density", "acagmm.fold_mass"):
+        parents = [name_of.get(s[1]) for s in tracer.spans if s[2] == layer]
+        assert parents == ["cli"] * len(rows), layer
+    metrics = spans.layer_metrics(tracer.spans)
+    assert metrics["acagmm.grid_nodes"] == len(rows) * 41 * 41
+    assert metrics["acagmm.fold_mass_calls"] == len(rows)

@@ -1,8 +1,10 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
 
+from afcec import data
 from afcec.curves import builtin_family
 from afcec.data import (
     Dataset,
@@ -100,6 +102,50 @@ def test_load_csv_missing_file(tmp_path):
         load_csv(tmp_path / "nope.csv")
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "x0,x1\n1.0,2.0\n3.5,-4e-3\n",
+        "1,2\r\n\r\n3,4\r\n",
+        "x,y\r1,2\r3,4",
+        " 1 , 2\t\n\n3,4\n",
+        "1,2\n   \n3,4\n",  # whitespace-only row
+        '"1","2"\n3,4\n',  # quoted cells
+        '"x0","x1"\n1,2\n',
+        "1_0,2\n3,4\n",  # float() takes underscores, loadtxt does not
+        "\n1,2\n3,4\n",
+    ],
+)
+def test_load_csv_equals_cell_by_cell_parse(tmp_path, text):
+    path = tmp_path / "t.csv"
+    path.write_bytes(text.encode())
+    want = np.asarray(data._parse_records(text), dtype=float)
+    got = load_csv(path).rows
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize(
+    "text, row, col",
+    [
+        ("x0,x1\n\n1,2\n3,oops\n", 4, 2),  # blank rows count
+        ("\nx0,x1\n1,2\n", 2, 1),  # a header only on the first line
+        ("1,2\nx0,x1\n", 2, 1),
+        ("1,2\n3,4,\n", 2, 3),
+        ("x0,x1\n", None, None),  # no data rows
+        ("1,2\n3\n", 2, None),  # ragged: row among the data rows
+    ],
+)
+def test_load_csv_errors(tmp_path, text, row, col):
+    path = tmp_path / "t.csv"
+    path.write_bytes(text.encode())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParseError) as err:
+            load_csv(path)
+    assert (err.value.row, err.value.col) == (row, col)
+
+
 def _small_model():
     ds = generate(GeneratorSpec(kind="circle", n=150, noise_sigma=0.08, seed=4))
     return ds, fit(ds, EngineConfig(k_init=2, family=builtin_family("quadratic", 1), seed=0))
@@ -118,6 +164,15 @@ def test_model_json_round_trip(tmp_path):
         assert c0.params.dependent_axis == c1.params.dependent_axis
         assert np.array_equal(c0.params.curve.coeffs, c1.params.curve.coeffs)
         assert np.array_equal(c0.params.cov_exp, c1.params.cov_exp)
+
+
+def test_save_model_writes_compact_json(tmp_path):
+    ds, m = _small_model()
+    path = tmp_path / "model.json"
+    save_model(m, path)
+    text = path.read_text()
+    assert "\n" not in text and ", " not in text
+    assert json.loads(text) == model_to_json(m)
 
 
 def test_model_json_schema_guard():
