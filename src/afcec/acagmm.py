@@ -24,6 +24,8 @@ DEFAULT_A_GRID = (0.25, 0.5, 1.0)
 DEFAULT_SIGMA_GRID = (0.25, 0.5, 1.0)
 DEFAULT_BOX = 5.0
 DEFAULT_N = 500
+# grid rows _foot_grid projects at once
+FOOT_BLOCK_ROWS = 32
 
 
 @dataclass(frozen=True)
@@ -146,10 +148,23 @@ def _project_t0_grid(a, px, py):
 def _foot_grid(a, px, py):
     """(signed arc length, normal distance p, Jacobian factor) of each point's
     nearest foot on y = a x^2. None of it depends on the sigmas, so one call
-    serves every (sigma1, sigma2) pair with the same a."""
-    t0 = _project_t0_grid(a, px, py)
-    p = np.hypot(px - t0, py - a * t0 * t0)
-    return _signed_arc(a, t0), p, _jacobian_factor(a, t0, p, py > a * px * px)
+    serves every (sigma1, sigma2) pair with the same a.
+
+    The points are projected FOOT_BLOCK_ROWS rows at a time into full-size
+    outputs, so the solver's temporaries stay block-sized; every step is
+    elementwise, so the values equal a one-shot projection.
+    """
+    px, py = np.broadcast_arrays(np.asarray(px, dtype=float), np.asarray(py, dtype=float))
+    rows_x, rows_y = np.atleast_1d(px), np.atleast_1d(py)
+    arc, p, factor = (np.empty(rows_x.shape) for _ in range(3))
+    for lo in range(0, rows_x.shape[0], FOOT_BLOCK_ROWS):
+        rows = slice(lo, lo + FOOT_BLOCK_ROWS)
+        bx, by = rows_x[rows], rows_y[rows]
+        t0 = _project_t0_grid(a, bx, by)
+        p[rows] = np.hypot(bx - t0, by - a * t0 * t0)
+        arc[rows] = _signed_arc(a, t0)
+        factor[rows] = _jacobian_factor(a, t0, p[rows], by > a * bx * bx)
+    return arc.reshape(px.shape), p.reshape(px.shape), factor.reshape(px.shape)
 
 
 def _log_density_grid(m, px, py, foot=None):

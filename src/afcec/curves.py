@@ -7,13 +7,14 @@ always a special case of the curved model.
 """
 
 import itertools
+import warnings
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
 from . import numerics
-from .errors import DegenerateCluster, RankDeficient
+from .errors import DegenerateCluster, RankDeficient, ZeroResidualWarning
 
 BUILTIN_KINDS = ("linear", "quadratic", "cubic")
 
@@ -132,24 +133,35 @@ class AxisDesign(NamedTuple):
     """Rows of x split for dependent axis j, with the family's design over them.
 
     xe_t is the explanatory block transposed, (d-1, n) with one contiguous row
-    per coordinate; xj is coordinate j, (n,); matrix is
-    family.design_matrix of the explanatory block, (n, family.size).
+    per coordinate; aug is [matrix | xj], (n, family.size + 1): the family's
+    design_matrix of the explanatory block next to coordinate j, so one row
+    gather moves both.
     """
 
     xe_t: np.ndarray
-    xj: np.ndarray
-    matrix: np.ndarray
+    aug: np.ndarray
+
+    @property
+    def matrix(self):
+        return self.aug[:, :-1]
+
+    @property
+    def xj(self):
+        return self.aug[:, -1]
 
     def take(self, idx):
         """The same split and design restricted to rows idx."""
-        return AxisDesign(self.xe_t[:, idx], self.xj[idx], self.matrix[idx])
+        return AxisDesign(np.take(self.xe_t, idx, axis=1), np.take(self.aug, idx, axis=0))
 
 
 def axis_design(x, j, family):
     """AxisDesign of the (n, d) rows x for dependent axis j."""
     x = np.asarray(x, dtype=float)
     xe_t = x.T[[i for i in range(x.shape[1]) if i != j]]
-    return AxisDesign(xe_t, x[:, j].copy(), family.design_matrix(xe_t.T))
+    aug = np.empty((x.shape[0], family.size + 1))
+    aug[:, :-1] = family.design_matrix(xe_t.T)
+    aug[:, -1] = x[:, j]
+    return AxisDesign(xe_t, aug)
 
 
 def fit_curve(x, j, family):
@@ -164,26 +176,94 @@ def fit_curve(x, j, family):
     return CurveFit(family, coeffs, float(resid @ resid))
 
 
+def refit_segments(xs, bounds, designs, family):
+    """Fit every segment of label-sorted points on every dependent axis at once
+    and keep each segment's cross-entropy argmin.
+
+    Segment i is xs[bounds[i]:bounds[i + 1]]; designs[j] is AxisDesign.aug
+    over xs's rows for dependent axis j, so a segment's rows are one
+    contiguous view of it. Each (segment, axis) Gram of [design | x_j] comes
+    from one product, and numerics.ridge_solve solves all of their normal
+    equations as one stack. Each segment's mean and full covariance are formed
+    once, and every axis reads its explanatory block from them.
+
+    Returns one entry per segment: select_orientation's (axis, CurveFit, H,
+    FAdaptedParams), ties to the smallest axis, or None where no axis admits
+    a fit: fewer than max(family.size, d + 1) points, or on every axis a
+    ridge Gram with no Cholesky factor or an explanatory covariance that
+    density._cholesky_reg cannot regularize.
+    """
+    from . import density
+
+    n, d = xs.shape
+    p = family.size
+    sizes = np.diff(bounds)
+    fits = [None] * len(sizes)
+    live = np.flatnonzero(sizes >= max(p, d + 1))
+    if not live.size:
+        return fits
+    segs = [slice(bounds[s], bounds[s + 1]) for s in live.tolist()]
+    k = len(segs)
+    nonempty = np.flatnonzero(sizes)
+    means, covs = density.segment_moments(xs, np.append(bounds[nonempty], n))
+    pick = np.searchsorted(nonempty, live)
+    others = np.array([[i for i in range(d) if i != j] for j in range(d)])  # (d, d-1)
+    mean_exp = means[pick][:, others]  # (k, d, d-1)
+    cov_exp = covs[pick][:, others[:, :, None], others[:, None, :]]
+
+    grams = np.empty((k, d, p + 1, p + 1))
+    for i, seg in enumerate(segs):
+        for j, aug in enumerate(designs):
+            np.matmul(aug[seg].T, aug[seg], out=grams[i, j])
+    coeffs, ok = numerics.ridge_solve(grams[..., :p, :p], grams[..., :p, p])
+    sse = np.zeros((k, d))
+    for i, j in zip(*np.nonzero(ok)):
+        blk = designs[j][segs[i]]
+        resid = blk[:, p] - blk[:, :p] @ coeffs[i, j]
+        sse[i, j] = resid @ resid
+
+    try:
+        low = np.linalg.cholesky(cov_exp)
+    except np.linalg.LinAlgError:
+        # only the failing covariances climb the regularization ladder
+        low = np.broadcast_to(np.eye(d - 1), cov_exp.shape).copy()
+        for i, j in zip(*np.nonzero(ok)):
+            try:
+                low[i, j] = np.linalg.cholesky(cov_exp[i, j])
+            except np.linalg.LinAlgError:
+                try:
+                    low[i, j], cov_exp[i, j] = density._cholesky_reg(cov_exp[i, j])
+                except DegenerateCluster:
+                    ok[i, j] = False
+
+    resid_var = sse / sizes[live][:, None]
+    floored = ok & (resid_var < density.RESID_VAR_FLOOR)
+    for _ in range(np.count_nonzero(floored)):
+        warnings.warn("residual variance floored", ZeroResidualWarning, stacklevel=2)
+    resid_var[floored] = density.RESID_VAR_FLOOR
+    h = np.full((k, d), np.inf)
+    h[ok] = density._fadapted_entropy(d, density._logdet(low[ok]), resid_var[ok])
+    for i, (s, j) in enumerate(zip(live.tolist(), np.argmin(h, axis=1).tolist())):
+        if ok[i, j]:
+            curve = CurveFit(family, coeffs[i, j], float(sse[i, j]))
+            rv = float(resid_var[i, j])
+            params = density.FAdaptedParams(j, mean_exp[i, j], cov_exp[i, j], rv, curve)
+            fits[s] = (j, curve, float(h[i, j]), params)
+    return fits
+
+
 def select_orientation(x, family):
     """Fit every candidate dependent axis, return the cross-entropy argmin.
 
     Returns (axis, CurveFit, H, FAdaptedParams); ties go to the smallest axis
     index. Axes whose fit or covariance is degenerate are skipped; if every
-    axis fails, DegenerateCluster is raised.
+    axis fails, DegenerateCluster is raised. This is refit_segments on one
+    segment.
     """
-    from .density import fadapted_cross_entropy
-
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    d = x.shape[1]
-    best = None
-    for k in range(d):
-        try:
-            curve = fit_curve(x, k, family)
-            h, params = fadapted_cross_entropy(x, k, curve, curve.sse)
-        except (DegenerateCluster, RankDeficient):
-            continue
-        if best is None or h < best[2]:
-            best = (k, curve, h, params)
+    n, d = x.shape
+    designs = [axis_design(x, j, family).aug for j in range(d)]
+    (best,) = refit_segments(x, np.array([0, n]), designs, family)
     if best is None:
         raise DegenerateCluster("no orientation admits a non-degenerate fit")
     return best

@@ -151,12 +151,37 @@ def fadapted_log_density(p, x, design=None, out=None):
     return float(out[0]) if x.ndim == 1 else out
 
 
+def segment_moments(xs, bounds):
+    """Means (k, d) and 1/n covariances (k, d, d) of the row segments
+    xs[bounds[i]:bounds[i + 1]], which must be non-empty and cover xs."""
+    sizes = np.diff(bounds)
+    means = np.add.reduceat(xs, bounds[:-1], axis=0) / sizes[:, None]
+    diff = xs - np.repeat(means, sizes, axis=0)
+    covs = np.empty((len(sizes), xs.shape[1], xs.shape[1]))
+    for cov, lo, hi in zip(covs, bounds[:-1].tolist(), bounds[1:].tolist()):
+        np.matmul(diff[lo:hi].T, diff[lo:hi], out=cov)
+    covs /= sizes[:, None, None]
+    return means, covs
+
+
 def mean_and_cov(x):
     """Mean and 1/n covariance (the estimator used throughout)."""
     x = np.asarray(x, dtype=float).reshape(len(x), -1)
-    mean = x.mean(axis=0)
-    diff = x - mean
-    return mean, (diff.T @ diff) / x.shape[0]
+    means, covs = segment_moments(x, np.array([0, x.shape[0]]))
+    return means[0], covs[0]
+
+
+def _logdet(low):
+    """ln det(low @ low.T) of one Cholesky factor or a stack of them."""
+    return 2.0 * np.log(np.diagonal(low, axis1=-2, axis2=-1)).sum(axis=-1)
+
+
+def _fadapted_entropy(d, logdet, resid_var):
+    """H = d/2*ln(2*pi*e) + 0.5*ln det(cov_exp) + 0.5*ln(resid_var), elementwise.
+
+    The one formula behind fadapted_cross_entropy and the batched refit, so
+    both give the same bits."""
+    return 0.5 * d * (LOG_2PI + 1.0) + 0.5 * logdet + 0.5 * np.log(resid_var)
 
 
 def gaussian_cross_entropy(x):
@@ -171,12 +196,11 @@ def gaussian_cross_entropy(x):
         raise DegenerateCluster(f"need at least {d + 1} points, got {x.shape[0]}")
     mean, cov = mean_and_cov(x)
     low, cov_used = _cholesky_reg(cov)
-    logdet = 2.0 * float(np.sum(np.log(np.diag(low))))
-    h = 0.5 * d * (LOG_2PI + 1.0) + 0.5 * logdet
+    h = 0.5 * d * (LOG_2PI + 1.0) + 0.5 * float(_logdet(low))
     return h, GaussianParams(mean, cov_used)
 
 
-def fadapted_cross_entropy(x, j, curve, sse=None):
+def fadapted_cross_entropy(x, j, curve):
     """Empirical cross-entropy of x against the curve-adapted family member
     with dependent axis j and the given curve.
 
@@ -184,24 +208,20 @@ def fadapted_cross_entropy(x, j, curve, sse=None):
     + 0.5*ln(resid_var) with resid_var = mean squared residual of the curve
     (its intercept absorbs the dependent mean, so mean_dep is 0). Residual
     variance below RESID_VAR_FLOOR is floored and flagged ZeroResidualWarning.
-    sse, when given, must be the curve's residual sum of squares on x (as
-    fit_curve returns it); the curve is then not evaluated again.
+    mean_exp and cov_exp are read from x's full mean and covariance, as the
+    batched refit (curves.refit_segments) reads them.
     """
     x = np.asarray(x, dtype=float)
     n, d = x.shape
     if n < d + 1:
         raise DegenerateCluster(f"need at least {d + 1} points, got {n}")
-    xe = explanatory(x, j)
-    mean_exp, cov_exp = mean_and_cov(xe)
-    low, cov_used = _cholesky_reg(cov_exp)
-    logdet = 2.0 * float(np.sum(np.log(np.diag(low))))
-    if sse is None:
-        resid = x[:, j] - curve.evaluate(xe)
-        sse = float(resid @ resid)
-    resid_var = sse / n
+    mean, cov = mean_and_cov(x)
+    others = [i for i in range(d) if i != j]
+    low, cov_used = _cholesky_reg(cov[np.ix_(others, others)])
+    resid = x[:, j] - curve.evaluate(explanatory(x, j))
+    resid_var = float(resid @ resid) / n
     if resid_var < RESID_VAR_FLOOR:
         warnings.warn("residual variance floored", ZeroResidualWarning, stacklevel=2)
         resid_var = RESID_VAR_FLOOR
-    h = 0.5 * d * (LOG_2PI + 1.0) + 0.5 * logdet + 0.5 * math.log(resid_var)
-    params = FAdaptedParams(j, mean_exp, cov_used, resid_var, curve)
-    return h, params
+    h = float(_fadapted_entropy(d, _logdet(low), resid_var))
+    return h, FAdaptedParams(j, mean[others], cov_used, resid_var, curve)

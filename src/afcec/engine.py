@@ -12,7 +12,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .curves import axis_design, select_orientation
+# select_orientation is not called here; bench/spans.py wraps it under this
+# module's name as well
+from .curves import axis_design, refit_segments, select_orientation  # noqa: F401
 from .density import fadapted_cross_entropy, fadapted_log_density
 from .errors import AllClustersDegenerate, DegenerateCluster, InvalidConfig, RankDeficient
 
@@ -108,9 +110,10 @@ def cost(x, clusters, assignment):
 class DesignCache:
     """Per-axis designs over one fixed (n, d) point set.
 
-    A dependent axis's AxisDesign is built the first time a cluster with that
-    axis (and family) is scored, so a fit splits its data and builds each
-    design once per axis instead of once per cluster per iteration.
+    A dependent axis's AxisDesign is built the first time that axis (and
+    family) is asked for, by a refit or by scoring a cluster, so a fit splits
+    its data and builds each design once per axis instead of once per cluster
+    per iteration.
     """
 
     def __init__(self, x):
@@ -118,10 +121,13 @@ class DesignCache:
         self._designs = {}
 
     def design(self, params):
-        key = (params.dependent_axis, params.curve.family)
-        found = self._designs.get(key)
+        return self.axis(params.dependent_axis, params.curve.family)
+
+    def axis(self, j, family):
+        """The AxisDesign of dependent axis j under family."""
+        found = self._designs.get((j, family))
         if found is None:
-            found = self._designs[key] = axis_design(self.x, *key)
+            found = self._designs[j, family] = axis_design(self.x, j, family)
         return found
 
     def take(self, rows):
@@ -167,9 +173,25 @@ def assign_step(x, clusters, cache=None):
     return _argmin_rows(_score_matrix(cache, clusters))
 
 
-def _estimate_cluster(x, idx, n, family):
-    j, curve, h, params = select_orientation(x[idx], family)
-    return ClusterModel(params, len(idx) / n, len(idx), h)
+def _refit(cache, assignment, k, family):
+    """One batched refit of labels 0..k-1: a ClusterModel per label, None for
+    an empty or degenerate cluster.
+
+    The points are stably sorted by label, so every cluster is one contiguous
+    segment holding its rows in their original order, and each axis's design
+    is gathered from the cache once for all clusters (curves.refit_segments).
+    """
+    n, d = cache.x.shape
+    # numpy sorts 8- and 16-bit keys stably by radix sort
+    order = np.argsort(assignment.astype(np.min_scalar_type(k)), kind="stable")
+    bounds = np.zeros(k + 1, dtype=np.intp)
+    np.cumsum(np.bincount(assignment, minlength=k), out=bounds[1:])
+    designs = [np.take(cache.axis(j, family).aug, order, axis=0) for j in range(d)]
+    fits = refit_segments(np.take(cache.x, order, axis=0), bounds, designs, family)
+    return [
+        None if f is None else ClusterModel(f[3], size / n, size, f[2])
+        for f, size in zip(fits, np.diff(bounds).tolist())
+    ]
 
 
 def _reassign(cache, assignment, k, keep, survivors):
@@ -194,22 +216,14 @@ def _reestimate(x, assignment, k, family, cache=None):
     Labels are compacted to 0..k'-1 in original order. cache, when given,
     must be a DesignCache over x.
     """
-    n = x.shape[0]
     assignment = np.asarray(assignment)
     if cache is None:
         cache = DesignCache(x)
     dropped = 0
     while True:
-        clusters, keep = [], []
-        for lab in range(k):
-            idx = np.flatnonzero(assignment == lab)
-            if len(idx) == 0:
-                continue
-            try:
-                clusters.append(_estimate_cluster(x, idx, n, family))
-            except (DegenerateCluster, RankDeficient):
-                continue
-            keep.append(lab)
+        fitted = _refit(cache, assignment, k, family)
+        keep = [lab for lab, cl in enumerate(fitted) if cl is not None]
+        clusters = [fitted[lab] for lab in keep]
         if not clusters:
             raise AllClustersDegenerate("every cluster failed estimation")
         if len(keep) == k:

@@ -279,3 +279,20 @@ def test_model_validation():
         AcaParabolaModel(0.0, 1.0, 1.0)
     with pytest.raises(ValueError):
         AcaParabolaModel(1.0, -1.0, 1.0)
+
+
+def test_foot_grid_blocks_equal_one_shot_projection():
+    # 2 * 40 + 1 = 81 grid rows: two full blocks and a partial one
+    assert 81 % acagmm.FOOT_BLOCK_ROWS
+    px, py, _ = simpson_grid_2d(-3.0, 3.0, -3.0, 3.0, 80)
+    for a in (0.5, -1.0):
+        t0 = acagmm._project_t0_grid(a, px, py)
+        p = np.hypot(px - t0, py - a * t0 * t0)
+        want = (
+            acagmm._signed_arc(a, t0),
+            p,
+            acagmm._jacobian_factor(a, t0, p, py > a * px * px),
+        )
+        for got, one_shot in zip(acagmm._foot_grid(a, px, py), want):
+            assert got.shape == px.shape
+            assert np.array_equal(got, one_shot)

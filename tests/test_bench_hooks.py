@@ -21,10 +21,7 @@ FIT_SPANS = {
     "engine.delete",
     "engine.refit",
     "engine.cost",
-    "curves.select_orientation",
-    "curves.fit_curve",
     "curves.design",
-    "numerics.lstsq",
     "density.cross_entropy",
     "density.cholesky_reg",
     "density.log_density",
@@ -32,11 +29,7 @@ FIT_SPANS = {
 }
 # (child, parent) span pairs on the refit path the per-layer metrics describe
 REFIT_PATH = {
-    ("curves.select_orientation", "engine.refit"),
-    ("curves.fit_curve", "curves.select_orientation"),
-    ("density.cross_entropy", "curves.select_orientation"),
-    ("curves.design", "curves.fit_curve"),
-    ("numerics.lstsq", "curves.fit_curve"),
+    ("curves.design", "engine.refit"),
     ("density.cross_entropy", "engine.cost"),
     ("density.log_density", "engine.assign"),
 }

@@ -136,6 +136,16 @@ def test_import_leaves_out_scipy_integrate():
     assert subprocess.run([sys.executable, "-c", script], env=env).returncode == 0
 
 
+def test_import_leaves_out_scipy_linalg():
+    # least squares and every Cholesky factor go through numpy.linalg
+    script = (
+        "import sys, afcec, afcec.cli; "
+        "sys.exit('scipy.linalg' in sys.modules)"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(afcec.__file__).parents[1]))
+    assert subprocess.run([sys.executable, "-c", script], env=env).returncode == 0
+
+
 def test_generate_writes_csv(tmp_path, capsys):
     out_path = tmp_path / "gen.csv"
     code, _ = _run(capsys, "generate", "--kind", "spiral", "--n", "100",

@@ -3,7 +3,7 @@ import pytest
 from scipy import integrate
 
 from afcec.errors import RankDeficient
-from afcec.numerics import least_squares, simpson_2d
+from afcec.numerics import least_squares, ridge_solve, simpson_2d
 
 
 def test_least_squares_matches_lstsq():
@@ -54,3 +54,17 @@ def test_simpson_2d_matches_dblquad():
 def test_simpson_2d_rejects_odd_n():
     with pytest.raises(ValueError):
         simpson_2d(lambda x, y: x + y, 0.0, 1.0, 0.0, 1.0, n=3)
+
+
+def test_ridge_solve_flags_only_the_failing_system():
+    rng = np.random.default_rng(4)
+    design = rng.standard_normal((30, 3))
+    target = rng.standard_normal(30)
+    gram = np.stack([design.T @ design, np.zeros((3, 3)), 2.0 * design.T @ design])
+    rhs = np.stack([design.T @ target, np.ones(3), 2.0 * design.T @ target])
+    coeffs, ok = ridge_solve(gram, rhs)
+    assert ok.tolist() == [True, False, True]
+    assert np.array_equal(coeffs[1], np.zeros(3))
+    want = least_squares(design, target)
+    np.testing.assert_allclose(coeffs[0], want, rtol=1e-12)
+    np.testing.assert_allclose(coeffs[2], want, rtol=1e-12)
