@@ -25,7 +25,8 @@ class FunctionFamily:
     prod_i x_i ** exponents[b, i].
 
     exponents is a (size, input_dim) integer matrix. Row 0 must be all zeros
-    (the constant 1) and every unit row (coordinate projection) must be present.
+    (the constant 1) and every unit row (coordinate projection) must be present;
+    projections[i] is the first row projecting onto coordinate i.
     """
 
     input_dim: int
@@ -42,11 +43,15 @@ class FunctionFamily:
             raise ValueError("exponents must be non-negative")
         if e[0].any():
             raise ValueError("basis[0] must be the constant function")
+        projections = []
         for i, unit in enumerate(np.eye(self.input_dim, dtype=int)):
-            if not (e == unit).all(axis=1).any():
+            rows = np.flatnonzero((e == unit).all(axis=1))
+            if not rows.size:
                 raise ValueError(f"basis lacks the projection onto coordinate {i}")
+            projections.append(int(rows[0]))
         e.setflags(write=False)
         object.__setattr__(self, "exponents", e)
+        object.__setattr__(self, "projections", projections)
 
     def __eq__(self, other):
         if not isinstance(other, FunctionFamily):
@@ -130,38 +135,28 @@ def explanatory(x, j):
 
 
 class AxisDesign(NamedTuple):
-    """Rows of x split for dependent axis j, with the family's design over them.
+    """The family's design for dependent axis j next to coordinate j.
 
-    xe_t is the explanatory block transposed, (d-1, n) with one contiguous row
-    per coordinate; aug is [matrix | xj], (n, family.size + 1): the family's
-    design_matrix of the explanatory block next to coordinate j, so one row
-    gather moves both.
+    aug is [design_matrix(x without column j) | x_j], (n, family.size + 1),
+    so one row gather moves both.
     """
 
-    xe_t: np.ndarray
     aug: np.ndarray
 
-    @property
-    def matrix(self):
-        return self.aug[:, :-1]
-
-    @property
-    def xj(self):
-        return self.aug[:, -1]
-
     def take(self, idx):
-        """The same split and design restricted to rows idx."""
-        return AxisDesign(np.take(self.xe_t, idx, axis=1), np.take(self.aug, idx, axis=0))
+        """The same design restricted to rows idx."""
+        return AxisDesign(np.take(self.aug, idx, axis=0))
 
 
 def axis_design(x, j, family):
     """AxisDesign of the (n, d) rows x for dependent axis j."""
     x = np.asarray(x, dtype=float)
+    # explanatory coordinates as contiguous rows
     xe_t = x.T[[i for i in range(x.shape[1]) if i != j]]
     aug = np.empty((x.shape[0], family.size + 1))
     aug[:, :-1] = family.design_matrix(xe_t.T)
     aug[:, -1] = x[:, j]
-    return AxisDesign(xe_t, aug)
+    return AxisDesign(aug)
 
 
 def fit_curve(x, j, family):

@@ -20,6 +20,12 @@ RESID_VAR_FLOOR = 1e-12
 # mean diagonal until Cholesky succeeds
 REG_BASE = 1e-9
 REG_MAX = 1e-3
+# points per scoring block (score_blocks); fixed, so every caller partitions
+# the points alike
+SCORE_BLOCK = 4096
+# every GEMM spans a multiple of this many points: at a ragged width OpenBLAS's
+# edge kernels can round one cluster's row differently alone and in a stack
+SCORE_ALIGN = 64
 
 
 @dataclass(frozen=True)
@@ -124,30 +130,117 @@ def gaussian_log_density(p, x):
     return float(out[0]) if x.ndim == 1 else out
 
 
+def _score_weights(params, groups):
+    """Per group of clusters sharing one dependent axis and family (a list of
+    indices into params), the weights W (kg*d, P+1) and constants c (kg, 1)
+    with -log f_i(x) = c_i + 0.5 * ||W_i @ aug(x)||^2, W_i being the cluster's
+    d rows and aug(x) AxisDesign.aug's row [design | x_j].
+
+    Rows 0..d-2 of W_i give L^-1 (x_e - mean_exp) (cov_exp = L L^T): every
+    family holds the constant and every coordinate projection, so L^-1 sits in
+    the projection columns and -L^-1 mean_exp in the constant column. Row d-1
+    gives the scaled residual (x_j - curve - mean_dep) / sqrt(resid_var).
+    Folding -L^-1 mean_exp into the intercept computes L^-1 x - L^-1 mean
+    instead of L^-1 (x - mean), the same cancellation away from the origin that
+    the residual row has with raw monomial coefficients; a later centring of
+    the design columns should centre these columns too. Raises
+    NotPositiveDefinite when a cov_exp has no Cholesky factor.
+    """
+    d = params[0].dim
+    try:
+        low = np.linalg.cholesky(np.array([q.cov_exp for q in params]))
+    except np.linalg.LinAlgError as e:
+        raise NotPositiveDefinite(str(e)) from e
+    inv = np.linalg.inv(low)
+    centre = -(inv @ np.array([q.mean_exp for q in params])[:, :, None])[:, :, 0]
+    resid_var = np.array([q.resid_var for q in params])
+    sigma = np.sqrt(resid_var)
+    consts = 0.5 * (d * LOG_2PI + _logdet(low) + np.log(resid_var))
+    out = []
+    for rows in groups:
+        family = params[rows[0]].curve.family
+        p = family.size
+        w = np.zeros((len(rows), d, p + 1))
+        w[:, :-1, family.projections] = inv[rows]
+        w[:, :-1, 0] = centre[rows]
+        w[:, -1, :p] = [params[i].curve.coeffs for i in rows]
+        w[:, -1, 0] += [params[i].mean_dep for i in rows]
+        w[:, -1, :p] /= -sigma[rows, None]
+        w[:, -1, p] = 1.0 / sigma[rows]
+        out.append((w.reshape(-1, p + 1), consts[rows, None]))
+    return out
+
+
+def score_blocks(params, augs, shift=None):
+    """Walk the points in fixed column blocks and yield (cols, scores): scores
+    is (k, width) with scores[i] = shift[i] - log f_i(x) at the points cols.
+
+    augs[i] is AxisDesign.aug of the points for params[i]'s dependent axis
+    and family; clusters passing the same array share one GEMM per block.
+    The blocks start at multiples of SCORE_BLOCK whatever the caller, and a
+    short last block is zero-padded to a multiple of SCORE_ALIGN points, so
+    one (cluster, point) score has the same bits alone, inside any set of
+    clusters, and through fadapted_log_density. scores is reused by the next
+    block: reduce it before asking for the next one.
+    """
+    k, n = len(params), augs[0].shape[0]
+    span = min(SCORE_BLOCK, -(-n // SCORE_ALIGN) * SCORE_ALIGN)
+    groups = {}
+    for i, aug in enumerate(augs):
+        groups.setdefault(id(aug), []).append(i)
+    groups = list(groups.values())
+    if shift is not None:
+        shift = np.asarray(shift, dtype=float)[:, None]
+    prepared = [
+        (rows, augs[rows[0]], w, c, None if shift is None else shift[rows])
+        for rows, (w, c) in zip(groups, _score_weights(params, groups))
+    ]
+    # working arrays, allocated once per call and reused by every block
+    block = np.empty((k, span))
+    prod = np.empty((max(len(w) for _, _, w, _, _ in prepared), span))
+    pad = None
+    for lo in range(0, n, SCORE_BLOCK):
+        hi = min(lo + SCORE_BLOCK, n)
+        width = hi - lo
+        padded = min(SCORE_BLOCK, -(-width // SCORE_ALIGN) * SCORE_ALIGN)
+        scores = block[:, :width]
+        for rows, aug, w, c, sh in prepared:
+            pts = aug[lo:hi]
+            if padded > width:
+                if pad is None:
+                    pad = np.zeros((padded, max(a.shape[1] for a in augs)))
+                pts = pad[:, : aug.shape[1]]
+                pts[:width] = aug[lo:hi]
+            g = np.matmul(w, pts.T, out=prod[: len(w), :padded])[:, :width]
+            np.square(g, out=g)
+            # each cluster's d squared rows summed in order into its first row
+            g = g.reshape(len(rows), -1, width)
+            s = g[:, 0]
+            for r in range(1, g.shape[1]):
+                s += g[:, r]
+            s *= 0.5
+            s += c
+            if sh is not None:
+                s += sh
+            scores[rows] = s
+        yield slice(lo, hi), scores
+
+
 def fadapted_log_density(p, x, design=None, out=None):
     """Log density of the curve-adapted Gaussian at x ((d,) or (n,d)).
 
     design, when given, must be axis_design(x, p.dependent_axis,
     p.curve.family) (the engine builds it once per fit); x is then not split
     again. out, when given, is an (n,) float array the densities are written
-    into and returned.
+    into and returned. This is score_blocks on one cluster.
     """
     x = np.asarray(x, dtype=float)
     if design is None:
         design = axis_design(x.reshape(-1, p.dim), p.dependent_axis, p.curve.family)
     if out is None:
-        out = np.empty(design.xj.size)
-    _log_normal(p.mean_exp, p.cov_exp, design.xe_t, out)
-    # residual term -0.5*ln(2*pi*resid_var) - 0.5*resid^2/resid_var, in place
-    resid = design.matrix @ p.curve.coeffs
-    np.subtract(design.xj, resid, out=resid)
-    if p.mean_dep:
-        resid -= p.mean_dep
-    resid *= resid
-    resid *= 0.5
-    resid /= p.resid_var
-    np.subtract(-0.5 * (LOG_2PI + math.log(p.resid_var)), resid, out=resid)
-    out += resid
+        out = np.empty(design.aug.shape[0])
+    for cols, scores in score_blocks([p], [design.aug]):
+        np.negative(scores[0], out=out[cols])
     return float(out[0]) if x.ndim == 1 else out
 
 

@@ -15,7 +15,9 @@ import numpy as np
 # select_orientation is not called here; bench/spans.py wraps it under this
 # module's name as well
 from .curves import axis_design, refit_segments, select_orientation  # noqa: F401
-from .density import fadapted_cross_entropy, fadapted_log_density
+# fadapted_log_density is not called here; bench/spans.py wraps it under this
+# module's name as well
+from .density import fadapted_cross_entropy, fadapted_log_density, score_blocks  # noqa: F401
 from .errors import AllClustersDegenerate, DegenerateCluster, InvalidConfig, RankDeficient
 
 INITS = ("random_partition", "kmeanspp")
@@ -137,29 +139,36 @@ class DesignCache:
         return sub
 
 
+def cluster_score_blocks(cache, clusters):
+    """density.score_blocks of -ln p_i - log f_i(x) over the cache's points,
+    each cluster scored from the cache's design for its axis."""
+    params = [cl.params for cl in clusters]
+    augs = [cache.design(p).aug for p in params]
+    return score_blocks(params, augs, [-math.log(cl.weight) for cl in clusters])
+
+
 def _score_matrix(cache, clusters):
     """(k, n) block of -ln p_i - log f_i(x) over the cache's points, one
     contiguous row per cluster."""
     scores = np.empty((len(clusters), cache.x.shape[0]))
-    for row, cl in zip(scores, clusters):
-        fadapted_log_density(cl.params, cache.x, cache.design(cl.params), out=row)
-        np.subtract(-math.log(cl.weight), row, out=row)
+    for cols, block in cluster_score_blocks(cache, clusters):
+        scores[:, cols] = block
     return scores
 
 
 def _argmin_rows(scores):
     """np.argmin(scores, axis=0) of a (k, n) block, ties to the lowest row.
 
-    Takes the column minima, then marks each column's lowest row attaining
-    its minimum; this avoids the transposed (n, k) copy that numpy's argmin
-    along axis 0 makes. A column holding NaN goes to row 0.
+    Marks the rows attaining each column's minimum, weights row i by k - i and
+    takes each column's largest weight, so the lowest marked row wins; this
+    avoids the transposed (n, k) copy that numpy's argmin along axis 0 makes.
+    A column holding NaN marks no row and goes to row 0.
     """
-    best = scores.min(axis=0)
-    labels = np.zeros(scores.shape[1], dtype=np.intp)
-    hit = np.empty(scores.shape[1], dtype=bool)
-    for i in range(scores.shape[0] - 1, -1, -1):
-        np.equal(scores[i], best, out=hit)
-        np.copyto(labels, i, where=hit)
+    k = scores.shape[0]
+    rank = np.arange(k, 0, -1, dtype=np.min_scalar_type(k))[:, None]
+    top = np.multiply(scores == scores.min(axis=0), rank).max(axis=0)
+    labels = k - top.astype(np.intp)
+    labels[top == 0] = 0
     return labels
 
 
@@ -170,7 +179,10 @@ def assign_step(x, clusters, cache=None):
     """
     if cache is None:
         cache = DesignCache(as_array(x))
-    return _argmin_rows(_score_matrix(cache, clusters))
+    labels = np.empty(cache.x.shape[0], dtype=np.intp)
+    for cols, block in cluster_score_blocks(cache, clusters):
+        labels[cols] = _argmin_rows(block)
+    return labels
 
 
 def _refit(cache, assignment, k, family):
@@ -261,6 +273,17 @@ def delete_small(x, clusters, assignment, threshold_fraction, cache=None):
     return survivors, assignment, deleted
 
 
+def _sq_dist(xs_t, c):
+    """Squared distances of the columns of xs_t ((d, n)) to the point c,
+    added coordinate by coordinate in order: for d < 8 the same bits as
+    np.sum(..., axis=1) over the rows, at a fraction of its cost."""
+    c = c.tolist()
+    out = (xs_t[0] - c[0]) ** 2
+    for xi, ci in zip(xs_t[1:], c[1:]):
+        out += (xi - ci) ** 2
+    return out
+
+
 def _init_partition(x, cfg):
     """Initial balanced partition, deterministic over (data multiset, seed).
 
@@ -276,25 +299,28 @@ def _init_partition(x, cfg):
         assignment = np.empty(n, dtype=int)
         assignment[order[perm]] = np.arange(n) % cfg.k_init
         return assignment
-    # k-means++-style seeding on the sorted rows, then nearest-centroid
-    xs = x[order]
-    centers = [xs[rng.integers(n)]]
-    d2 = np.sum((xs - centers[0]) ** 2, axis=1)
-    for _ in range(1, cfg.k_init):
+    # k-means++-style seeding on the sorted rows; each point keeps the first
+    # centre at its smallest squared distance (ties to the lowest index)
+    xs_t = x[order].T.copy()
+    d2 = _sq_dist(xs_t, xs_t[:, rng.integers(n)])
+    nearest = np.zeros(n, dtype=int)
+    for t in range(1, cfg.k_init):
         total = d2.sum()
         if total <= 0:
-            centers.append(xs[rng.integers(n)])
+            # every point sits on a centre already: the new one wins nowhere
+            rng.integers(n)
             continue
-        pick = rng.choice(n, p=d2 / total)
-        centers.append(xs[pick])
-        d2 = np.minimum(d2, np.sum((xs - centers[-1]) ** 2, axis=1))
-    c = np.asarray(centers)
-    nearest = np.argmin(
-        ((xs[:, None, :] - c[None, :, :]) ** 2).sum(axis=2), axis=1
-    )
+        dist = _sq_dist(xs_t, xs_t[:, rng.choice(n, p=d2 / total)])
+        nearest[dist < d2] = t
+        np.minimum(d2, dist, out=d2)
     assignment = np.empty(n, dtype=int)
     assignment[order] = nearest
     return assignment
+
+
+def _total_cost(clusters):
+    """sum_i p_i * (-ln p_i + H_i) from each cluster's stored weight and H."""
+    return sum(cl.weight * (-math.log(cl.weight) + cl.cross_entropy) for cl in clusters)
 
 
 def fit(x, cfg):
@@ -315,7 +341,7 @@ def fit(x, cfg):
     if dropped:
         deleted_total += dropped
         deletion_iterations.append(0)
-    trace = [cost(x, clusters, assignment)]
+    trace = [_total_cost(clusters)]
 
     iterations = 0
     for it in range(1, cfg.max_iters + 1):
@@ -331,7 +357,7 @@ def fit(x, cfg):
         if ndel:
             deleted_total += ndel
             deletion_iterations.append(it)
-        h = sum(cl.weight * (-math.log(cl.weight) + cl.cross_entropy) for cl in clusters)
+        h = _total_cost(clusters)
         trace.append(h)
         if ndel == 0 and h >= trace[-2] - cfg.epsilon:
             break

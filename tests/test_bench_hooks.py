@@ -20,18 +20,12 @@ FIT_SPANS = {
     "engine.assign",
     "engine.delete",
     "engine.refit",
-    "engine.cost",
     "curves.design",
-    "density.cross_entropy",
-    "density.cholesky_reg",
-    "density.log_density",
     "selection.loglik",
 }
 # (child, parent) span pairs on the refit path the per-layer metrics describe
 REFIT_PATH = {
     ("curves.design", "engine.refit"),
-    ("density.cross_entropy", "engine.cost"),
-    ("density.log_density", "engine.assign"),
 }
 
 
