@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BeyondCurvatureCenter
-from .numerics import simpson_grid_2d
+from .numerics import simpson_blocks_2d
 
 # Jacobian factors at/below this are treated as folded (the map collapses)
 FOLD_EPS = 1e-9
@@ -77,19 +77,6 @@ def arc_length(m, t0):
     return np.abs(_signed_arc(m.a, t0))
 
 
-def orientation_side(m, point, proj):
-    """above/below from the sign of det([[p1-x(t0), x'(t0)], [p2-y(t0), y'(t0)]]).
-
-    Negative determinant means the point sits on the upward-normal side of its
-    foot, i.e. above the graph; this never vanishes for off-curve points since
-    the foot-to-point vector is normal to the tangent.
-    """
-    n1 = point[0] - proj.t0
-    n2 = point[1] - m.a * proj.t0 * proj.t0
-    det = n1 * 2.0 * m.a * proj.t0 - n2
-    return "above" if det < 0 else "below"
-
-
 def aca_log_density(m, point, corrected=False):
     """Raw: ln N(l | 0, sigma1^2) + ln N(p | 0, sigma2^2). Corrected: raw minus
     ln|1 - kappa*eta| (kappa signed curvature at the foot, eta = +p above the
@@ -121,28 +108,35 @@ def _project_t0_grid(a, px, py):
     negative discriminant the three roots are compared by squared distance
     (ties to the smaller t). Otherwise the Cardano root is taken; at a zero
     discriminant that is the simple root, since the double root is an
-    inflection of the squared distance, never its minimum.
+    inflection of the squared distance, never its minimum. Each node is
+    solved by its own branch only; the values equal evaluating both branches
+    everywhere and selecting, since every step is elementwise. Scalars are
+    solved as one-node arrays: numpy's scalar power rounds differently from
+    its array loop, and a point must get the same foot as the grid node.
     """
+    px, py = np.broadcast_arrays(np.asarray(px, dtype=float), np.asarray(py, dtype=float))
+    shape = px.shape
+    px, py = px.ravel(), py.ravel()
     q = (1.0 - 2.0 * a * py) / (6.0 * a * a)
     r = px / (4.0 * a * a)
     disc = q ** 3 + r ** 2
-    nonneg = disc >= 0.0
-    s = np.sqrt(np.where(nonneg, disc, 0.0))
-    t_single = np.cbrt(r + s) + np.cbrt(r - s)
-    mq = np.where(nonneg, 1.0, -q)
-    phi = np.arccos(np.clip(np.where(nonneg, 0.0, r) / np.sqrt(mq ** 3), -1.0, 1.0))
-    best_t = t_single
-    d2_single = (t_single - px) ** 2 + (a * t_single ** 2 - py) ** 2
-    best_d2 = np.where(nonneg, d2_single, np.inf)
-    for i in range(3):
-        t = 2.0 * np.sqrt(mq) * np.cos((phi + 2.0 * np.pi * i) / 3.0)
-        d2 = (t - px) ** 2 + (a * t * t - py) ** 2
-        closer = ~nonneg & (
-            (d2 < best_d2 - 1e-15) | (np.isclose(d2, best_d2, rtol=0, atol=1e-15) & (t < best_t))
-        )
+    t0 = np.empty(disc.shape)
+    single = disc >= 0.0
+    s, rs = np.sqrt(disc[single]), r[single]
+    t0[single] = np.cbrt(rs + s) + np.cbrt(rs - s)
+
+    three = ~single
+    x, y, mq = px[three], py[three], -q[three]
+    phi = np.arccos(np.clip(r[three] / np.sqrt(mq ** 3), -1.0, 1.0))
+    ts = 2.0 * np.sqrt(mq) * np.cos((phi + 2.0 * np.pi * np.arange(3.0)[:, None]) / 3.0)
+    d2s = (ts - x) ** 2 + (a * ts * ts - y) ** 2
+    best_t, best_d2 = ts[0], d2s[0]
+    for t, d2 in zip(ts[1:], d2s[1:]):
+        closer = (d2 < best_d2 - 1e-15) | ((np.abs(d2 - best_d2) <= 1e-15) & (t < best_t))
         best_t = np.where(closer, t, best_t)
         best_d2 = np.where(closer, d2, best_d2)
-    return best_t
+    t0[three] = best_t
+    return t0.reshape(shape)
 
 
 def _foot_grid(a, px, py):
@@ -167,10 +161,9 @@ def _foot_grid(a, px, py):
     return arc.reshape(px.shape), p.reshape(px.shape), factor.reshape(px.shape)
 
 
-def _log_density_grid(m, px, py, foot=None):
-    """(raw_log, factor) arrays for point grids; factor is the Jacobian term.
-    foot, when given, is _foot_grid(m.a, px, py)."""
-    arc, p, factor = _foot_grid(m.a, px, py) if foot is None else foot
+def _log_density_grid(m, px, py):
+    """(raw_log, factor) arrays for point grids; factor is the Jacobian term."""
+    arc, p, factor = _foot_grid(m.a, px, py)
     raw = (
         -math.log(2.0 * math.pi * m.sigma1 * m.sigma2)
         - 0.5 * (arc / m.sigma1) ** 2
@@ -184,18 +177,21 @@ def fold_mass(m, tail=40.0):
     i.e. normal offsets past c(t) = sqrt(1 + 4 a^2 t^2) / (2|a|) on the concave
     side. This is exactly what the single-nearest-foot corrected density loses,
     so its integral comes out at 1 minus this. Computed by 1-D quadrature."""
-    # imported here: only acagmm-check needs them, and scipy.integrate is slow
+    # imported here: only acagmm-check needs it, and scipy.integrate is slow
     # to import
-    from scipy import integrate, special
+    from scipy import integrate
 
     a, s1, s2 = m.a, m.sigma1, m.sigma2
     aa = abs(a)
+    # quad calls g once per abscissa: plain math on floats, no numpy scalars
+    n1_scale = math.sqrt(2.0 * math.pi) * s1
+    erfc_scale = s2 * math.sqrt(2.0)
 
     def g(t):
-        root = np.sqrt(1.0 + 4.0 * a * a * t * t)
-        cut = root / (2.0 * aa)
-        n1 = np.exp(-0.5 * (_signed_arc(a, t) / s1) ** 2) / (math.sqrt(2.0 * math.pi) * s1)
-        q = 0.5 * special.erfc(cut / (s2 * math.sqrt(2.0)))
+        root = math.sqrt(1.0 + 4.0 * a * a * t * t)
+        arc = 0.5 * t * root + math.asinh(2.0 * aa * t) / (4.0 * aa)
+        n1 = math.exp(-0.5 * (arc / s1) ** 2) / n1_scale
+        q = 0.5 * math.erfc(root / (2.0 * aa) / erfc_scale)
         return n1 * q * root
 
     # g is even in t and peaks at t=0; integrating outward from the peak keeps
@@ -215,36 +211,44 @@ def normalization_table(
     combination over [-box, box]^2 with n segments per axis.
 
     Returns a list of dicts with keys a, sigma1, sigma2, raw_integral,
-    corrected_integral, excluded_mass. Grid nodes where the Jacobian factor
-    has collapsed (<= FOLD_EPS, the cut-locus cusp) contribute nothing to the
-    corrected integral; excluded_mass is the fold mass the correction cannot
-    recover (see fold_mass).
+    corrected_integral, excluded_mass, in product(a_grid, sigma_grid,
+    sigma_grid) order. Grid nodes where the Jacobian factor has collapsed
+    (<= FOLD_EPS, the cut-locus cusp) contribute nothing to the corrected
+    integral; excluded_mass is the fold mass the correction cannot recover
+    (see fold_mass).
+
+    The grid is streamed in FOOT_BLOCK_ROWS-row blocks, each projected once
+    per a. The raw density is N1(arc) N2(p), so per block and a the sums for
+    every (s1, s2) pair are two small matrix products of the per-sigma
+    factors exp(-(arc/s)^2/2) and exp(-(p/s)^2/2); the 1/(2 pi s1 s2)
+    normalization is applied to the finished sums.
     """
-    px, py, weights = simpson_grid_2d(-box, box, -box, box, n)
+    sig = np.asarray(sigma_grid, dtype=float).reshape(-1, 1)
     rows = []
     for a in a_grid:
         # built before the projection, which divides by a, so a = 0 is
         # rejected first
         models = [AcaParabolaModel(a, s1, s2) for s1 in sigma_grid for s2 in sigma_grid]
-        foot = _foot_grid(a, px, py)
-        ok = foot[2] > FOLD_EPS
-        divisor = np.where(ok, foot[2], 1.0)
-        for m in models:
-            raw_log, _ = _log_density_grid(m, px, py, foot)
-            raw = np.exp(raw_log)
-            corr = np.where(ok, raw / divisor, 0.0)
+        raw, corr = np.zeros((sig.size, sig.size)), np.zeros((sig.size, sig.size))
+        for bx, by, w in simpson_blocks_2d(-box, box, -box, box, n, FOOT_BLOCK_ROWS):
+            arc, p, factor = (v.reshape(1, -1) for v in _foot_grid(a, bx, by))
+            w = w.reshape(1, -1)
+            ok = factor > FOLD_EPS
+            ea = np.exp(-0.5 * (arc / sig) ** 2)
+            ep_t = np.exp(-0.5 * (p / sig) ** 2).T
+            raw += (ea * w) @ ep_t
+            corr += (ea * np.where(ok, w / np.where(ok, factor, 1.0), 0.0)) @ ep_t
+        # sums indexed by position, so a repeated sigma keeps its own row
+        for m, (i, j) in zip(models, np.ndindex(len(sigma_grid), len(sigma_grid))):
+            scale = 2.0 * math.pi * m.sigma1 * m.sigma2
             rows.append(
                 {
                     "a": a,
                     "sigma1": m.sigma1,
                     "sigma2": m.sigma2,
-                    "raw_integral": float(np.sum(weights * raw)),
-                    "corrected_integral": float(np.sum(weights * corr)),
+                    "raw_integral": float(raw[i, j] / scale),
+                    "corrected_integral": float(corr[i, j] / scale),
                     "excluded_mass": fold_mass(m),
                 }
             )
-            del raw_log, raw, corr
-        # memory peaks inside the next projection; hold none of this a's
-        # arrays through it
-        del foot, ok, divisor
     return rows

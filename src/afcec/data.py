@@ -59,9 +59,6 @@ class Dataset:
     def d(self):
         return self.rows.shape[1]
 
-    def col(self, j):
-        return self.rows[:, j]
-
 
 @dataclass(frozen=True)
 class GeneratorSpec:

@@ -59,21 +59,39 @@ def least_squares(design, target):
     return c
 
 
-def simpson_grid_2d(xlo, xhi, ylo, yhi, n):
-    """Nodes and weights of the composite 2-D Simpson rule on a box.
+def simpson_blocks_2d(xlo, xhi, ylo, yhi, n, rows):
+    """Nodes and weights of the composite 2-D Simpson rule on a box, `rows`
+    x-nodes at a time.
 
-    n is the (even) number of segments per axis. Returns meshgrid arrays X, Y
-    ("ij" indexing) and weights W such that sum(W * f(X, Y)) estimates the
-    integral of f.
+    n is the (even) number of segments per axis; it is checked when this is
+    called, not when the first block is drawn. Returns an iterator of
+    meshgrid blocks (X, Y, W) ("ij" indexing, up to `rows` rows of n + 1
+    nodes each) such that the sum over blocks of sum(W * f(X, Y)) estimates
+    the integral of f. Each node's weight is (w_i * w_j) * h whatever the
+    blocking, so the blocks are slices of the one-block grid.
     """
     n = int(n)
     if n < 2 or n % 2:
         raise ValueError("n must be even and >= 2")
-    X, Y = np.meshgrid(np.linspace(xlo, xhi, n + 1), np.linspace(ylo, yhi, n + 1), indexing="ij")
+    x, y = np.linspace(xlo, xhi, n + 1), np.linspace(ylo, yhi, n + 1)
     w = np.ones(n + 1)
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
-    return X, Y, np.outer(w, w) * ((xhi - xlo) / n * ((yhi - ylo) / n) / 9.0)
+    h = (xhi - xlo) / n * ((yhi - ylo) / n) / 9.0
+
+    def blocks():
+        for lo in range(0, n + 1, rows):
+            X, Y = np.meshgrid(x[lo : lo + rows], y, indexing="ij")
+            yield X, Y, np.outer(w[lo : lo + rows], w) * h
+
+    return blocks()
+
+
+def simpson_grid_2d(xlo, xhi, ylo, yhi, n):
+    """Nodes and weights of the composite 2-D Simpson rule on a box, as one
+    block: meshgrid arrays X, Y ("ij" indexing) and weights W such that
+    sum(W * f(X, Y)) estimates the integral of f (see simpson_blocks_2d)."""
+    return next(simpson_blocks_2d(xlo, xhi, ylo, yhi, n, int(n) + 1))
 
 
 def simpson_2d(f, xlo, xhi, ylo, yhi, n=500):

@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate, optimize
 
@@ -17,11 +17,43 @@ from afcec.acagmm import (
     arc_length,
     fold_mass,
     normalization_table,
-    orientation_side,
     project_to_parabola,
 )
 from afcec.errors import BeyondCurvatureCenter
 from afcec.numerics import simpson_grid_2d
+
+
+def _all_branch_t0(a, px, py):
+    # reference: both branches and all three trigonometric candidates are
+    # evaluated on every node, then selected per node
+    q = (1.0 - 2.0 * a * py) / (6.0 * a * a)
+    r = px / (4.0 * a * a)
+    disc = q ** 3 + r ** 2
+    nonneg = disc >= 0.0
+    s = np.sqrt(np.where(nonneg, disc, 0.0))
+    t_single = np.cbrt(r + s) + np.cbrt(r - s)
+    mq = np.where(nonneg, 1.0, -q)
+    phi = np.arccos(np.clip(np.where(nonneg, 0.0, r) / np.sqrt(mq ** 3), -1.0, 1.0))
+    best_t = t_single
+    d2_single = (t_single - px) ** 2 + (a * t_single ** 2 - py) ** 2
+    best_d2 = np.where(nonneg, d2_single, np.inf)
+    for i in range(3):
+        t = 2.0 * np.sqrt(mq) * np.cos((phi + 2.0 * np.pi * i) / 3.0)
+        d2 = (t - px) ** 2 + (a * t * t - py) ** 2
+        closer = ~nonneg & (
+            (d2 < best_d2 - 1e-15) | (np.isclose(d2, best_d2, rtol=0, atol=1e-15) & (t < best_t))
+        )
+        best_t = np.where(closer, t, best_t)
+        best_d2 = np.where(closer, d2, best_d2)
+    return best_t
+
+
+def _determinant_side(a, point, t0):
+    # above/below from the sign of det([[p1-x(t0), x'(t0)], [p2-y(t0), y'(t0)]]):
+    # negative puts the point on the upward-normal side of its foot
+    n1 = point[0] - t0
+    n2 = point[1] - a * t0 * t0
+    return "above" if n1 * 2.0 * a * t0 - n2 < 0 else "below"
 
 
 def _golden_foot(a, px, py):
@@ -92,6 +124,65 @@ def test_projection_of_on_curve_point_is_identity():
     assert proj.p == pytest.approx(0.0, abs=1e-9)
 
 
+def _zero_disc_py(a, px):
+    # py that puts the foot cubic's discriminant q^3 + r^2 at zero for px
+    r = px / (4.0 * a * a)
+    q = -(abs(r) ** (2.0 / 3.0))
+    return (1.0 - 6.0 * a * a * q) / (2.0 * a)
+
+
+def _assert_matches_all_branch_solver(a, px, py):
+    got = acagmm._project_t0_grid(a, px, py)
+    assert got.shape == np.shape(px)
+    assert np.array_equal(got, _all_branch_t0(a, px, py))
+    for x, y, t in zip(np.ravel(px), np.ravel(py), np.ravel(got)):
+        assert acagmm._project_t0_grid(a, x, y) == t
+
+
+@given(
+    st.floats(min_value=0.1, max_value=3.0),
+    st.sampled_from((-1.0, 1.0)),
+    st.lists(
+        st.tuples(st.floats(min_value=-6.0, max_value=6.0), st.floats(min_value=-6.0, max_value=6.0)),
+        max_size=30,
+    ),
+    st.lists(st.floats(min_value=-6.0, max_value=6.0), min_size=1, max_size=6),
+)
+# numpy's scalar power rounds this point's q**3 differently from its array loop
+@example(2.7529598128987467, 1.0, [(3.5, -4.978778433940518)], [0.0])
+@settings(max_examples=150, deadline=None)
+def test_masked_projection_matches_all_branch_solver(mag, sign, points, edge):
+    # random nodes, nodes on the zero-discriminant curve (and one ulp either
+    # side of it, where the branch switches) and nodes on the axis px = 0,
+    # where two feet tie
+    a = sign * mag
+    pts = list(points)
+    for u in edge:
+        py0 = _zero_disc_py(a, u)
+        pts += [(u, py0), (u, np.nextafter(py0, -np.inf)), (u, np.nextafter(py0, np.inf))]
+        pts.append((0.0, u))
+    px, py = np.array(pts).T
+    _assert_matches_all_branch_solver(a, px, py)
+
+
+def test_masked_projection_single_branch_blocks_and_scalar():
+    px, py = np.meshgrid(np.linspace(-3.0, 3.0, 7), np.linspace(0.0, 1.0, 5), indexing="ij")
+    for a in (0.5, -1.0):
+        # below a convex parabola (above a concave one) every node is Cardano
+        below = -np.sign(a) * (py + 0.5)
+        q = (1.0 - 2.0 * a * below) / (6.0 * a * a)
+        assert np.all(q ** 3 + (px / (4.0 * a * a)) ** 2 >= 0.0)
+        _assert_matches_all_branch_solver(a, px, below)
+        # deep inside the concave side, near the axis, every node has three feet
+        inside = np.sign(a) * (3.0 + py)
+        near = px / 30.0
+        q = (1.0 - 2.0 * a * inside) / (6.0 * a * a)
+        assert np.all(q ** 3 + (near / (4.0 * a * a)) ** 2 < 0.0)
+        _assert_matches_all_branch_solver(a, near, inside)
+    t0 = acagmm._project_t0_grid(1.0, 0.0, 2.0)
+    assert t0.shape == () and t0 == _all_branch_t0(1.0, 0.0, 2.0)
+
+
 def test_arc_length_matches_quadrature():
     rng = np.random.default_rng(2)
     for _ in range(50):
@@ -121,7 +212,6 @@ def test_orientation_side_samples():
     for px, py, want in [(0.0, 1.0, "above"), (0.0, -1.0, "below"),
                          (2.0, 10.0, "above"), (-2.0, -1.0, "below")]:
         proj = project_to_parabola(m, (px, py))
-        assert orientation_side(m, (px, py), proj) == want
         assert proj.side == want
 
 
@@ -137,7 +227,7 @@ def test_side_rules_agree_for_nearest_foot(a, px, py):
     m = AcaParabolaModel(a, 1.0, 1.0)
     proj = project_to_parabola(m, (px, py))
     if proj.p > 1e-9:
-        assert proj.side == orientation_side(m, (px, py), proj)
+        assert proj.side == _determinant_side(a, (px, py), proj.t0)
 
 
 def test_raw_log_density_hand_value():
@@ -200,6 +290,32 @@ def test_fold_mass_matches_2d_quadrature():
     assert fold_mass(m) == pytest.approx(ref, rel=1e-6)
 
 
+def test_fold_mass_integrand_is_float_math(monkeypatch):
+    # quad evaluates the integrand once per abscissa, so it is plain math on
+    # floats; its values match the numpy/scipy.special form of the same formula
+    from scipy import integrate, special
+
+    integrands = []
+    quad = integrate.quad
+
+    def spy(g, *args, **kwargs):
+        integrands.append(g)
+        return quad(g, *args, **kwargs)
+
+    monkeypatch.setattr(integrate, "quad", spy)
+    m = AcaParabolaModel(-0.5, 0.5, 1.0)
+    fold_mass(m)
+    (g,) = integrands
+    for t in (0.0, 0.3, 2.0, 7.5):
+        root = np.sqrt(1.0 + 4.0 * m.a ** 2 * t * t)
+        n1 = np.exp(-0.5 * (acagmm._signed_arc(m.a, t) / m.sigma1) ** 2)
+        n1 /= math.sqrt(2.0 * math.pi) * m.sigma1
+        tail = 0.5 * special.erfc(root / (2.0 * abs(m.a)) / (m.sigma2 * math.sqrt(2.0)))
+        got = g(t)
+        assert type(got) is float
+        assert got == pytest.approx(n1 * tail * root, rel=1e-14, abs=0.0)
+
+
 def test_fold_mass_small_when_sigma2_small():
     assert fold_mass(AcaParabolaModel(0.25, 0.25, 0.25)) < 1e-10
     assert fold_mass(AcaParabolaModel(1.0, 1.0, 1.0)) > 0.1
@@ -220,9 +336,11 @@ def test_normalization_table_invariants():
 
 
 def test_normalization_table_equals_per_configuration_recompute():
-    # the table projects once per a and shares the foot across the sigmas;
-    # each integral must equal a from-scratch projection bit for bit
-    a_grid, sigma_grid, box, n = (0.5, -1.0), (0.5, 1.0), 5.0, 100
+    # the table projects once per a, shares the per-sigma factors across the
+    # sigma pairs and sums block by block; each integral must match the
+    # correctly rounded sum of a from-scratch density on the whole grid. A
+    # repeated sigma keeps its own rows (sums are indexed by position)
+    a_grid, sigma_grid, box, n = (0.5, -1.0), (0.5, 1.0, 0.5), 5.0, 100
     rows = normalization_table(a_grid=a_grid, sigma_grid=sigma_grid, box=box, n=n)
     keys = [(r["a"], r["sigma1"], r["sigma2"]) for r in rows]
     assert keys == list(itertools.product(a_grid, sigma_grid, sigma_grid))
@@ -233,8 +351,12 @@ def test_normalization_table_equals_per_configuration_recompute():
         raw = np.exp(raw_log)
         ok = factor > FOLD_EPS
         corr = np.where(ok, raw / np.where(ok, factor, 1.0), 0.0)
-        assert r["raw_integral"] == float(np.sum(weights * raw))
-        assert r["corrected_integral"] == float(np.sum(weights * corr))
+        assert r["raw_integral"] == pytest.approx(
+            math.fsum((weights * raw).flat), rel=1e-12, abs=0.0
+        )
+        assert r["corrected_integral"] == pytest.approx(
+            math.fsum((weights * corr).flat), rel=1e-12, abs=0.0
+        )
         assert r["excluded_mass"] == fold_mass(m)
         # the single-point path is the same solver on a grid of one node
         for i in (0, 1234, 5050, 7777, px.size - 1):
@@ -247,17 +369,21 @@ def test_normalization_table_equals_per_configuration_recompute():
 
 
 def test_normalization_table_projects_once_per_a(monkeypatch):
-    calls = []
+    # the grid is streamed in row blocks, and each a projects every node once
+    nodes = []
     project = acagmm._project_t0_grid
 
-    def counted(*args):
-        calls.append(args[0])
-        return project(*args)
+    def counted(a, px, py):
+        nodes.append((a, np.size(px)))
+        return project(a, px, py)
 
     monkeypatch.setattr(acagmm, "_project_t0_grid", counted)
-    a_grid = (0.25, 0.5, 1.0)
-    normalization_table(a_grid=a_grid, sigma_grid=(0.25, 0.5, 1.0), n=20)
-    assert calls == list(a_grid)
+    a_grid, n = (0.25, 0.5, 1.0), 80
+    assert n + 1 > 2 * acagmm.FOOT_BLOCK_ROWS
+    normalization_table(a_grid=a_grid, sigma_grid=(0.25, 0.5, 1.0), n=n)
+    assert [a for a, _ in itertools.groupby(a for a, _ in nodes)] == list(a_grid)
+    for a in a_grid:
+        assert sum(size for b, size in nodes if b == a) == (n + 1) ** 2
 
 
 def test_normalization_table_rejects_zero_a_before_projecting():

@@ -77,15 +77,20 @@ def test_trace_hooks_cover_the_aca_layers():
         rows = tracer.call(
             "cli", acagmm.normalization_table, (a_grid, sigma_grid), {"box": 3.0, "n": 40}
         )
+        # the table sums separable sigma factors and never evaluates a
+        # per-configuration log-density; the single-point density still does
+        tracer.call(
+            "cli", acagmm.aca_log_density, (acagmm.AcaParabolaModel(0.5, 1.0, 1.0), (0.3, 0.2)), {}
+        )
     finally:
         tracer.uninstall()
     for owner, attr, orig in patches:
         assert _current(owner, attr) is orig, attr
     assert len(rows) == len(a_grid) * len(sigma_grid) ** 2
     name_of = {s[0]: s[2] for s in tracer.spans}
-    for layer in ("acagmm.grid_density", "acagmm.fold_mass"):
+    for layer, calls in (("acagmm.grid_density", 1), ("acagmm.fold_mass", len(rows))):
         parents = [name_of.get(s[1]) for s in tracer.spans if s[2] == layer]
-        assert parents == ["cli"] * len(rows), layer
+        assert parents == ["cli"] * calls, layer
     metrics = spans.layer_metrics(tracer.spans)
-    assert metrics["acagmm.grid_nodes"] == len(rows) * 41 * 41
+    assert metrics["acagmm.grid_nodes"] == 1
     assert metrics["acagmm.fold_mass_calls"] == len(rows)
