@@ -3,14 +3,7 @@
 from .acagmm import AcaParabolaModel, aca_log_density, fold_mass, normalization_table
 from .curves import FunctionFamily, builtin_family, fit_curve, select_orientation
 from .data import Dataset, GeneratorSpec, generate, load_csv, load_model, save_csv, save_model
-from .density import (
-    FAdaptedParams,
-    GaussianParams,
-    fadapted_cross_entropy,
-    fadapted_log_density,
-    gaussian_cross_entropy,
-    gaussian_log_density,
-)
+from .density import FAdaptedParams, fadapted_cross_entropy, fadapted_log_density
 from .engine import AfcecModel, EngineConfig, fit, fit_restarts
 from .errors import (
     AfcecError,
@@ -42,7 +35,6 @@ __all__ = [
     "EngineConfig",
     "FAdaptedParams",
     "FunctionFamily",
-    "GaussianParams",
     "GeneratorSpec",
     "InvalidConfig",
     "InvalidConvention",
@@ -63,8 +55,6 @@ __all__ = [
     "fit_curve",
     "fit_restarts",
     "fold_mass",
-    "gaussian_cross_entropy",
-    "gaussian_log_density",
     "generate",
     "load_csv",
     "load_model",

@@ -41,40 +41,12 @@ class AcaParabolaModel:
             raise ValueError("sigmas must be positive")
 
 
-@dataclass(frozen=True)
-class ProjectionResult:
-    t0: float  # parameter of the nearest parabola point (t, a t^2)
-    p: float  # distance to it
-    l: float  # arc length from the vertex, signed by sign(t0)
-    side: str  # above | below the graph (empty for points on it)
-
-
-def project_to_parabola(m, point):
-    """Nearest point of y = a x^2: the grid solver (_project_t0_grid) run on
-    one point."""
-    px, py = float(point[0]), float(point[1])
-    t0 = float(_project_t0_grid(m.a, px, py))
-    gap = py - m.a * px * px
-    return ProjectionResult(
-        t0=t0,
-        p=math.hypot(px - t0, py - m.a * t0 * t0),
-        l=float(_signed_arc(m.a, t0)),
-        side="above" if gap > 0 else ("below" if gap < 0 else ""),
-    )
-
-
 def _signed_arc(a, t):
     """Arc length of y = a x^2 from the vertex to (t, a t^2), signed by sign(t);
     t may be an array."""
     aa = abs(a)
     root = np.sqrt(1.0 + 4.0 * a * a * t * t)
     return 0.5 * t * root + np.arcsinh(2.0 * aa * t) / (4.0 * aa)
-
-
-def arc_length(m, t0):
-    """Arc length of y = a x^2 from the vertex to (t0, a t0^2), as a magnitude
-    (ProjectionResult.l carries the sign of t0)."""
-    return np.abs(_signed_arc(m.a, t0))
 
 
 def aca_log_density(m, point, corrected=False):

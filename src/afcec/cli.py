@@ -8,6 +8,7 @@ import argparse
 import csv
 import json
 import logging
+import math
 import sys
 from dataclasses import replace
 
@@ -165,6 +166,8 @@ def _parse_grid(text, name):
         raise InvalidConfig(f"--{name} must be comma-separated numbers, got {text!r}") from None
     if not vals:
         raise InvalidConfig(f"--{name} is empty")
+    if not all(math.isfinite(v) for v in vals):
+        raise InvalidConfig(f"--{name} entries must be finite, got {text!r}")
     return vals
 
 
@@ -175,8 +178,8 @@ def cmd_acagmm_check(args):
         raise InvalidConfig("--a-grid entries must be nonzero")
     if any(s <= 0 for s in sigma_grid):
         raise InvalidConfig("--sigma-grid entries must be positive")
-    if args.box <= 0:
-        raise InvalidConfig("--box must be positive")
+    if not (math.isfinite(args.box) and args.box > 0):
+        raise InvalidConfig("--box must be finite and positive")
     if args.n < 2 or args.n % 2:
         raise InvalidConfig("--n must be even and >= 2")
     rows = acagmm.normalization_table(a_grid, sigma_grid, args.box, args.n)

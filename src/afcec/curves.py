@@ -128,12 +128,6 @@ class CurveFit:
         return float(vals[0]) if single else vals
 
 
-def explanatory(x, j):
-    """Columns of x with axis j removed, original order kept."""
-    x = np.asarray(x, dtype=float)
-    return np.delete(x, j, axis=1)
-
-
 class AxisDesign(NamedTuple):
     """The family's design for dependent axis j next to coordinate j.
 
@@ -160,14 +154,15 @@ def axis_design(x, j, family):
 
 
 def fit_curve(x, j, family):
-    """Least-squares fit of coordinate j on the family basis over the others."""
+    """Least-squares fit of coordinate j on the family basis over the others,
+    read from axis_design's [design | x_j] rows as refit_segments reads them."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    xe = explanatory(x, j)
-    a = family.design_matrix(xe)
-    if x.shape[0] < family.size:
-        raise RankDeficient(f"need at least {family.size} points, got {x.shape[0]}")
-    coeffs = numerics.least_squares(a, x[:, j])
-    resid = x[:, j] - a @ coeffs
+    p = family.size
+    if x.shape[0] < p:
+        raise RankDeficient(f"need at least {p} points, got {x.shape[0]}")
+    aug = axis_design(x, j, family).aug
+    coeffs = numerics.least_squares(aug[:, :p], aug[:, p])
+    resid = aug[:, p] - aug[:, :p] @ coeffs
     return CurveFit(family, coeffs, float(resid @ resid))
 
 

@@ -253,7 +253,7 @@ def model_to_json(model):
                 "mean_exp": p.mean_exp.tolist(),
                 "cov_exp": p.cov_exp.tolist(),
                 "resid_var": p.resid_var,
-                "mean_dep": p.mean_dep,
+                "mean_dep": 0.0,
                 "curve": {
                     "family": _family_to_json(p.curve.family),
                     "coeffs": np.asarray(p.curve.coeffs, dtype=float).tolist(),
@@ -280,6 +280,10 @@ def model_from_json(obj):
         raise SchemaVersionMismatch(f"schema {obj.get('schema')!r}, expected {MODEL_SCHEMA}")
     clusters = []
     for c in obj["clusters"]:
+        # the curve's intercept carries the dependent mean; the field stays in
+        # the format, always 0
+        if c["mean_dep"] != 0:
+            raise IoError(f"mean_dep must be 0, got {c['mean_dep']!r}")
         fam = _family_from_json(c["curve"]["family"])
         curve = CurveFit(fam, np.asarray(c["curve"]["coeffs"], dtype=float), c["curve"]["sse"])
         params = FAdaptedParams(
@@ -288,7 +292,6 @@ def model_from_json(obj):
             cov_exp=np.asarray(c["cov_exp"], dtype=float),
             resid_var=c["resid_var"],
             curve=curve,
-            mean_dep=c["mean_dep"],
         )
         clusters.append(
             ClusterModel(params, c["weight"], int(c["size"]), c["cross_entropy"])
@@ -353,7 +356,7 @@ def export_plot_data(x, model, path):
                 lo, hi = xe.min(axis=0), xe.max(axis=0)
                 frac = np.linspace(0.0, 1.0, CURVE_SAMPLES)[:, None]
                 path_pts = lo + frac * (hi - lo)
-                vals = cl.params.curve.evaluate(path_pts) + cl.params.mean_dep
+                vals = cl.params.curve.evaluate(path_pts)
                 for pt, v in zip(path_pts, vals):
                     coords = list(pt[:j]) + [v] + list(pt[j:])
                     writer.writerow(["curve", i] + [repr(float(c)) for c in coords])

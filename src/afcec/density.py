@@ -1,4 +1,4 @@
-"""Gaussian and curve-adapted Gaussian densities with closed-form cross-entropies.
+"""Curve-adapted Gaussian densities with closed-form cross-entropies.
 
 The curve-adapted density factors as a Gaussian over the explanatory
 coordinates times a 1-D Gaussian of the residual x_j - f(x_others); the map
@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curves import axis_design, explanatory
+from .curves import axis_design
 from .errors import DegenerateCluster, NotPositiveDefinite, ZeroResidualWarning
 
 LOG_2PI = math.log(2.0 * math.pi)
@@ -29,29 +29,13 @@ SCORE_ALIGN = 64
 
 
 @dataclass(frozen=True)
-class GaussianParams:
-    mean: np.ndarray = field(repr=False)
-    cov: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "mean", np.asarray(self.mean, dtype=float).reshape(-1))
-        object.__setattr__(self, "cov", np.asarray(self.cov, dtype=float))
-        if self.cov.shape != (self.mean.size, self.mean.size):
-            raise ValueError("cov shape does not match mean")
-
-    @property
-    def dim(self):
-        return self.mean.size
-
-
-@dataclass(frozen=True)
 class FAdaptedParams:
     """One cluster's curved-Gaussian parameters.
 
-    dependent_axis j is modeled as curve(x_others) plus N(mean_dep, resid_var)
-    noise; the other coordinates follow N(mean_exp, cov_exp). mean_dep stays 0
-    because the curve's intercept absorbs it (families always contain the
-    constant function).
+    dependent_axis j is modeled as curve(x_others) plus N(0, resid_var)
+    noise; the other coordinates follow N(mean_exp, cov_exp). The noise has
+    mean 0 because the curve's intercept absorbs the dependent mean (families
+    always contain the constant function).
     """
 
     dependent_axis: int
@@ -59,7 +43,6 @@ class FAdaptedParams:
     cov_exp: np.ndarray = field(repr=False)
     resid_var: float = 1.0
     curve: object = None
-    mean_dep: float = 0.0
 
     def __post_init__(self):
         object.__setattr__(self, "mean_exp", np.asarray(self.mean_exp, dtype=float).reshape(-1))
@@ -95,41 +78,6 @@ def _cholesky_reg(cov):
     raise DegenerateCluster("covariance not positive definite after regularization")
 
 
-def _log_normal(mean, cov, xe_t, out):
-    """Write log N(mean, cov) at the columns of xe_t ((p, n)) into out ((n,)).
-
-    The Mahalanobis term solves against the Cholesky factor by forward
-    substitution, one pass over the n columns per factor entry (for p = 1 the
-    same multiply by 1/L[0, 0] that OpenBLAS's triangular solve performs).
-    Raises NotPositiveDefinite when cov has no Cholesky factor.
-    """
-    try:
-        low = np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError as e:
-        raise NotPositiveDefinite(str(e)) from e
-    d = mean.size
-    logdet = 2.0 * float(np.sum(np.log(np.diag(low))))
-    sol = np.empty(xe_t.shape)
-    np.subtract(xe_t, mean[:, None], out=sol)
-    for i in range(d):
-        for m in range(i):
-            sol[i] -= low[i, m] * sol[m]
-        sol[i] *= 1.0 / low[i, i]
-    np.multiply(sol, sol, out=sol)
-    np.sum(sol, axis=0, out=out)
-    out *= -0.5
-    out += -0.5 * d * LOG_2PI - 0.5 * logdet
-    return out
-
-
-def gaussian_log_density(p, x):
-    """Log density of N(p.mean, p.cov) at x ((d,) or (n,d))."""
-    x = np.asarray(x, dtype=float)
-    pts = x.reshape(-1, p.dim)
-    out = _log_normal(p.mean, p.cov, pts.T, np.empty(len(pts)))
-    return float(out[0]) if x.ndim == 1 else out
-
-
 def _score_weights(params, groups):
     """Per group of clusters sharing one dependent axis and family (a list of
     indices into params), the weights W (kg*d, P+1) and constants c (kg, 1)
@@ -139,7 +87,7 @@ def _score_weights(params, groups):
     Rows 0..d-2 of W_i give L^-1 (x_e - mean_exp) (cov_exp = L L^T): every
     family holds the constant and every coordinate projection, so L^-1 sits in
     the projection columns and -L^-1 mean_exp in the constant column. Row d-1
-    gives the scaled residual (x_j - curve - mean_dep) / sqrt(resid_var).
+    gives the scaled residual (x_j - curve) / sqrt(resid_var).
     Folding -L^-1 mean_exp into the intercept computes L^-1 x - L^-1 mean
     instead of L^-1 (x - mean), the same cancellation away from the origin that
     the residual row has with raw monomial coefficients; a later centring of
@@ -164,7 +112,6 @@ def _score_weights(params, groups):
         w[:, :-1, family.projections] = inv[rows]
         w[:, :-1, 0] = centre[rows]
         w[:, -1, :p] = [params[i].curve.coeffs for i in rows]
-        w[:, -1, 0] += [params[i].mean_dep for i in rows]
         w[:, -1, :p] /= -sigma[rows, None]
         w[:, -1, p] = 1.0 / sigma[rows]
         out.append((w.reshape(-1, p + 1), consts[rows, None]))
@@ -257,13 +204,6 @@ def segment_moments(xs, bounds):
     return means, covs
 
 
-def mean_and_cov(x):
-    """Mean and 1/n covariance (the estimator used throughout)."""
-    x = np.asarray(x, dtype=float).reshape(len(x), -1)
-    means, covs = segment_moments(x, np.array([0, x.shape[0]]))
-    return means[0], covs[0]
-
-
 def _logdet(low):
     """ln det(low @ low.T) of one Cholesky factor or a stack of them."""
     return 2.0 * np.log(np.diagonal(low, axis1=-2, axis2=-1)).sum(axis=-1)
@@ -277,44 +217,30 @@ def _fadapted_entropy(d, logdet, resid_var):
     return 0.5 * d * (LOG_2PI + 1.0) + 0.5 * logdet + 0.5 * np.log(resid_var)
 
 
-def gaussian_cross_entropy(x):
-    """Empirical cross-entropy of sample x against its MLE Gaussian.
-
-    Returns (H, params) with H = d/2*ln(2*pi*e) + 0.5*ln det(cov); this equals
-    the empirical mean negative log-density at the returned params.
-    """
-    x = np.asarray(x, dtype=float).reshape(len(x), -1)
-    d = x.shape[1]
-    if x.shape[0] < d + 1:
-        raise DegenerateCluster(f"need at least {d + 1} points, got {x.shape[0]}")
-    mean, cov = mean_and_cov(x)
-    low, cov_used = _cholesky_reg(cov)
-    h = 0.5 * d * (LOG_2PI + 1.0) + 0.5 * float(_logdet(low))
-    return h, GaussianParams(mean, cov_used)
-
-
 def fadapted_cross_entropy(x, j, curve):
     """Empirical cross-entropy of x against the curve-adapted family member
     with dependent axis j and the given curve.
 
     Returns (H, params): H = d/2*ln(2*pi*e) + 0.5*ln det(cov_exp)
     + 0.5*ln(resid_var) with resid_var = mean squared residual of the curve
-    (its intercept absorbs the dependent mean, so mean_dep is 0). Residual
-    variance below RESID_VAR_FLOOR is floored and flagged ZeroResidualWarning.
-    mean_exp and cov_exp are read from x's full mean and covariance, as the
-    batched refit (curves.refit_segments) reads them.
+    (its intercept absorbs the dependent mean). Residual variance below
+    RESID_VAR_FLOOR is floored and flagged ZeroResidualWarning. mean_exp,
+    cov_exp and the residuals are read as the batched refit
+    (curves.refit_segments) reads them: from x's full mean and covariance,
+    and from axis_design's [design | x_j] rows.
     """
     x = np.asarray(x, dtype=float)
     n, d = x.shape
     if n < d + 1:
         raise DegenerateCluster(f"need at least {d + 1} points, got {n}")
-    mean, cov = mean_and_cov(x)
+    means, covs = segment_moments(x, np.array([0, n]))
     others = [i for i in range(d) if i != j]
-    low, cov_used = _cholesky_reg(cov[np.ix_(others, others)])
-    resid = x[:, j] - curve.evaluate(explanatory(x, j))
+    low, cov_used = _cholesky_reg(covs[0][np.ix_(others, others)])
+    aug, p = axis_design(x, j, curve.family).aug, curve.family.size
+    resid = aug[:, p] - aug[:, :p] @ curve.coeffs
     resid_var = float(resid @ resid) / n
     if resid_var < RESID_VAR_FLOOR:
         warnings.warn("residual variance floored", ZeroResidualWarning, stacklevel=2)
         resid_var = RESID_VAR_FLOOR
     h = float(_fadapted_entropy(d, _logdet(low), resid_var))
-    return h, FAdaptedParams(j, mean[others], cov_used, resid_var, curve)
+    return h, FAdaptedParams(j, means[0][others], cov_used, resid_var, curve)

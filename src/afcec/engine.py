@@ -147,15 +147,6 @@ def cluster_score_blocks(cache, clusters):
     return score_blocks(params, augs, [-math.log(cl.weight) for cl in clusters])
 
 
-def _score_matrix(cache, clusters):
-    """(k, n) block of -ln p_i - log f_i(x) over the cache's points, one
-    contiguous row per cluster."""
-    scores = np.empty((len(clusters), cache.x.shape[0]))
-    for cols, block in cluster_score_blocks(cache, clusters):
-        scores[:, cols] = block
-    return scores
-
-
 def _argmin_rows(scores):
     """np.argmin(scores, axis=0) of a (k, n) block, ties to the lowest row.
 
@@ -172,17 +163,24 @@ def _argmin_rows(scores):
     return labels
 
 
-def assign_step(x, clusters, cache=None):
-    """Each point to argmin_i [-ln p_i - log f_i(x)]; ties to the lowest index.
-
-    cache, when given, must be a DesignCache over x.
-    """
-    if cache is None:
-        cache = DesignCache(as_array(x))
+def _nearest(cache, clusters):
+    """Each of the cache's points to argmin_i [-ln p_i - log f_i(x)], ties to
+    the lowest index, reduced block by block."""
     labels = np.empty(cache.x.shape[0], dtype=np.intp)
     for cols, block in cluster_score_blocks(cache, clusters):
         labels[cols] = _argmin_rows(block)
     return labels
+
+
+def assign_step(cache, clusters):
+    """Each of the cache's points to argmin_i [-ln p_i - log f_i(x)]; ties to
+    the lowest index.
+
+    The Lloyd loop's assignment over every point. Orphan reassignment calls
+    _nearest on its subset instead, so bench/spans.py, which times this
+    function by name and counts the points each call moves against the last
+    full assignment, sees one call per iteration."""
+    return _nearest(cache, clusters)
 
 
 def _refit(cache, assignment, k, family):
@@ -215,22 +213,20 @@ def _reassign(cache, assignment, k, keep, survivors):
     out = lookup[assignment]
     moved = np.flatnonzero(out < 0)
     if moved.size:
-        out[moved] = _argmin_rows(_score_matrix(cache.take(moved), survivors))
+        out[moved] = _nearest(cache.take(moved), survivors)
     return out
 
 
-def _reestimate(x, assignment, k, family, cache=None):
-    """Refit every cluster; drop the ones that fail, reassigning their points.
+def _reestimate(cache, assignment, k, family):
+    """Refit every cluster of the cache's points; drop the ones that fail,
+    reassigning their points.
 
     Returns (clusters, assignment, dropped). Points of failed clusters go to
     the surviving cluster minimizing the assignment cost. Survivors that
     receive points are refit again; repeats until stable (k only shrinks).
-    Labels are compacted to 0..k'-1 in original order. cache, when given,
-    must be a DesignCache over x.
+    Labels are compacted to 0..k'-1 in original order.
     """
     assignment = np.asarray(assignment)
-    if cache is None:
-        cache = DesignCache(x)
     dropped = 0
     while True:
         fitted = _refit(cache, assignment, k, family)
@@ -246,17 +242,13 @@ def _reestimate(x, assignment, k, family, cache=None):
         k = len(keep)
 
 
-def delete_small(x, clusters, assignment, threshold_fraction, cache=None):
-    """Remove clusters holding fewer than threshold_fraction*n points (empty
-    ones always go); reassign their points by the assignment cost argmin over
-    the survivors (using the survivors' current weights), then renormalize all
-    weights from the final sizes. cache, when given, must be a DesignCache
-    over x."""
-    x = as_array(x)
+def delete_small(cache, clusters, assignment, threshold_fraction):
+    """Remove clusters holding fewer than threshold_fraction*n of the cache's
+    n points (empty ones always go); reassign their points by the assignment
+    cost argmin over the survivors (using the survivors' current weights),
+    then renormalize all weights from the final sizes."""
     assignment = np.asarray(assignment)
-    if cache is None:
-        cache = DesignCache(x)
-    n = x.shape[0]
+    n = cache.x.shape[0]
     sizes = np.bincount(assignment, minlength=len(clusters))
     keep = [i for i, s in enumerate(sizes) if s > 0 and s >= threshold_fraction * n]
     if not keep:
@@ -337,7 +329,7 @@ def fit(x, cfg):
     assignment = _init_partition(x, cfg)
     deleted_total = 0
     deletion_iterations = []
-    clusters, assignment, dropped = _reestimate(x, assignment, cfg.k_init, cfg.family, cache)
+    clusters, assignment, dropped = _reestimate(cache, assignment, cfg.k_init, cfg.family)
     if dropped:
         deleted_total += dropped
         deletion_iterations.append(0)
@@ -346,13 +338,11 @@ def fit(x, cfg):
     iterations = 0
     for it in range(1, cfg.max_iters + 1):
         iterations = it
-        assignment = assign_step(x, clusters, cache)
+        assignment = assign_step(cache, clusters)
         clusters, assignment, ndel = delete_small(
-            x, clusters, assignment, cfg.deletion_fraction, cache
+            cache, clusters, assignment, cfg.deletion_fraction
         )
-        clusters, assignment, dropped = _reestimate(
-            x, assignment, len(clusters), cfg.family, cache
-        )
+        clusters, assignment, dropped = _reestimate(cache, assignment, len(clusters), cfg.family)
         ndel += dropped
         if ndel:
             deleted_total += ndel

@@ -86,19 +86,3 @@ def simpson_blocks_2d(xlo, xhi, ylo, yhi, n, rows):
 
     return blocks()
 
-
-def simpson_grid_2d(xlo, xhi, ylo, yhi, n):
-    """Nodes and weights of the composite 2-D Simpson rule on a box, as one
-    block: meshgrid arrays X, Y ("ij" indexing) and weights W such that
-    sum(W * f(X, Y)) estimates the integral of f (see simpson_blocks_2d)."""
-    return next(simpson_blocks_2d(xlo, xhi, ylo, yhi, n, int(n) + 1))
-
-
-def simpson_2d(f, xlo, xhi, ylo, yhi, n=500):
-    """Composite 2-D Simpson estimate of the integral of f over a box.
-
-    n is the (even) number of segments per axis. f is called once with the
-    full meshgrid arrays.
-    """
-    X, Y, W = simpson_grid_2d(xlo, xhi, ylo, yhi, n)
-    return float(np.sum(W * f(X, Y)))

@@ -14,13 +14,32 @@ from afcec.acagmm import (
     AcaParabolaModel,
     _log_density_grid,
     aca_log_density,
-    arc_length,
     fold_mass,
     normalization_table,
-    project_to_parabola,
 )
 from afcec.errors import BeyondCurvatureCenter
-from afcec.numerics import simpson_grid_2d
+from afcec.numerics import simpson_blocks_2d
+
+
+def _project(a, px, py):
+    """(t0, p, l) of the nearest point of y = a x^2: foot parameter, distance
+    to the foot, and signed arc length from the vertex to it."""
+    t0 = float(acagmm._project_t0_grid(a, px, py))
+    return t0, math.hypot(px - t0, py - a * t0 * t0), float(acagmm._signed_arc(a, t0))
+
+
+def _side(a, px, py):
+    """The side of the graph that _foot_grid's Jacobian factor 1 - kappa*eta
+    puts (px, py) on: eta = +p above, -p below."""
+    t0 = float(acagmm._project_t0_grid(a, px, py))
+    kappa = 2.0 * a / (1.0 + 4.0 * a * a * t0 * t0) ** 1.5
+    (factor,) = acagmm._foot_grid(a, [px], [py])[2]
+    return "above" if (1.0 - factor) / kappa > 0 else "below"
+
+
+def _grid(lo, hi, n):
+    """The Simpson grid on [lo, hi]^2 with n segments per axis, as one block."""
+    return next(simpson_blocks_2d(lo, hi, lo, hi, n, n + 1))
 
 
 def _all_branch_t0(a, px, py):
@@ -78,7 +97,7 @@ def test_cubic_candidates_match_numpy_roots():
     for _ in range(200):
         a = rng.uniform(0.1, 3.0) * rng.choice([-1.0, 1.0])
         px, py = rng.uniform(-6.0, 6.0, 2)
-        t0 = project_to_parabola(AcaParabolaModel(a, 1.0, 1.0), (px, py)).t0
+        t0, _, _ = _project(a, px, py)
         roots = np.roots([2.0 * a * a, 0.0, 1.0 - 2.0 * a * py, -px])
         real = [float(r.real) for r in roots if abs(r.imag) < 1e-9]
         assert min(abs(t0 - r) for r in real) < 1e-9
@@ -90,12 +109,11 @@ def test_projection_matches_golden_section():
     for _ in range(300):
         a = rng.uniform(0.15, 2.0) * rng.choice([-1.0, 1.0])
         px, py = rng.uniform(-5.0, 5.0, 2)
-        m = AcaParabolaModel(a, 1.0, 1.0)
-        proj = project_to_parabola(m, (px, py))
+        t0, _, _ = _project(a, px, py)
         t_ref = _golden_foot(a, px, py)
         d2 = lambda t: (t - px) ** 2 + (a * t * t - py) ** 2
         # distances must agree even when two feet tie
-        assert d2(proj.t0) <= d2(t_ref) + 1e-8
+        assert d2(t0) <= d2(t_ref) + 1e-8
         m_count += 1
     assert m_count == 300
 
@@ -103,25 +121,22 @@ def test_projection_matches_golden_section():
 def test_projection_double_root_branch():
     # a=1/2, point (-1, 5/2) puts the discriminant at exactly zero;
     # candidate feet are t=-2 (simple) and t=1 (double), and t=-2 is nearer
-    m = AcaParabolaModel(0.5, 1.0, 1.0)
-    proj = project_to_parabola(m, (-1.0, 2.5))
-    assert proj.t0 == pytest.approx(-2.0, abs=1e-12)
-    assert proj.p == pytest.approx(math.sqrt(1.25), abs=1e-12)
+    t0, p, _ = _project(0.5, -1.0, 2.5)
+    assert t0 == pytest.approx(-2.0, abs=1e-12)
+    assert p == pytest.approx(math.sqrt(1.25), abs=1e-12)
 
 
 def test_projection_on_axis_ties_to_smaller_t():
     # symmetric point above the cusp: two equidistant feet, keep the smaller
-    m = AcaParabolaModel(1.0, 1.0, 1.0)
-    proj = project_to_parabola(m, (0.0, 2.0))
+    t0, _, _ = _project(1.0, 0.0, 2.0)
     t_mag = math.sqrt((2.0 * 2.0 - 1.0) / 2.0)
-    assert proj.t0 == pytest.approx(-t_mag, abs=1e-12)
+    assert t0 == pytest.approx(-t_mag, abs=1e-12)
 
 
 def test_projection_of_on_curve_point_is_identity():
-    m = AcaParabolaModel(0.7, 1.0, 1.0)
-    proj = project_to_parabola(m, (1.3, 0.7 * 1.3 * 1.3))
-    assert proj.t0 == pytest.approx(1.3, abs=1e-9)
-    assert proj.p == pytest.approx(0.0, abs=1e-9)
+    t0, p, _ = _project(0.7, 1.3, 0.7 * 1.3 * 1.3)
+    assert t0 == pytest.approx(1.3, abs=1e-9)
+    assert p == pytest.approx(0.0, abs=1e-9)
 
 
 def _zero_disc_py(a, px):
@@ -188,31 +203,26 @@ def test_arc_length_matches_quadrature():
     for _ in range(50):
         a = rng.uniform(0.1, 3.0) * rng.choice([-1.0, 1.0])
         t0 = rng.uniform(-4.0, 4.0)
-        m = AcaParabolaModel(a, 1.0, 1.0)
         ref, _ = integrate.quad(lambda u: math.sqrt(1.0 + 4.0 * a * a * u * u), 0.0, abs(t0))
-        assert arc_length(m, t0) == pytest.approx(ref, abs=1e-9)
+        assert abs(acagmm._signed_arc(a, t0)) == pytest.approx(ref, abs=1e-9)
 
 
 def test_arc_length_is_even_magnitude():
-    m = AcaParabolaModel(1.5, 1.0, 1.0)
-    assert arc_length(m, -2.0) == arc_length(m, 2.0)
-    assert arc_length(m, 0.0) == 0.0
+    assert acagmm._signed_arc(1.5, -2.0) == -acagmm._signed_arc(1.5, 2.0)
+    assert acagmm._signed_arc(1.5, 0.0) == 0.0
 
 
 def test_signed_arc_in_projection():
-    m = AcaParabolaModel(1.0, 1.0, 1.0)
-    left = project_to_parabola(m, (-2.0, 1.0))
-    right = project_to_parabola(m, (2.0, 1.0))
-    assert left.l == pytest.approx(-right.l, abs=1e-12)
-    assert right.l > 0
+    _, _, left = _project(1.0, -2.0, 1.0)
+    _, _, right = _project(1.0, 2.0, 1.0)
+    assert left == pytest.approx(-right, abs=1e-12)
+    assert right > 0
 
 
 def test_orientation_side_samples():
-    m = AcaParabolaModel(1.0, 1.0, 1.0)
     for px, py, want in [(0.0, 1.0, "above"), (0.0, -1.0, "below"),
                          (2.0, 10.0, "above"), (-2.0, -1.0, "below")]:
-        proj = project_to_parabola(m, (px, py))
-        assert proj.side == want
+        assert _side(1.0, px, py) == want
 
 
 @given(
@@ -224,10 +234,9 @@ def test_orientation_side_samples():
 def test_side_rules_agree_for_nearest_foot(a, px, py):
     # graph test and foot-normal determinant pick the same side whenever the
     # global nearest foot is used (within the cut locus they cannot differ)
-    m = AcaParabolaModel(a, 1.0, 1.0)
-    proj = project_to_parabola(m, (px, py))
-    if proj.p > 1e-9:
-        assert proj.side == _determinant_side(a, (px, py), proj.t0)
+    t0, p, _ = _project(a, px, py)
+    if p > 1e-9:
+        assert _side(a, px, py) == _determinant_side(a, (px, py), t0)
 
 
 def test_raw_log_density_hand_value():
@@ -241,9 +250,9 @@ def test_raw_log_density_hand_value():
 def test_corrected_density_divides_by_factor():
     m = AcaParabolaModel(1.0, 1.0, 1.0)
     for pt in [(0.5, 1.2), (1.5, -0.5), (-2.0, 3.0)]:
-        proj = project_to_parabola(m, pt)
-        kappa = 2.0 * m.a / (1.0 + 4.0 * m.a ** 2 * proj.t0 ** 2) ** 1.5
-        eta = proj.p if proj.side == "above" else -proj.p
+        t0, p, _ = _project(m.a, *pt)
+        kappa = 2.0 * m.a / (1.0 + 4.0 * m.a ** 2 * t0 ** 2) ** 1.5
+        eta = p if pt[1] > m.a * pt[0] ** 2 else -p
         factor = 1.0 - kappa * eta
         raw = aca_log_density(m, pt)
         corr = aca_log_density(m, pt, corrected=True)
@@ -344,7 +353,7 @@ def test_normalization_table_equals_per_configuration_recompute():
     rows = normalization_table(a_grid=a_grid, sigma_grid=sigma_grid, box=box, n=n)
     keys = [(r["a"], r["sigma1"], r["sigma2"]) for r in rows]
     assert keys == list(itertools.product(a_grid, sigma_grid, sigma_grid))
-    px, py, weights = simpson_grid_2d(-box, box, -box, box, n)
+    px, py, weights = _grid(-box, box, n)
     for r in rows:
         m = AcaParabolaModel(r["a"], r["sigma1"], r["sigma2"])
         raw_log, factor = _log_density_grid(m, px, py)
@@ -410,7 +419,7 @@ def test_model_validation():
 def test_foot_grid_blocks_equal_one_shot_projection():
     # 2 * 40 + 1 = 81 grid rows: two full blocks and a partial one
     assert 81 % acagmm.FOOT_BLOCK_ROWS
-    px, py, _ = simpson_grid_2d(-3.0, 3.0, -3.0, 3.0, 80)
+    px, py, _ = _grid(-3.0, 3.0, 80)
     for a in (0.5, -1.0):
         t0 = acagmm._project_t0_grid(a, px, py)
         p = np.hypot(px - t0, py - a * t0 * t0)

@@ -192,3 +192,12 @@ def test_acagmm_check_bad_grid_is_config_error(capsys):
     assert code == 1
     code, out = _run(capsys, "acagmm-check", "--a-grid", "0.0")
     assert code == 1
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("flag", ["a-grid", "sigma-grid", "box"])
+def test_acagmm_check_non_finite_value_is_config_error(capsys, flag, value):
+    # "--flag=value": argparse reads a separate "-inf" as an option
+    code, out = _run(capsys, "acagmm-check", f"--{flag}={value}", "--n", "20")
+    assert code == 1
+    assert out == ""

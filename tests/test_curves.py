@@ -9,7 +9,6 @@ from afcec.curves import (
     BUILTIN_KINDS,
     FunctionFamily,
     builtin_family,
-    explanatory,
     fit_curve,
     select_orientation,
 )
@@ -164,11 +163,6 @@ def test_fit_curve_too_few_points():
     pts = np.array([[0.0, 1.0], [1.0, 2.0]])
     with pytest.raises(RankDeficient):
         fit_curve(pts, 1, builtin_family("quadratic", 1))
-
-
-def test_explanatory_drops_column():
-    pts = np.arange(12.0).reshape(4, 3)
-    assert np.allclose(explanatory(pts, 1), pts[:, [0, 2]])
 
 
 def test_select_orientation_prefers_functional_axis():

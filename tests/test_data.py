@@ -233,6 +233,15 @@ def test_schema1_model_loads_and_reserializes_unchanged():
     assert json.dumps(model_to_json(model)) == json.dumps(SCHEMA1_MODEL)
 
 
+def test_nonzero_mean_dep_is_rejected():
+    # the curve's intercept carries the dependent mean, so the model has no
+    # field for an offset beside it
+    blob = json.loads(json.dumps(SCHEMA1_MODEL))
+    blob["clusters"][0]["mean_dep"] = 0.25
+    with pytest.raises(IoError, match="mean_dep"):
+        model_from_json(blob)
+
+
 def test_load_model_bad_file(tmp_path):
     path = tmp_path / "junk.json"
     path.write_text("{not json")

@@ -4,85 +4,57 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from afcec.curves import axis_design, builtin_family, fit_curve
+from afcec.curves import CurveFit, axis_design, builtin_family, fit_curve, select_orientation
 from afcec.density import (
     FAdaptedParams,
-    GaussianParams,
     fadapted_cross_entropy,
     fadapted_log_density,
-    gaussian_cross_entropy,
-    gaussian_log_density,
-    mean_and_cov,
+    segment_moments,
 )
 from afcec.errors import DegenerateCluster, NotPositiveDefinite, ZeroResidualWarning
-from afcec.numerics import simpson_2d
+from afcec.numerics import simpson_blocks_2d
 
 
-def _random_spd(rng, d):
-    a = rng.standard_normal((d, d))
-    return a @ a.T + 0.5 * d * np.eye(d)
+def _simpson(f, lo, hi, n):
+    """Composite Simpson estimate of the integral of f over [lo, hi]^2."""
+    blocks = simpson_blocks_2d(lo, hi, lo, hi, n, n + 1)
+    return sum(float(np.sum(w * f(x, y))) for x, y, w in blocks)
 
 
-def test_gaussian_log_density_matches_scipy():
-    rng = np.random.default_rng(0)
-    for d in (1, 2, 3, 5):
-        mean = rng.standard_normal(d)
-        cov = _random_spd(rng, d)
-        pts = rng.standard_normal((50, d))
-        ours = gaussian_log_density(GaussianParams(mean, cov), pts)
-        ref = stats.multivariate_normal(mean, cov).logpdf(pts)
-        assert np.allclose(ours, ref, atol=1e-10)
+def _gaussian_h(x):
+    """H of the linear family's best orientation: the plain Gaussian's
+    cross-entropy, as the linear family cannot bend."""
+    return select_orientation(x, builtin_family("linear", x.shape[1] - 1))[2]
 
 
 def test_gaussian_log_density_hand_inverted_2x2():
-    # det and inverse worked by hand for [[2,1],[1,2]]
+    # N([1, -1], [[2, 1], [1, 2]]) as a linear-family density with axis 1
+    # dependent: x1 = -1.5 + 0.5 x0 + N(0, 1.5), x0 ~ N(1, 2); det and inverse
+    # of the 2x2 covariance worked by hand
     mean = np.array([1.0, -1.0])
-    cov = np.array([[2.0, 1.0], [1.0, 2.0]])
     x = np.array([2.0, 0.5])
     dx = x - mean
     inv = np.array([[2.0, -1.0], [-1.0, 2.0]]) / 3.0
     expect = -np.log(2.0 * np.pi) - 0.5 * np.log(3.0) - 0.5 * dx @ inv @ dx
-    got = gaussian_log_density(GaussianParams(mean, cov), x)
-    assert got == pytest.approx(expect, abs=1e-12)
+    curve = CurveFit(builtin_family("linear", 1), np.array([-1.5, 0.5]))
+    p = FAdaptedParams(1, [1.0], [[2.0]], 1.5, curve)
+    assert fadapted_log_density(p, x) == pytest.approx(expect, abs=1e-12)
 
 
-def test_gaussian_log_density_single_and_batch_agree():
-    rng = np.random.default_rng(1)
-    p = GaussianParams(rng.standard_normal(3), _random_spd(rng, 3))
-    pts = rng.standard_normal((4, 3))
-    batch = gaussian_log_density(p, pts)
-    singles = [gaussian_log_density(p, row) for row in pts]
-    assert np.allclose(batch, singles)
-
-
-def test_mean_and_cov_uses_1_over_n():
-    x = np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0], [2.0, 2.0]])
-    mean, cov = mean_and_cov(x)
-    assert np.allclose(mean, [1.0, 1.0])
-    assert np.allclose(cov, np.eye(2))  # 1/n, not 1/(n-1)
-
-
-def test_gaussian_cross_entropy_equals_empirical_mean():
-    # at the fitted parameters the closed form is the empirical mean exactly
-    rng = np.random.default_rng(2)
-    for d in (2, 3, 4):
-        x = rng.standard_normal((80, d)) @ np.linalg.cholesky(_random_spd(rng, d)).T + rng.standard_normal(d)
-        h, params = gaussian_cross_entropy(x)
-        emp = -np.mean(gaussian_log_density(params, x))
-        assert h == pytest.approx(emp, abs=1e-11)
+def test_segment_moments_uses_1_over_n():
+    x = np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0], [2.0, 2.0], [5.0, 5.0], [7.0, 5.0]])
+    means, covs = segment_moments(x, np.array([0, 4, 6]))
+    assert np.allclose(means, [[1.0, 1.0], [6.0, 5.0]])
+    assert np.allclose(covs[0], np.eye(2))  # 1/n, not 1/(n-1)
+    assert np.allclose(covs[1], [[1.0, 0.0], [0.0, 0.0]])
 
 
 def test_gaussian_cross_entropy_translation_invariant():
     rng = np.random.default_rng(3)
     x = rng.standard_normal((60, 3))
-    h0, _ = gaussian_cross_entropy(x)
-    h1, _ = gaussian_cross_entropy(x + np.array([5.0, -7.0, 11.0]))
+    h0 = _gaussian_h(x)
+    h1 = _gaussian_h(x + np.array([5.0, -7.0, 11.0]))
     assert h1 == pytest.approx(h0, abs=1e-10)
-
-
-def test_gaussian_cross_entropy_too_few_points():
-    with pytest.raises(DegenerateCluster):
-        gaussian_cross_entropy(np.zeros((3, 3)))
 
 
 def _fadapted_from_coeffs(kind, coeffs, resid_var=1.0):
@@ -117,7 +89,7 @@ def test_fadapted_density_normalizes(kind, coeffs):
     f = lambda x0, x1: np.exp(
         fadapted_log_density(p, np.column_stack([np.ravel(x0), np.ravel(x1)]))
     ).reshape(np.shape(x0))
-    total = simpson_2d(f, -12.0, 12.0, -12.0, 12.0, n=400)
+    total = _simpson(f, -12.0, 12.0, 400)
     assert total == pytest.approx(1.0, abs=1e-3)
 
 
@@ -129,7 +101,7 @@ def test_fadapted_matches_factored_form():
     h, p = fadapted_cross_entropy(pts, 2, curve)
     got = fadapted_log_density(p, pts)
     resid = pts[:, 2] - curve.evaluate(pts[:, :2])
-    expect = gaussian_log_density(GaussianParams(p.mean_exp, p.cov_exp), pts[:, :2]) + (
+    expect = stats.multivariate_normal(p.mean_exp, p.cov_exp).logpdf(pts[:, :2]) + (
         -0.5 * np.log(2.0 * np.pi * p.resid_var) - 0.5 * resid * resid / p.resid_var
     )
     assert np.allclose(got, expect, atol=1e-12)
@@ -156,8 +128,6 @@ def test_non_positive_definite_covariance_raises():
         fadapted_log_density(p, pts)
     with pytest.raises(NotPositiveDefinite):
         fadapted_log_density(p, pts, axis_design(pts, 0, fam), out=np.empty(len(pts)))
-    with pytest.raises(NotPositiveDefinite):
-        gaussian_log_density(GaussianParams(np.zeros(2), bad), pts[:, 1:])
 
 
 def test_fadapted_cross_entropy_equals_empirical_mean():
@@ -197,6 +167,6 @@ def test_gaussian_cross_entropy_scale_shift(seed):
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((30, 2))
     s = 2.5
-    h0, _ = gaussian_cross_entropy(x)
-    h1, _ = gaussian_cross_entropy(s * x + 1.0)
+    h0 = _gaussian_h(x)
+    h1 = _gaussian_h(s * x + 1.0)
     assert h1 == pytest.approx(h0 + 2.0 * np.log(s), abs=1e-9)

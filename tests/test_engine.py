@@ -140,7 +140,7 @@ def test_fit_degenerate_data_raises():
 def test_assign_step_picks_cheapest_cluster():
     ds = _circle(seed=10)
     m = fit(ds, EngineConfig(k_init=3, family=QUAD1, seed=7))
-    again = assign_step(ds.rows, m.clusters)
+    again = assign_step(DesignCache(ds.rows), m.clusters)
     # the fit has converged, so one more assignment pass changes nothing
     assert np.array_equal(again, m.assignment)
 
@@ -162,7 +162,7 @@ def test_delete_small_requires_survivor():
     if assignment is None:
         assignment = np.arange(40) % len(clusters)
     with pytest.raises(AllClustersDegenerate):
-        delete_small(pts, clusters, assignment, threshold_fraction=1.1)
+        delete_small(DesignCache(pts), clusters, assignment, threshold_fraction=1.1)
 
 
 def test_fit_restarts_returns_best():
@@ -232,8 +232,11 @@ def test_cached_assignment_matches_uncached_scores(kind, d, log_scale, seed):
         assume(False)
     cache = DesignCache(x)
     ref = _column_scores(x, clusters)
-    assert np.array_equal(assign_step(x, clusters, cache), np.argmin(ref, axis=1))
-    np.testing.assert_allclose(engine._score_matrix(cache, clusters).T, ref, rtol=1e-12, atol=0)
+    assert np.array_equal(assign_step(cache, clusters), np.argmin(ref, axis=1))
+    scores = np.empty((len(clusters), x.shape[0]))
+    for cols, block in engine.cluster_score_blocks(cache, clusters):
+        scores[:, cols] = block
+    np.testing.assert_allclose(scores.T, ref, rtol=1e-12, atol=0)
 
 
 def test_argmin_rows_matches_numpy_with_ties():
@@ -248,9 +251,10 @@ def test_assign_step_ties_go_to_lowest_index():
     m = fit(ds, EngineConfig(k_init=3, family=QUAD1, seed=2))
     assert m.k >= 2
     first, second = m.clusters[0], m.clusters[1]
-    labels = assign_step(ds.rows, [first, second, first])
+    cache = DesignCache(ds.rows)
+    labels = assign_step(cache, [first, second, first])
     assert not np.any(labels == 2)
-    assert np.array_equal(labels, assign_step(ds.rows, [first, second]))
+    assert np.array_equal(labels, assign_step(cache, [first, second]))
 
 
 def test_orphan_reassignment_ties_go_to_lowest_index():
@@ -258,7 +262,7 @@ def test_orphan_reassignment_ties_go_to_lowest_index():
     m = fit(ds, EngineConfig(k_init=3, family=QUAD1, seed=2))
     first, second = m.clusters[0], m.clusters[1]
     cache = DesignCache(ds.rows)
-    expected = assign_step(ds.rows, [first, second], cache)  # fills the cache
+    expected = assign_step(cache, [first, second])  # fills the cache
     # every point sits in label 3, which is dropped; survivors 0 and 2 are equal
     orphans = np.full(ds.n, 3)
     out = engine._reassign(cache, orphans, 4, [0, 1, 2], [first, second, first])
@@ -270,7 +274,7 @@ def test_design_cache_take_equals_fresh_designs():
     ds = generate(GeneratorSpec(kind="parametric3d", n=400, noise_sigma=0.1, seed=18))
     m = fit(ds, EngineConfig(k_init=4, family=builtin_family("cubic", 2), seed=1, max_iters=3))
     cache = DesignCache(ds.rows)
-    assign_step(ds.rows, m.clusters, cache)
+    assign_step(cache, m.clusters)
     rows = np.flatnonzero(np.arange(ds.n) % 7 == 3)
     sub = cache.take(rows)
     for cl in m.clusters:

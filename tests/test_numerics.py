@@ -3,7 +3,14 @@ import pytest
 from scipy import integrate
 
 from afcec.errors import RankDeficient
-from afcec.numerics import least_squares, ridge_solve, simpson_2d
+from afcec.numerics import least_squares, ridge_solve, simpson_blocks_2d
+
+
+def _simpson(f, xlo, xhi, ylo, yhi, n, rows):
+    """Composite Simpson estimate of the integral of f over a box, summed over
+    blocks of `rows` x-nodes."""
+    blocks = simpson_blocks_2d(xlo, xhi, ylo, yhi, n, rows)
+    return sum(float(np.sum(w * f(x, y))) for x, y, w in blocks)
 
 
 def test_least_squares_matches_lstsq():
@@ -39,21 +46,24 @@ def test_least_squares_rank_deficient():
 
 
 def test_simpson_2d_exact_for_cubics():
-    # composite Simpson integrates bivariate cubics exactly
+    # composite Simpson integrates bivariate cubics exactly, one node row per
+    # block as in one block
     f = lambda x, y: 1.0 + x - 2.0 * y + x * y + x**3 - y**3 + x * y * y
     exact, _ = integrate.dblquad(lambda y, x: f(x, y), -1.0, 2.0, -2.0, 1.0)
-    assert simpson_2d(f, -1.0, 2.0, -2.0, 1.0, n=2) == pytest.approx(exact, abs=1e-12)
+    for rows in (1, 3):
+        assert _simpson(f, -1.0, 2.0, -2.0, 1.0, 2, rows) == pytest.approx(exact, abs=1e-12)
 
 
 def test_simpson_2d_matches_dblquad():
     f = lambda x, y: np.exp(-0.5 * (x * x + y * y)) / (2.0 * np.pi)
     ref, _ = integrate.dblquad(lambda y, x: f(x, y), -8.0, 8.0, -8.0, 8.0)
-    assert simpson_2d(f, -8.0, 8.0, -8.0, 8.0, n=200) == pytest.approx(ref, abs=1e-10)
+    assert _simpson(f, -8.0, 8.0, -8.0, 8.0, 200, 32) == pytest.approx(ref, abs=1e-10)
 
 
 def test_simpson_2d_rejects_odd_n():
+    # checked on the call, before any block is drawn
     with pytest.raises(ValueError):
-        simpson_2d(lambda x, y: x + y, 0.0, 1.0, 0.0, 1.0, n=3)
+        simpson_blocks_2d(0.0, 1.0, 0.0, 1.0, 3, 4)
 
 
 def test_ridge_solve_flags_only_the_failing_system():

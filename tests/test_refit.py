@@ -45,7 +45,7 @@ def test_batched_refit_matches_select_orientation_per_cluster(kind, d, log_scale
             ref = [select_orientation(x[labels == lab], family) for lab in range(k)]
         except DegenerateCluster:
             assume(False)
-        clusters, assignment, dropped = engine._reestimate(x, labels, k, family)
+        clusters, assignment, dropped = engine._reestimate(DesignCache(x), labels, k, family)
     assert dropped == 0
     assert np.array_equal(assignment, labels)
     assert len(clusters) == k
@@ -129,7 +129,7 @@ def test_degenerate_mix_matches_per_cluster_refit(monkeypatch):
 
     monkeypatch.setattr(density, "_cholesky_reg", spy)
     (clusters, assignment, dropped), caught = _run_recording(
-        engine._reestimate, x, labels, 6, family
+        engine._reestimate, DesignCache(x), labels, 6, family
     )
     batched_ladder, ladder[:] = list(ladder), []
     (ref, ref_assignment, ref_dropped), ref_caught = _run_recording(

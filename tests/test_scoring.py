@@ -31,6 +31,15 @@ def _data(rng, n, d, scale=1.0):
     return (x + rng.uniform(-2.0, 2.0, d)) * scale
 
 
+def _score_rows(cache, clusters):
+    """(k, n) -ln p_i - log f_i(x) over the cache's points, gathered from
+    engine.cluster_score_blocks."""
+    scores = np.empty((len(clusters), cache.x.shape[0]))
+    for cols, block in engine.cluster_score_blocks(cache, clusters):
+        scores[:, cols] = block
+    return scores
+
+
 def _clusters_on(x, labels, family):
     n = x.shape[0]
     out = []
@@ -58,7 +67,7 @@ def test_cluster_row_has_the_same_bits_alone_and_in_a_block(kind, d, extra, seed
     except DegenerateCluster:
         assume(False)
     cache = DesignCache(x)
-    block = engine._score_matrix(cache, clusters)
+    block = _score_rows(cache, clusters)
     for i, cl in enumerate(clusters):
         shift = -math.log(cl.weight)
         alone = np.empty(n)
@@ -79,7 +88,7 @@ def test_clusters_of_different_families_score_as_they_do_alone():
                      builtin_family(kind, 2))[0]
         for lab, kind in enumerate(BUILTIN_KINDS)
     ]
-    block = engine._score_matrix(DesignCache(x), clusters)
+    block = _score_rows(DesignCache(x), clusters)
     for row, cl in zip(block, clusters):
         assert np.array_equal(row, -math.log(cl.weight) - fadapted_log_density(cl.params, x))
 
@@ -109,14 +118,14 @@ def _long_double_scores(x, cl):
             phi[:, b] *= xe[:, i] ** e
     beta = p.curve.coeffs.astype(LD)
     var = LD(p.resid_var)
-    resid = xj - phi @ beta - LD(p.mean_dep)
+    resid = xj - phi @ beta
     log_diag = np.log(np.diag(low))
     ln_p = np.log(LD(cl.weight))
     ln_2pi = np.log(2 * LD(np.pi))
     ref = (-ln_p + 0.5 * (d * ln_2pi + 2 * log_diag.sum() + np.log(var))
            + 0.5 * (z * z).sum(axis=0) + 0.5 * resid * resid / var)
     a_exp = np.abs(inv) @ (np.abs(xe.T) + np.abs(p.mean_exp.astype(LD))[:, None])
-    a_res = (np.abs(xj) + np.abs(phi) @ np.abs(beta) + abs(LD(p.mean_dep))) / np.sqrt(var)
+    a_res = (np.abs(xj) + np.abs(phi) @ np.abs(beta)) / np.sqrt(var)
     terms = (abs(ln_p) + 0.5 * (d * ln_2pi + 2 * np.abs(log_diag).sum() + abs(np.log(var)))
              + 0.5 * ((a_exp * a_exp).sum(axis=0) + a_res * a_res))
     return ref, terms
@@ -137,9 +146,13 @@ def test_scores_match_long_double_reference(kind, d, log_scale, seed):
         clusters = _clusters_on(x, rng.integers(0, 3, x.shape[0]), builtin_family(kind, d - 1))
     except DegenerateCluster:
         assume(False)
-    # a dependent-axis offset beside the curve's intercept (0 in fitted models)
-    clusters[0] = replace(clusters[0], params=replace(clusters[0].params, mean_dep=0.1 * scale))
-    got = engine._score_matrix(DesignCache(x), clusters)
+    # an intercept off the least-squares one, so the residuals have a mean
+    params = clusters[0].params
+    coeffs = params.curve.coeffs.copy()
+    coeffs[0] += 0.1 * scale
+    curve = replace(params.curve, coeffs=coeffs)
+    clusters[0] = replace(clusters[0], params=replace(params, curve=curve))
+    got = _score_rows(DesignCache(x), clusters)
     for row, cl in zip(got, clusters):
         ref, terms = _long_double_scores(x, cl)
         assert np.all(np.abs(row.astype(LD) - ref) <= SCORE_TOL_EPS * EPS * terms)
@@ -224,7 +237,7 @@ def test_first_traced_cost_equals_recomputed_cost():
     for init in engine.INITS:
         cfg = EngineConfig(k_init=5, family=family, seed=2, init=init)
         clusters, assignment, _ = engine._reestimate(
-            x, engine._init_partition(x, cfg), cfg.k_init, family
+            DesignCache(x), engine._init_partition(x, cfg), cfg.k_init, family
         )
         first = engine.fit(x, cfg).cost_trace[0]
         assert first == engine.cost(x, clusters, assignment)

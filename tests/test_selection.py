@@ -5,7 +5,7 @@ import pytest
 
 from afcec.curves import builtin_family
 from afcec.data import GeneratorSpec, generate
-from afcec.engine import EngineConfig, assign_step, fit
+from afcec.engine import DesignCache, EngineConfig, assign_step, fit
 from afcec.errors import InvalidConvention
 from afcec.selection import count_params, log_likelihood, score
 
@@ -68,12 +68,13 @@ def test_max_loglik_equals_minus_n_cost_at_fixed_point():
 
     ds, m = _fitted(QUAD1, k=3, seed=8)
     clusters, assignment = m.clusters, m.assignment
+    cache = DesignCache(ds.rows)
     for _ in range(50):
-        nxt = assign_step(ds.rows, clusters)
+        nxt = assign_step(cache, clusters)
         if np.array_equal(nxt, assignment):
             break
         assignment = nxt
-        clusters, assignment, _ = _reestimate(ds.rows, assignment, len(clusters), QUAD1)
+        clusters, assignment, _ = _reestimate(cache, assignment, len(clusters), QUAD1)
     h = engine_cost(ds.rows, clusters, assignment)
     m.clusters, m.assignment = clusters, assignment
     assert log_likelihood(ds, m, "max") == pytest.approx(-ds.n * h, abs=1e-8)
