@@ -109,8 +109,11 @@ def _engine_setup(args, k, k_flag):
 
 def cmd_fit(args):
     ds, cfg = _engine_setup(args, args.k, "--k")
-    best, all_costs = engine.fit_restarts(ds, cfg, args.restarts)
-    sc = selection.score(ds, best, ll_mode=args.ll_mode)
+    # one cache serves the fit and the scoring, so each design is built once
+    cache = engine.DesignCache(ds.rows)
+    best, all_costs = engine.fit_restarts(cache, cfg, args.restarts)
+    sc = selection.score(cache, best, ll_mode=args.ll_mode)
+    del cache  # free the designs before the model is saved
     log.info(
         "fit: k=%d, %d iterations, %d restart(s), cost %.6f",
         best.k, best.iterations, len(all_costs), best.final_cost,
@@ -142,15 +145,20 @@ def cmd_generate(args):
 
 def cmd_sweep(args):
     ds, cfg = _engine_setup(args, args.k_max, "--k-max")
+    # one cache serves every k's fits and scoring, so each design is built once
+    cache = engine.DesignCache(ds.rows)
     other_mode = "max" if args.ll_mode == "mixture" else "mixture"
     writer = csv.writer(sys.stdout)
     writer.writerow(
         ["k", "k_final", "cost", "loglik_mixture", "loglik_max", "n_params", "bic", "aic"]
     )
     for k in range(1, args.k_max + 1):
-        best, _ = engine.fit_restarts(ds, replace(cfg, k_init=k), args.restarts)
-        sc = selection.score(ds, best, args.ll_mode)
-        ll = {args.ll_mode: sc.loglik, other_mode: selection.log_likelihood(ds, best, other_mode)}
+        best, _ = engine.fit_restarts(cache, replace(cfg, k_init=k), args.restarts)
+        sc = selection.score(cache, best, args.ll_mode)
+        ll = {
+            args.ll_mode: sc.loglik,
+            other_mode: selection.log_likelihood(cache, best, other_mode),
+        }
         writer.writerow([
             k, best.k, repr(best.final_cost), repr(ll["mixture"]), repr(ll["max"]),
             sc.n_params, repr(sc.bic), repr(sc.aic),

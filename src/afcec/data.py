@@ -213,13 +213,14 @@ def _parse_records(text):
 
 
 def save_csv(ds, path, header=True):
+    """The bytes csv.writer writes for the rows as repr strings (shortest
+    round-trip decimals, which it never quotes) under an optional x0,x1,...
+    header, built as one string and written at once."""
+    lines = [",".join(f"x{i}" for i in range(ds.d))] if header else []
+    lines += [",".join(map(repr, row)) for row in ds.rows.tolist()]
     try:
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            if header:
-                writer.writerow([f"x{i}" for i in range(ds.d)])
-            for row in ds.rows:
-                writer.writerow([repr(float(v)) for v in row])
+            fh.write("".join(line + "\r\n" for line in lines))
     except OSError as e:
         raise IoError(str(e)) from e
 
@@ -276,8 +277,23 @@ def model_to_json(model):
 
 
 def model_from_json(obj):
+    """The AfcecModel a model_to_json object describes. IoError when a field
+    is missing or malformed, or the model has no cluster or no cost;
+    SchemaVersionMismatch when the schema is not MODEL_SCHEMA."""
+    if not isinstance(obj, dict):
+        raise IoError(f"a model is a JSON object, got {type(obj).__name__}")
     if obj.get("schema") != MODEL_SCHEMA:
         raise SchemaVersionMismatch(f"schema {obj.get('schema')!r}, expected {MODEL_SCHEMA}")
+    try:
+        model = _model_fields(obj)
+    except (KeyError, TypeError, ValueError) as e:
+        raise IoError(f"malformed model: {type(e).__name__}: {e}") from e
+    if not model.clusters or not model.cost_trace:
+        raise IoError("a model needs at least one cluster and one cost")
+    return model
+
+
+def _model_fields(obj):
     clusters = []
     for c in obj["clusters"]:
         # the curve's intercept carries the dependent mean; the field stays in

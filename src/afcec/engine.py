@@ -18,7 +18,7 @@ from .curves import axis_design, refit_segments, select_orientation  # noqa: F40
 # fadapted_log_density is not called here; bench/spans.py wraps it under this
 # module's name as well
 from .density import fadapted_cross_entropy, fadapted_log_density, score_blocks  # noqa: F401
-from .errors import AllClustersDegenerate, DegenerateCluster, InvalidConfig, RankDeficient
+from .errors import AllClustersDegenerate, DegenerateCluster, InvalidConfig
 
 INITS = ("random_partition", "kmeanspp")
 
@@ -113,13 +113,15 @@ class DesignCache:
     """Per-axis designs over one fixed (n, d) point set.
 
     A dependent axis's AxisDesign is built the first time that axis (and
-    family) is asked for, by a refit or by scoring a cluster, so a fit splits
-    its data and builds each design once per axis instead of once per cluster
-    per iteration.
+    family) is asked for, by a refit or by scoring a cluster. fit,
+    fit_restarts and selection.score take a DesignCache wherever they take
+    data (it holds the points as `rows`, like a Dataset), so a command that
+    passes one cache to all of them splits its data and builds each design
+    once per axis.
     """
 
-    def __init__(self, x):
-        self.x = x
+    def __init__(self, rows):
+        self.rows = rows
         self._designs = {}
 
     def design(self, params):
@@ -129,14 +131,19 @@ class DesignCache:
         """The AxisDesign of dependent axis j under family."""
         found = self._designs.get((j, family))
         if found is None:
-            found = self._designs[j, family] = axis_design(self.x, j, family)
+            found = self._designs[j, family] = axis_design(self.rows, j, family)
         return found
 
-    def take(self, rows):
-        """A cache over x[rows] holding this one's designs restricted to rows."""
-        sub = DesignCache(self.x[rows])
-        sub._designs = {key: found.take(rows) for key, found in self._designs.items()}
+    def take(self, idx):
+        """A cache over rows[idx] holding this one's designs restricted to idx."""
+        sub = DesignCache(self.rows[idx])
+        sub._designs = {key: found.take(idx) for key, found in self._designs.items()}
         return sub
+
+
+def design_cache(x):
+    """x itself when it is a DesignCache, else a new one over as_array(x)."""
+    return x if isinstance(x, DesignCache) else DesignCache(as_array(x))
 
 
 def cluster_score_blocks(cache, clusters):
@@ -163,45 +170,71 @@ def _argmin_rows(scores):
     return labels
 
 
-def _nearest(cache, clusters):
-    """Each of the cache's points to argmin_i [-ln p_i - log f_i(x)], ties to
-    the lowest index, reduced block by block."""
-    labels = np.empty(cache.x.shape[0], dtype=np.intp)
-    for cols, block in cluster_score_blocks(cache, clusters):
-        labels[cols] = _argmin_rows(block)
+def _nearest(cache, batch):
+    """(len(batch), n) labels: row r sends each of the cache's points to
+    argmin_i [-ln p_i - log f_i(x)] over the cluster list batch[r], ties to
+    the lowest index.
+
+    One score_blocks walk scores the clusters of every list, and each block
+    is reduced list by list; a score has the same bits in any set of clusters,
+    so each row equals the labels of its list scored alone.
+    """
+    bounds = np.cumsum([0] + [len(clusters) for clusters in batch]).tolist()
+    labels = np.empty((len(batch), cache.rows.shape[0]), dtype=np.intp)
+    flat = [cl for clusters in batch for cl in clusters]
+    for cols, block in cluster_score_blocks(cache, flat):
+        for row, lo, hi in zip(labels, bounds, bounds[1:]):
+            row[cols] = _argmin_rows(block[lo:hi])
     return labels
 
 
-def assign_step(cache, clusters):
-    """Each of the cache's points to argmin_i [-ln p_i - log f_i(x)]; ties to
-    the lowest index.
+def assign_step(cache, batch, labels):
+    """A copy of the (R, n) labels in which every row r whose batch[r] is not
+    None (a running restart) holds _nearest's labels over the clusters
+    batch[r]; the other rows are kept.
 
-    The Lloyd loop's assignment over every point. Orphan reassignment calls
-    _nearest on its subset instead, so bench/spans.py, which times this
-    function by name and counts the points each call moves against the last
-    full assignment, sees one call per iteration."""
-    return _nearest(cache, clusters)
-
-
-def _refit(cache, assignment, k, family):
-    """One batched refit of labels 0..k-1: a ClusterModel per label, None for
-    an empty or degenerate cluster.
-
-    The points are stably sorted by label, so every cluster is one contiguous
-    segment holding its rows in their original order, and each axis's design
-    is gathered from the cache once for all clusters (curves.refit_segments).
+    The Lloyd loop's assignment over every point of every running restart.
+    Orphan reassignment calls _nearest on its subset instead, so
+    bench/spans.py, which times this function by name and counts the points
+    each call moves against the last refit's labels, sees one call per
+    iteration.
     """
-    n, d = cache.x.shape
+    live = [r for r, clusters in enumerate(batch) if clusters is not None]
+    found = _nearest(cache, [batch[r] for r in live])
+    if len(live) == len(batch):  # no row to keep, so no copy of labels
+        return found
+    out = labels.copy()
+    out[live] = found
+    return out
+
+
+def _refit(cache, labels, ks, family):
+    """One batched refit of the rows of the (R, n) labels, row r holding
+    labels 0..ks[r]-1: per row, one ClusterModel per label, None for an empty
+    or degenerate cluster.
+
+    Each row's points are stably sorted by label, so every cluster is one
+    contiguous segment holding its points in their original order. The rows'
+    segments are concatenated, and each axis's design is gathered from the
+    cache once for all of them (curves.refit_segments), which fits each
+    segment as it would fit it alone.
+    """
+    n, d = cache.rows.shape
     # numpy sorts 8- and 16-bit keys stably by radix sort
-    order = np.argsort(assignment.astype(np.min_scalar_type(k)), kind="stable")
-    bounds = np.zeros(k + 1, dtype=np.intp)
-    np.cumsum(np.bincount(assignment, minlength=k), out=bounds[1:])
+    order = np.argsort(
+        labels.astype(np.min_scalar_type(max(ks))), axis=1, kind="stable"
+    ).reshape(-1)
+    sizes = np.concatenate([np.bincount(row, minlength=k) for row, k in zip(labels, ks)])
+    bounds = np.zeros(len(sizes) + 1, dtype=np.intp)
+    np.cumsum(sizes, out=bounds[1:])
     designs = [np.take(cache.axis(j, family).aug, order, axis=0) for j in range(d)]
-    fits = refit_segments(np.take(cache.x, order, axis=0), bounds, designs, family)
-    return [
+    fits = refit_segments(np.take(cache.rows, order, axis=0), bounds, designs, family)
+    models = [
         None if f is None else ClusterModel(f[3], size / n, size, f[2])
-        for f, size in zip(fits, np.diff(bounds).tolist())
+        for f, size in zip(fits, sizes.tolist())
     ]
+    ends = np.cumsum(ks).tolist()
+    return [models[end - k : end] for k, end in zip(ks, ends)]
 
 
 def _reassign(cache, assignment, k, keep, survivors):
@@ -213,33 +246,47 @@ def _reassign(cache, assignment, k, keep, survivors):
     out = lookup[assignment]
     moved = np.flatnonzero(out < 0)
     if moved.size:
-        out[moved] = _nearest(cache.take(moved), survivors)
+        (out[moved],) = _nearest(cache.take(moved), [survivors])
     return out
 
 
-def _reestimate(cache, assignment, k, family):
-    """Refit every cluster of the cache's points; drop the ones that fail,
+def _reestimate(cache, labels, ks, family):
+    """Refit the clusters of every running restart; drop the ones that fail,
     reassigning their points.
 
-    Returns (clusters, assignment, dropped). Points of failed clusters go to
-    the surviving cluster minimizing the assignment cost. Survivors that
-    receive points are refit again; repeats until stable (k only shrinks).
-    Labels are compacted to 0..k'-1 in original order.
+    labels is (R, n); ks[r] is restart r's cluster count, or None for a
+    restart that is not running. Returns (batch, labels, dropped): batch[r]
+    holds restart r's refit clusters, None where ks[r] is None or every
+    cluster failed; labels holds the labels after reassignment (the input
+    array when nothing was dropped); dropped counts the clusters dropped over
+    all restarts. Points of failed clusters go to the surviving cluster
+    minimizing the assignment cost. Survivors that receive points are refit
+    again; repeats until stable (k only shrinks). Labels are compacted to
+    0..k'-1 in original order. Every pass refits all restarts that need it at
+    once, so each restart gets the clusters a lone refit gives it.
     """
-    assignment = np.asarray(assignment)
-    dropped = 0
-    while True:
-        fitted = _refit(cache, assignment, k, family)
-        keep = [lab for lab, cl in enumerate(fitted) if cl is not None]
-        clusters = [fitted[lab] for lab in keep]
-        if not clusters:
-            raise AllClustersDegenerate("every cluster failed estimation")
-        if len(keep) == k:
-            return clusters, assignment, dropped
-        dropped += k - len(keep)
-        # refit survivors on their (possibly grown) point sets next pass
-        assignment = _reassign(cache, assignment, k, keep, clusters)
-        k = len(keep)
+    ks = list(ks)
+    batch = [None] * len(ks)
+    todo = [r for r, k in enumerate(ks) if k is not None]
+    dropped, copied = 0, False
+    while todo:
+        rows = labels if len(todo) == len(ks) else labels[todo]
+        again = []
+        for r, fitted in zip(todo, _refit(cache, rows, [ks[r] for r in todo], family)):
+            keep = [lab for lab, cl in enumerate(fitted) if cl is not None]
+            if not keep:
+                continue
+            batch[r] = [fitted[lab] for lab in keep]
+            if len(keep) < ks[r]:
+                if not copied:
+                    labels, copied = labels.copy(), True
+                dropped += ks[r] - len(keep)
+                # refit survivors on their (possibly grown) point sets next pass
+                labels[r] = _reassign(cache, labels[r], ks[r], keep, batch[r])
+                ks[r] = len(keep)
+                again.append(r)
+        todo = again
+    return batch, labels, dropped
 
 
 def delete_small(cache, clusters, assignment, threshold_fraction):
@@ -248,7 +295,7 @@ def delete_small(cache, clusters, assignment, threshold_fraction):
     cost argmin over the survivors (using the survivors' current weights),
     then renormalize all weights from the final sizes."""
     assignment = np.asarray(assignment)
-    n = cache.x.shape[0]
+    n = cache.rows.shape[0]
     sizes = np.bincount(assignment, minlength=len(clusters))
     keep = [i for i, s in enumerate(sizes) if s > 0 and s >= threshold_fraction * n]
     if not keep:
@@ -276,38 +323,42 @@ def _sq_dist(xs_t, c):
     return out
 
 
-def _init_partition(x, cfg):
-    """Initial balanced partition, deterministic over (data multiset, seed).
+def _init_partition(x, cfg, seeds):
+    """Initial balanced partitions, one row per seed (cfg.seed is not read),
+    each deterministic over (data multiset, seed).
 
-    Rows are sorted lexicographically, shuffled by the seeded generator, and
-    dealt round-robin (random_partition) or assigned to their nearest
-    k-means++ seed (kmeanspp).
+    The rows of x are sorted lexicographically once; per seed they are
+    shuffled by the seeded generator and dealt round-robin (random_partition)
+    or assigned to their nearest k-means++ seed (kmeanspp).
     """
     n = x.shape[0]
-    rng = np.random.default_rng(cfg.seed & 0xFFFFFFFFFFFFFFFF)
     order = np.lexsort(x.T[::-1])  # sort by column 0, then 1, ...
     if cfg.init == "random_partition":
-        perm = rng.permutation(n)
-        assignment = np.empty(n, dtype=int)
-        assignment[order[perm]] = np.arange(n) % cfg.k_init
-        return assignment
+        out = np.empty((len(seeds), n), dtype=int)
+        deal = np.arange(n) % cfg.k_init
+        for row, seed in zip(out, seeds):
+            rng = np.random.default_rng(seed & 0xFFFFFFFFFFFFFFFF)
+            row[order[rng.permutation(n)]] = deal
+        return out
     # k-means++-style seeding on the sorted rows; each point keeps the first
     # centre at its smallest squared distance (ties to the lowest index)
     xs_t = x[order].T.copy()
-    d2 = _sq_dist(xs_t, xs_t[:, rng.integers(n)])
-    nearest = np.zeros(n, dtype=int)
-    for t in range(1, cfg.k_init):
-        total = d2.sum()
-        if total <= 0:
-            # every point sits on a centre already: the new one wins nowhere
-            rng.integers(n)
-            continue
-        dist = _sq_dist(xs_t, xs_t[:, rng.choice(n, p=d2 / total)])
-        nearest[dist < d2] = t
-        np.minimum(d2, dist, out=d2)
-    assignment = np.empty(n, dtype=int)
-    assignment[order] = nearest
-    return assignment
+    out = np.empty((len(seeds), n), dtype=int)
+    for row, seed in zip(out, seeds):
+        rng = np.random.default_rng(seed & 0xFFFFFFFFFFFFFFFF)
+        d2 = _sq_dist(xs_t, xs_t[:, rng.integers(n)])
+        nearest = np.zeros(n, dtype=int)
+        for t in range(1, cfg.k_init):
+            total = d2.sum()
+            if total <= 0:
+                # every point sits on a centre already: the new one wins nowhere
+                rng.integers(n)
+                continue
+            dist = _sq_dist(xs_t, xs_t[:, rng.choice(n, p=d2 / total)])
+            nearest[dist < d2] = t
+            np.minimum(d2, dist, out=d2)
+        row[order] = nearest
+    return out
 
 
 def _total_cost(clusters):
@@ -315,71 +366,98 @@ def _total_cost(clusters):
     return sum(cl.weight * (-math.log(cl.weight) + cl.cross_entropy) for cl in clusters)
 
 
-def fit(x, cfg):
-    """Run the clustering loop until h_n >= h_{n-1} - epsilon or max_iters.
+def _lloyd(cache, cfg, seeds):
+    """The clustering loop from one initial partition per seed, all seeds run
+    in lockstep over one DesignCache. Returns, per seed, its AfcecModel or the
+    AllClustersDegenerate that ended its run.
 
-    The stop condition is only consulted on iterations that deleted nothing
-    (a deletion can bump the cost, and stopping there would freeze a partial
-    model); every deletion lowers k, so this cannot loop forever.
+    Each iteration scores every running seed's clusters in one assign_step,
+    runs delete_small per seed and refits every running seed in one
+    _reestimate. A seed stops when h_n >= h_{n-1} - epsilon, at max_iters, or
+    when it fails. The stop condition is only consulted on iterations that
+    deleted nothing (a deletion can bump the cost, and stopping there would
+    freeze a partial model); every deletion lowers k, so this cannot loop
+    forever. Every step treats each seed as a lone run would, so each result
+    is bit for bit the one a batch of that seed alone gives.
     """
-    x = as_array(x)
-    cfg.validate_for(x.shape)
-    cache = DesignCache(x)
-
-    assignment = _init_partition(x, cfg)
-    deleted_total = 0
-    deletion_iterations = []
-    clusters, assignment, dropped = _reestimate(cache, assignment, cfg.k_init, cfg.family)
-    if dropped:
-        deleted_total += dropped
-        deletion_iterations.append(0)
-    trace = [_total_cost(clusters)]
-
-    iterations = 0
-    for it in range(1, cfg.max_iters + 1):
-        iterations = it
-        assignment = assign_step(cache, clusters)
-        clusters, assignment, ndel = delete_small(
-            cache, clusters, assignment, cfg.deletion_fraction
-        )
-        clusters, assignment, dropped = _reestimate(cache, assignment, len(clusters), cfg.family)
-        ndel += dropped
-        if ndel:
-            deleted_total += ndel
-            deletion_iterations.append(it)
-        h = _total_cost(clusters)
-        trace.append(h)
-        if ndel == 0 and h >= trace[-2] - cfg.epsilon:
+    cfg.validate_for(cache.rows.shape)
+    results = [AfcecModel([], None, [], 0, 0) for _ in seeds]
+    running = list(range(len(seeds)))
+    ks = [cfg.k_init] * len(seeds)
+    deleted = [0] * len(seeds)
+    labels = _init_partition(cache.rows, cfg, seeds)
+    # iteration 0 refits the initial partitions
+    for it in range(cfg.max_iters + 1):
+        if it:
+            batch = [None] * len(seeds)
+            for r in running:
+                batch[r] = results[r].clusters
+            labels = assign_step(cache, batch, labels)
+            ks = [None] * len(seeds)
+            for r in running:
+                try:
+                    survivors, labels[r], deleted[r] = delete_small(
+                        cache, batch[r], labels[r], cfg.deletion_fraction
+                    )
+                except AllClustersDegenerate as e:
+                    results[r] = e
+                    continue
+                ks[r] = len(survivors)
+        batch, labels, _ = _reestimate(cache, labels, ks, cfg.family)
+        still = []
+        for r in running:
+            if ks[r] is None:
+                continue
+            model, clusters = results[r], batch[r]
+            if clusters is None:
+                results[r] = AllClustersDegenerate("every cluster failed estimation")
+                continue
+            ndel = deleted[r] + ks[r] - len(clusters)
+            if ndel:
+                model.deleted_count += ndel
+                model.deletion_iterations.append(it)
+            h = _total_cost(clusters)
+            model.cost_trace.append(h)
+            model.clusters, model.iterations = clusters, it
+            if it == 0 or ndel or h < model.cost_trace[-2] - cfg.epsilon:
+                still.append(r)
+        running = still
+        if not running:
             break
 
-    return AfcecModel(
-        clusters=clusters,
-        assignment=assignment,
-        cost_trace=trace,
-        iterations=iterations,
-        deleted_count=deleted_total,
-        deletion_iterations=deletion_iterations,
-    )
+    for r, model in enumerate(results):
+        if isinstance(model, AfcecModel):
+            model.assignment = labels[r]
+    return results
+
+
+def fit(x, cfg):
+    """Run the clustering loop from cfg.seed's initial partition until
+    h_n >= h_{n-1} - epsilon or max_iters: _lloyd on one seed.
+
+    x is a Dataset, an (n, d) array, or a DesignCache over the data.
+    """
+    (model,) = _lloyd(design_cache(x), cfg, [cfg.seed])
+    if isinstance(model, AllClustersDegenerate):
+        raise model
+    return model
 
 
 def fit_restarts(x, cfg, restarts):
-    """fit() with seeds cfg.seed .. cfg.seed+restarts-1; returns the lowest-cost
-    model and the final costs of the successful restarts in seed order.
+    """fit() with seeds cfg.seed .. cfg.seed+restarts-1, run in lockstep
+    (_lloyd); returns the lowest-cost model and the final costs of the
+    successful restarts in seed order. Each restart's model is the one fit()
+    gives for its seed.
 
     Ties between restarts break toward the smaller seed. A restart failure
     propagates only if every restart fails.
     """
     if restarts < 1:
         raise InvalidConfig("restarts must be >= 1")
-    x = as_array(x)
-    models, failures = [], []
-    for i in range(restarts):
-        try:
-            models.append(fit(x, replace(cfg, seed=cfg.seed + i)))
-        except (DegenerateCluster, AllClustersDegenerate, RankDeficient) as e:
-            failures.append(e)
+    results = _lloyd(design_cache(x), cfg, range(cfg.seed, cfg.seed + restarts))
+    models = [m for m in results if isinstance(m, AfcecModel)]
     if not models:
-        raise failures[0]
+        raise results[0]
     # min keeps the first of equal costs, i.e. the smallest seed
     best = min(models, key=lambda m: m.final_cost)
     return best, [m.final_cost for m in models]

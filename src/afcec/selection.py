@@ -8,7 +8,7 @@ import numpy as np
 # fadapted_log_density is not called here; bench/spans.py wraps it under this
 # module's name as well
 from .density import fadapted_log_density  # noqa: F401
-from .engine import DesignCache, as_array, cluster_score_blocks
+from .engine import cluster_score_blocks, design_cache
 from .errors import InvalidConvention
 
 CONVENTIONS = ("general", "paper2d")
@@ -33,13 +33,14 @@ def log_likelihood(x, model, mode="mixture"):
     """mixture: sum_l ln sum_i p_i f_i(x_l) (log-sum-exp shifted by each
     point's largest term); max: sum_l max_i [ln p_i + ln f_i(x_l)].
 
-    Each block of engine.cluster_score_blocks is reduced as it arrives, so no
-    (k, n) block is formed."""
+    x is a Dataset, an (n, d) array, or an engine.DesignCache over the data,
+    whose designs are then reused. Each block of engine.cluster_score_blocks
+    is reduced as it arrives, so no (k, n) block is formed."""
     if mode not in LL_MODES:
         raise ValueError(f"mode must be one of {LL_MODES}")
-    x = as_array(x)
-    per_point = np.empty(x.shape[0])
-    for cols, scores in cluster_score_blocks(DesignCache(x), model.clusters):
+    cache = design_cache(x)
+    per_point = np.empty(cache.rows.shape[0])
+    for cols, scores in cluster_score_blocks(cache, model.clusters):
         # scores = -(ln p_i + ln f_i); its column minimum is the largest term
         low = scores.min(axis=0)
         if mode == "max":
@@ -78,10 +79,12 @@ def count_params(model, convention="general"):
 
 
 def score(x, model, ll_mode="mixture", convention="general"):
-    x = as_array(x)
-    ll = log_likelihood(x, model, ll_mode)
+    """Log-likelihood, parameter count, BIC and AIC of model on x (a Dataset,
+    an (n, d) array, or an engine.DesignCache over the data)."""
+    cache = design_cache(x)
+    ll = log_likelihood(cache, model, ll_mode)
     k = count_params(model, convention)
-    n = x.shape[0]
+    n = cache.rows.shape[0]
     return ModelScore(
         loglik=ll,
         n_params=k,

@@ -3,13 +3,14 @@ that drops one of them, or a call path that stops going through one, must
 fail here rather than crash the benchmark's traced run."""
 
 import importlib.util
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from afcec import acagmm, engine, selection
+from afcec import acagmm, cli, engine, selection
 from afcec.curves import builtin_family
-from afcec.data import GeneratorSpec, generate
+from afcec.data import GeneratorSpec, generate, save_csv
 
 SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
 
@@ -94,3 +95,48 @@ def test_trace_hooks_cover_the_aca_layers():
     metrics = spans.layer_metrics(tracer.spans)
     assert metrics["acagmm.grid_nodes"] == 1
     assert metrics["acagmm.fold_mass_calls"] == len(rows)
+
+
+def _traced_fit_counts(spans, x, cfg, seed):
+    tracer = spans.Tracer()
+    try:
+        spans.install(tracer)
+        engine.fit(x, replace(cfg, seed=seed))
+    finally:
+        tracer.uninstall()
+    return spans.layer_metrics(tracer.spans)
+
+
+def test_trace_hooks_follow_lockstep_restarts(tmp_path, capsys):
+    spans = _load_spans()
+    ds = generate(GeneratorSpec("circle", n=400, seed=6))
+    cfg = engine.EngineConfig(k_init=6, family=builtin_family("quadratic", 1), max_iters=6,
+                              deletion_fraction=0.1, seed=2)
+    save_csv(ds, tmp_path / "ring.csv")
+    tracer = spans.Tracer()
+    try:
+        spans.install(tracer)
+        engine.fit_restarts(ds.rows, cfg, restarts=3)
+        restart_metrics = spans.layer_metrics(tracer.spans)
+        argv = ["sweep", "--input", str(tmp_path / "ring.csv"), "--k-max", "3",
+                "--restarts", "2", "--max-iters", "4"]
+        assert tracer.call("cli", cli.main, (argv,), {}) == 0
+    finally:
+        tracer.uninstall()
+    metrics = spans.layer_metrics(tracer.spans)
+    assert metrics["engine.assign_calls"] > restart_metrics["engine.assign_calls"] > 0
+    assert metrics["selection.loglik_rows"] == 3 * 2 * ds.n
+    # the work counted over the lockstep batch is the sum over the lone fits
+    lone = [_traced_fit_counts(spans, ds.rows, cfg, s) for s in range(2, 5)]
+    for name in ("engine.points_moved", "engine.deleted", "engine.refit_dropped"):
+        assert restart_metrics[name] == sum(m[name] for m in lone), name
+    assert restart_metrics["engine.deleted"] > 0
+    # bench/run.py's untraced commands wrap engine.fit alone and read r.iterations
+    plain = spans.Tracer()
+    try:
+        plain.wrap(engine, "fit", "engine.fit", lambda a, r: r.iterations)
+        model = engine.fit(ds.rows, cfg)
+    finally:
+        plain.uninstall()
+    assert [s[7] for s in plain.spans] == [model.iterations]
+    assert spans.layer_metrics(plain.spans)["engine.iterations"] == model.iterations

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import warnings
 
@@ -71,6 +73,26 @@ def test_csv_round_trip(tmp_path):
     save_csv(ds, path)
     back = load_csv(path)
     assert np.allclose(back.rows, ds.rows, atol=0.0)  # repr round-trips exactly
+
+
+@pytest.mark.parametrize("d, header", [(2, True), (3, False), (5, True)])
+def test_save_csv_writes_the_csv_writer_bytes(tmp_path, d, header):
+    rng = np.random.default_rng(d)
+    rows = rng.standard_normal((300, d)) * 10.0 ** rng.integers(-300, 300, (300, d))
+    specials = [0.0, -0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308, 1e16, -1e16, 1e22, 0.1]
+    rows.flat[rng.choice(rows.size, len(specials), replace=False)] = specials
+    ds = Dataset(rows)
+    want = io.StringIO(newline="")
+    writer = csv.writer(want)
+    if header:
+        writer.writerow([f"x{i}" for i in range(d)])
+    for row in ds.rows:
+        writer.writerow([repr(float(v)) for v in row])
+    path = tmp_path / "pts.csv"
+    save_csv(ds, path, header=header)
+    assert path.read_bytes() == want.getvalue().encode()
+    assert np.array_equal(load_csv(path).rows, rows)
+    assert np.array_equal(np.signbit(load_csv(path).rows), np.signbit(rows))
 
 
 def test_load_csv_without_header(tmp_path):
@@ -240,6 +262,29 @@ def test_nonzero_mean_dep_is_rejected():
     blob["clusters"][0]["mean_dep"] = 0.25
     with pytest.raises(IoError, match="mean_dep"):
         model_from_json(blob)
+
+
+def _without_curve(blob):
+    del blob["clusters"][0]["curve"]
+    return blob
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda blob: {"schema": 1},
+        lambda blob: {**blob, "clusters": [], "cost_trace": []},
+        lambda blob: {**blob, "cost_trace": []},
+        _without_curve,
+        lambda blob: [blob],
+    ],
+    ids=["schema-only", "no-clusters-no-costs", "no-costs", "cluster-without-curve", "not-an-object"],
+)
+def test_incomplete_model_file_is_an_io_error(tmp_path, edit):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(edit(json.loads(json.dumps(SCHEMA1_MODEL)))))
+    with pytest.raises(IoError):
+        load_model(path)
 
 
 def test_load_model_bad_file(tmp_path):

@@ -1,10 +1,9 @@
 import math
 from dataclasses import replace
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from afcec import engine
@@ -140,7 +139,7 @@ def test_fit_degenerate_data_raises():
 def test_assign_step_picks_cheapest_cluster():
     ds = _circle(seed=10)
     m = fit(ds, EngineConfig(k_init=3, family=QUAD1, seed=7))
-    again = assign_step(DesignCache(ds.rows), m.clusters)
+    (again,) = assign_step(DesignCache(ds.rows), [m.clusters], m.assignment[None])
     # the fit has converged, so one more assignment pass changes nothing
     assert np.array_equal(again, m.assignment)
 
@@ -181,12 +180,68 @@ def test_fit_restarts_equals_separate_fits(monkeypatch):
     assert costs == [m.final_cost for m in separate]
     first = separate[costs.index(min(costs))]
     assert np.array_equal(best.assignment, first.assignment)
-    # equal costs go to the smallest seed
-    fake = {s: SimpleNamespace(final_cost=c) for s, c in zip(range(3, 8), [2.0, 1.0, 3.0, 1.0, 1.5])}
-    monkeypatch.setattr(engine, "fit", lambda x, c: fake[c.seed])
+    # equal costs go to the smallest seed, and failed seeds are skipped
+    fake = {s: engine.AfcecModel([], None, [c], 0, 0) for s, c in
+            zip(range(3, 8), [2.0, 1.0, 3.0, 1.0, 1.5])}
+    fake[5] = AllClustersDegenerate("every cluster failed estimation")
+    monkeypatch.setattr(engine, "_lloyd", lambda cache, c, seeds: [fake[s] for s in seeds])
     best, costs = fit_restarts(ds, replace(cfg, seed=3), restarts=5)
     assert best is fake[4]
-    assert costs == [2.0, 1.0, 3.0, 1.0, 1.5]
+    assert costs == [2.0, 1.0, 1.0, 1.5]
+
+
+def _restart_data(rng, n, d, dup_frac):
+    """Noisy curves plus a share of rows copied onto a few points, so that
+    clusters can fall below the size threshold or go degenerate."""
+    t = rng.uniform(-1.0, 1.0, n)
+    x = rng.normal(0.0, 0.1, (n, d)) + t[:, None] * rng.uniform(-2.0, 2.0, d)
+    x[:, -1] += rng.uniform(-1.0, 1.0) * t**2
+    dup = rng.random(n) < dup_frac
+    x[dup] = x[rng.integers(0, 3, dup.sum())]
+    return x
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(BUILTIN_KINDS),
+    d=st.integers(min_value=2, max_value=3),
+    restarts=st.integers(min_value=1, max_value=5),
+    k=st.integers(min_value=1, max_value=6),
+    init=st.sampled_from(engine.INITS),
+    deletion_fraction=st.sampled_from([0.0, 0.05, 0.2, 0.4]),
+    dup_frac=st.sampled_from([0.0, 0.5, 0.97]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+# two of four seeds fail the size threshold, and the others delete clusters
+@pytest.mark.filterwarnings("ignore::afcec.errors.ZeroResidualWarning")
+@example(kind="linear", d=3, restarts=4, k=4, init="kmeanspp", deletion_fraction=0.4,
+         dup_frac=0.0, seed=3520269953)
+@example(kind="cubic", d=3, restarts=4, k=6, init="kmeanspp", deletion_fraction=0.4,
+         dup_frac=0.97, seed=2311307930)
+def test_lockstep_restarts_equal_separate_fits(
+    kind, d, restarts, k, init, deletion_fraction, dup_frac, seed
+):
+    rng = np.random.default_rng(seed)
+    x = _restart_data(rng, 90, d, dup_frac)
+    cfg = EngineConfig(k_init=k, family=builtin_family(kind, d - 1), seed=seed % 1000,
+                       max_iters=8, init=init, deletion_fraction=deletion_fraction)
+    separate = []
+    for s in range(cfg.seed, cfg.seed + restarts):
+        try:
+            separate.append(fit(x, replace(cfg, seed=s)))
+        except AllClustersDegenerate:
+            pass
+    if not separate:
+        with pytest.raises(AllClustersDegenerate):
+            fit_restarts(x, cfg, restarts)
+        return
+    best, costs = fit_restarts(x, cfg, restarts)
+    assert costs == [m.final_cost for m in separate]
+    want = separate[costs.index(min(costs))]
+    assert np.array_equal(best.assignment, want.assignment)
+    assert best.cost_trace == want.cost_trace
+    assert best.deletion_iterations == want.deletion_iterations
+    assert (best.iterations, best.deleted_count) == (want.iterations, want.deleted_count)
 
 
 def test_fit_restarts_propagates_total_failure():
@@ -232,7 +287,8 @@ def test_cached_assignment_matches_uncached_scores(kind, d, log_scale, seed):
         assume(False)
     cache = DesignCache(x)
     ref = _column_scores(x, clusters)
-    assert np.array_equal(assign_step(cache, clusters), np.argmin(ref, axis=1))
+    (labels,) = assign_step(cache, [clusters], np.zeros((1, x.shape[0]), dtype=np.intp))
+    assert np.array_equal(labels, np.argmin(ref, axis=1))
     scores = np.empty((len(clusters), x.shape[0]))
     for cols, block in engine.cluster_score_blocks(cache, clusters):
         scores[:, cols] = block
@@ -252,9 +308,12 @@ def test_assign_step_ties_go_to_lowest_index():
     assert m.k >= 2
     first, second = m.clusters[0], m.clusters[1]
     cache = DesignCache(ds.rows)
-    labels = assign_step(cache, [first, second, first])
+    # one batch holding both lists: each row is reduced over its own clusters
+    labels, expected = assign_step(
+        cache, [[first, second, first], [first, second]], np.zeros((2, ds.n), dtype=np.intp)
+    )
     assert not np.any(labels == 2)
-    assert np.array_equal(labels, assign_step(cache, [first, second]))
+    assert np.array_equal(labels, expected)
 
 
 def test_orphan_reassignment_ties_go_to_lowest_index():
@@ -262,7 +321,7 @@ def test_orphan_reassignment_ties_go_to_lowest_index():
     m = fit(ds, EngineConfig(k_init=3, family=QUAD1, seed=2))
     first, second = m.clusters[0], m.clusters[1]
     cache = DesignCache(ds.rows)
-    expected = assign_step(cache, [first, second])  # fills the cache
+    (expected,) = engine._nearest(cache, [[first, second]])  # fills the cache
     # every point sits in label 3, which is dropped; survivors 0 and 2 are equal
     orphans = np.full(ds.n, 3)
     out = engine._reassign(cache, orphans, 4, [0, 1, 2], [first, second, first])
@@ -274,7 +333,7 @@ def test_design_cache_take_equals_fresh_designs():
     ds = generate(GeneratorSpec(kind="parametric3d", n=400, noise_sigma=0.1, seed=18))
     m = fit(ds, EngineConfig(k_init=4, family=builtin_family("cubic", 2), seed=1, max_iters=3))
     cache = DesignCache(ds.rows)
-    assign_step(cache, m.clusters)
+    engine._nearest(cache, [m.clusters])  # fills the cache
     rows = np.flatnonzero(np.arange(ds.n) % 7 == 3)
     sub = cache.take(rows)
     for cl in m.clusters:

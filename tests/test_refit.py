@@ -45,7 +45,9 @@ def test_batched_refit_matches_select_orientation_per_cluster(kind, d, log_scale
             ref = [select_orientation(x[labels == lab], family) for lab in range(k)]
         except DegenerateCluster:
             assume(False)
-        clusters, assignment, dropped = engine._reestimate(DesignCache(x), labels, k, family)
+        (clusters,), (assignment,), dropped = engine._reestimate(
+            DesignCache(x), labels[None], [k], family
+        )
     assert dropped == 0
     assert np.array_equal(assignment, labels)
     assert len(clusters) == k
@@ -128,8 +130,8 @@ def test_degenerate_mix_matches_per_cluster_refit(monkeypatch):
         return low, used
 
     monkeypatch.setattr(density, "_cholesky_reg", spy)
-    (clusters, assignment, dropped), caught = _run_recording(
-        engine._reestimate, DesignCache(x), labels, 6, family
+    ((clusters,), (assignment,), dropped), caught = _run_recording(
+        engine._reestimate, DesignCache(x), labels[None], [6], family
     )
     batched_ladder, ladder[:] = list(ladder), []
     (ref, ref_assignment, ref_dropped), ref_caught = _run_recording(

@@ -34,7 +34,7 @@ def _data(rng, n, d, scale=1.0):
 def _score_rows(cache, clusters):
     """(k, n) -ln p_i - log f_i(x) over the cache's points, gathered from
     engine.cluster_score_blocks."""
-    scores = np.empty((len(clusters), cache.x.shape[0]))
+    scores = np.empty((len(clusters), cache.rows.shape[0]))
     for cols, block in engine.cluster_score_blocks(cache, clusters):
         scores[:, cols] = block
     return scores
@@ -220,13 +220,14 @@ def test_kmeanspp_labels_equal_broadcast_argmin(x, k, scale, seed):
     x = x * scale
     cfg = EngineConfig(k_init=k, family=builtin_family("linear", x.shape[1] - 1),
                        seed=seed, init="kmeanspp")
-    assert np.array_equal(engine._init_partition(x, cfg), _reference_kmeanspp(x, k, seed))
+    (labels,) = engine._init_partition(x, cfg, [seed])
+    assert np.array_equal(labels, _reference_kmeanspp(x, k, seed))
 
 
 def test_kmeanspp_constant_data_takes_the_random_branch():
     x = np.full((12, 3), 1.5)
     cfg = EngineConfig(k_init=4, family=builtin_family("linear", 2), seed=3, init="kmeanspp")
-    labels = engine._init_partition(x, cfg)
+    (labels,) = engine._init_partition(x, cfg, [3])
     assert np.array_equal(labels, _reference_kmeanspp(x, 4, 3))
     assert not labels.any()
 
@@ -236,8 +237,8 @@ def test_first_traced_cost_equals_recomputed_cost():
     family = builtin_family("quadratic", 1)
     for init in engine.INITS:
         cfg = EngineConfig(k_init=5, family=family, seed=2, init=init)
-        clusters, assignment, _ = engine._reestimate(
-            DesignCache(x), engine._init_partition(x, cfg), cfg.k_init, family
+        (clusters,), (assignment,), _ = engine._reestimate(
+            DesignCache(x), engine._init_partition(x, cfg, [cfg.seed]), [cfg.k_init], family
         )
         first = engine.fit(x, cfg).cost_trace[0]
         assert first == engine.cost(x, clusters, assignment)

@@ -70,11 +70,11 @@ def test_max_loglik_equals_minus_n_cost_at_fixed_point():
     clusters, assignment = m.clusters, m.assignment
     cache = DesignCache(ds.rows)
     for _ in range(50):
-        nxt = assign_step(cache, clusters)
+        (nxt,) = assign_step(cache, [clusters], assignment[None])
         if np.array_equal(nxt, assignment):
             break
         assignment = nxt
-        clusters, assignment, _ = _reestimate(cache, assignment, len(clusters), QUAD1)
+        (clusters,), (assignment,), _ = _reestimate(cache, assignment[None], [len(clusters)], QUAD1)
     h = engine_cost(ds.rows, clusters, assignment)
     m.clusters, m.assignment = clusters, assignment
     assert log_likelihood(ds, m, "max") == pytest.approx(-ds.n * h, abs=1e-8)
