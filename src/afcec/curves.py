@@ -4,19 +4,29 @@ A family is a finite monomial basis of functions R^{d-1} -> R, linear in
 coefficients, stored as an integer exponent matrix. Every family contains the
 constant function and all coordinate projections, so plain Gaussians are
 always a special case of the curved model.
+
+Curves are fitted from one Gram per segment of points, formed in
+coordinates centred at the segment mean and scaled by their spread, so a
+fit's residuals and cross-entropy do not depend on where the data sits or on
+its units. Coefficients are returned in the raw monomial basis.
 """
 
+import functools
 import itertools
+import math
 import warnings
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from . import numerics
 from .errors import DegenerateCluster, RankDeficient, ZeroResidualWarning
 
 BUILTIN_KINDS = ("linear", "quadratic", "cubic")
+# a refit Gram whose squared Cholesky pivot falls below RANK_TOL times its
+# diagonal entry is rank-deficient (scaled Grams have diagonal entries of order
+# n, and rounding leaves pivots of order n * eps on exactly dependent columns)
+RANK_TOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,31 +75,64 @@ class FunctionFamily:
     def size(self):
         return self.exponents.shape[0]
 
+    @functools.cached_property
+    def _refit_layout(self):
+        """The refit's _GramLayout over input_dim + 1 coordinates."""
+        return _gram_layout(self)
+
+    @functools.cached_property
+    def _design_plan(self):
+        """(powers, products): powers[i] lists, for k = 2, 3, ... up to the
+        top exponent of coordinate i, the column holding x_i ** k (None where
+        the basis has none); products lists every other column with its
+        factors (i, k)."""
+        rows = self.exponents.tolist()
+        column = {}
+        for b, row in enumerate(rows):
+            column.setdefault(tuple(row), b)
+        unit = np.eye(self.input_dim, dtype=int)
+        powers = [
+            [column.get(tuple((k * unit[i]).tolist())) for k in range(2, top + 1)]
+            for i, top in enumerate(self.exponents.max(axis=0).tolist())
+        ]
+        filled = {b for cols in powers for b in cols}
+        products = [
+            (b, [(i, k) for i, k in enumerate(row) if k])
+            for b, row in enumerate(rows)
+            if b not in filled
+        ]
+        return powers, products
+
     def design_matrix(self, xe):
         """(n, size) design: column b is prod_i xe[:, i] ** exponents[b, i].
 
         Each coordinate's powers are formed once by repeated multiplication
-        (x, x*x, x*x*x, ...) and every column is a product of them, so columns
-        of degree <= 2 are the correctly rounded monomials and cubes round
-        twice.
+        (x, x*x, x*x*x, ...), straight into their own column where the basis
+        has one, and every other column is a product of them, so columns of
+        degree <= 2 are the correctly rounded monomials and cubes round twice.
         """
         xe = np.asarray(xe, dtype=float)
         if xe.ndim != 2:
             xe = xe.reshape(-1, self.input_dim)
         if xe.shape[1] != self.input_dim:
             raise ValueError(f"expected {self.input_dim} columns, got {xe.shape[1]}")
+        out = np.empty((xe.shape[0], self.size))
+        power_cols, products = self._design_plan
         # powers[i][k] = xe[:, i] ** k for k >= 1
         powers = []
-        for i, top in enumerate(self.exponents.max(axis=0).tolist()):
+        for i, cols in enumerate(power_cols):
             pw = [None, xe[:, i]]
-            for _ in range(2, top + 1):
-                pw.append(pw[-1] * xe[:, i])
+            for b in cols:
+                pw.append(np.multiply(pw[-1], xe[:, i], out=None if b is None else out[:, b]))
             powers.append(pw)
-        out = np.empty((xe.shape[0], self.size))
-        for col, row in zip(out.T, self.exponents.tolist()):
-            factors = [powers[i][k] for i, k in enumerate(row) if k]
-            col[...] = factors[0] if factors else 1.0
-            for f in factors[1:]:
+        for b, factors in products:
+            col = out[:, b]
+            factors = [powers[i][k] for i, k in factors]
+            if len(factors) > 1:
+                np.multiply(factors[0], factors[1], out=col)
+            else:
+                col[...] = factors[0] if factors else 1.0
+            for f in factors[2:]:
                 col *= f
         return out
 
@@ -154,63 +197,196 @@ def axis_design(x, j, family):
 
 
 def fit_curve(x, j, family):
-    """Least-squares fit of coordinate j on the family basis over the others,
-    read from axis_design's [design | x_j] rows as refit_segments reads them."""
+    """Least-squares fit of coordinate j on the family basis over the others:
+    the refit's centred Gram solve (refit_segments) on one segment, read for
+    axis j. A rank-deficient basis gets the minimum-norm fit; RankDeficient
+    when there are fewer points than basis functions."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    p = family.size
-    if x.shape[0] < p:
-        raise RankDeficient(f"need at least {p} points, got {x.shape[0]}")
-    aug = axis_design(x, j, family).aug
-    coeffs = numerics.least_squares(aug[:, :p], aug[:, p])
-    resid = aug[:, p] - aug[:, :p] @ coeffs
-    return CurveFit(family, coeffs, float(resid @ resid))
+    n = x.shape[0]
+    if n < family.size:
+        raise RankDeficient(f"need at least {family.size} points, got {n}")
+    fits = _solve_segments(x, np.array([0, n]), family)
+    return CurveFit(family, fits.coeffs[0, j], float(fits.sse[0, j]))
 
 
-def refit_segments(xs, bounds, designs, family):
+class _GramLayout(NamedTuple):
+    """Where every dependent axis's system sits in one Gram over the d =
+    input_dim + 1 coordinates of a family's refit.
+
+    union holds the constant, then x_0 .. x_{d-1}, then every other monomial
+    of the family taken over the coordinates other than some axis j. aug[j]
+    lists the union columns of axis j's basis, then x_j's column 1 + j, and
+    others[j] the coordinates other than j. When the family's exponents are
+    closed under divisors, a curve in centred coordinates is a curve of the
+    same family in raw ones: monomial b of x - centre expands to
+    sum_a binom[b, a] * m_{quot[b, a]}(-centre) * m_a(x), m_t being the
+    family's monomial t. Otherwise centred is False, the Gram is formed about
+    the origin and binom is the identity.
+    """
+
+    union: FunctionFamily
+    aug: np.ndarray
+    others: np.ndarray
+    centred: bool
+    binom: np.ndarray
+    quot: np.ndarray
+
+
+def _gram_layout(family):
+    e = family.exponents
+    d = family.input_dim + 1
+    embedded = [np.insert(e, j, 0, axis=1) for j in range(d)]
+    index = {}
+    for row in itertools.chain(np.eye(d + 1, d, -1, dtype=int), *embedded):
+        index.setdefault(tuple(row.tolist()), len(index))
+    union = FunctionFamily(d, np.array(list(index)))
+    aug = np.array(
+        [[index[tuple(r)] for r in emb.tolist()] + [1 + j] for j, emb in enumerate(embedded)]
+    )
+    others = np.array([[i for i in range(d) if i != j] for j in range(d)])
+    rows = {tuple(r): t for t, r in enumerate(e.tolist())}
+    centred = all(
+        tuple(r - u) in rows for r in e for u in np.eye(e.shape[1], dtype=int) if (r >= u).all()
+    )
+    binom = np.eye(len(e))
+    quot = np.zeros((len(e), len(e)), dtype=int)
+    if centred:
+        for b, a in itertools.product(range(len(e)), repeat=2):
+            if (e[a] <= e[b]).all():
+                binom[b, a] = math.prod(map(math.comb, e[b].tolist(), e[a].tolist()))
+                quot[b, a] = rows[tuple((e[b] - e[a]).tolist())]
+    return _GramLayout(union, aug, others, centred, binom, quot)
+
+
+class _SegmentFits(NamedTuple):
+    """_solve_segments' output for k segments of d-coordinate rows and a
+    family of size p."""
+
+    means: np.ndarray  # (k, d)
+    covs: np.ndarray  # (k, d, d), 1/n
+    coeffs: np.ndarray  # (k, d, p): axis j's raw monomial coefficients
+    sse: np.ndarray  # (k, d): axis j's residual sum of squares
+    resid_var: np.ndarray  # (k, d): sse / n, floored at RESID_VAR_FLOOR * var(x_j)
+    floored: np.ndarray  # (k, d) bool
+
+
+def _full_rank(a):
+    """Per system of the (..., p, p) stack of Grams: True where it has a
+    Cholesky factor whose every squared pivot exceeds RANK_TOL times its
+    diagonal entry, i.e. no column is within rounding of the span of the
+    columns before it."""
+    try:
+        low = np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        # a stack with a failing system: factor each on its own
+        low = np.zeros(a.shape)
+        for i in np.ndindex(a.shape[:-2]):
+            try:
+                low[i] = np.linalg.cholesky(a[i])
+            except np.linalg.LinAlgError:
+                pass
+    pivots = np.diagonal(low, axis1=-2, axis2=-1) ** 2
+    return (pivots > RANK_TOL * np.diagonal(a, axis1=-2, axis2=-1)).all(axis=-1)
+
+
+def _solve_segments(xs, bounds, family):
+    """Least squares of every coordinate j on the family over the others, for
+    every segment xs[bounds[i]:bounds[i + 1]] (non-empty, covering xs).
+
+    Each segment is centred at its mean (at 0 for a family not closed under
+    divisors), and one Gram of the union design (_GramLayout) is formed per
+    segment. Its linear block gives the segment's mean and covariance. Scaled
+    per coordinate by the RMS deviation (1 where that is 0), its principal
+    submatrices are every axis's normal equations, solved with no ridge as one
+    stack; a rank-deficient system (_full_rank) gets its minimum-norm solution
+    from the pseudo-inverse, eigenvalues below RANK_TOL times the largest
+    counting as 0. Each SSE is the Schur complement g_yy - g_12 . c, and the
+    coefficients are folded back to the raw monomial basis.
+    """
+    from .density import RESID_VAR_FLOOR
+
+    n, d = xs.shape
+    lay = family._refit_layout
+    sizes = bounds[1:] - bounds[:-1]
+    if lay.centred:
+        centre = np.add.reduceat(xs, bounds[:-1], axis=0) / sizes[:, None]
+    else:
+        centre = np.zeros((len(sizes), d))
+    # centred coordinates as contiguous rows, so the design reads contiguous columns
+    u_t = np.subtract(xs.T, np.repeat(centre.T, sizes, axis=1), out=np.empty((d, n)))
+    phi = lay.union.design_matrix(u_t.T)
+    del u_t
+    gram = np.empty((len(sizes), phi.shape[1], phi.shape[1]))
+    for g, lo, hi in zip(gram, bounds[:-1].tolist(), bounds[1:].tolist()):
+        # a copy of the rows, since BLAS's GEMM beats its SYRK on these shapes
+        np.dot(phi[lo:hi].T, phi[lo:hi].copy(), out=g)
+    del phi
+
+    m = sizes[:, None].astype(float)
+    mean_u = gram[:, 0, 1 : d + 1] / m
+    covs = gram[:, 1 : d + 1, 1 : d + 1] / m[:, :, None]
+    covs -= mean_u[:, :, None] * mean_u[:, None, :]
+    var = np.diagonal(covs, axis1=1, axis2=2).copy()
+    var[var <= 0] = 1.0
+    scale = np.sqrt(var)
+    # 1 / prod_i scale_i ** e_i for every union column
+    inv = np.exp(np.log(scale) @ -lay.union.exponents.T)
+    gram *= inv[:, :, None] * inv[:, None, :]
+
+    aug = gram[:, lay.aug[:, :, None], lay.aug[:, None, :]]  # (k, d, p + 1, p + 1)
+    a, rhs = aug[..., :-1, :-1], aug[..., :-1, -1]
+    full = _full_rank(a)
+    if full.all():
+        c = np.linalg.solve(a, rhs[..., None])[..., 0]
+    else:
+        c = np.empty(rhs.shape)
+        c[full] = np.linalg.solve(a[full], rhs[full][..., None])[..., 0]
+        pinv = np.linalg.pinv(a[~full], rcond=RANK_TOL, hermitian=True)
+        c[~full] = (pinv @ rhs[~full][..., None])[..., 0]
+    # products summed along the last axis: the same bits in any stack
+    sse_u = np.maximum(aug[..., -1, -1] - (rhs * c).sum(axis=-1), 0.0)
+    floored = sse_u < RESID_VAR_FLOOR * m
+    resid_var = var * np.where(floored, RESID_VAR_FLOOR, sse_u / m)
+
+    # fold back: x_j = centre_j + scale_j * sum_b c_b prod_i ((x_i - centre_i) / scale_i) ** e_bi
+    c *= scale[:, :, None] * inv[:, lay.aug[:, :-1]]
+    # every family monomial at -centre, (k, d, p)
+    mono = family.design_matrix(-centre[:, lay.others].reshape(-1, d - 1)).reshape(c.shape)
+    coeffs = (c[..., None] * mono[..., lay.quot] * lay.binom).sum(axis=-2)
+    coeffs[..., 0] += centre
+    return _SegmentFits(centre + mean_u, covs, coeffs, var * sse_u, resid_var, floored)
+
+
+def refit_segments(xs, bounds, family):
     """Fit every segment of label-sorted points on every dependent axis at once
     and keep each segment's cross-entropy argmin.
 
-    Segment i is xs[bounds[i]:bounds[i + 1]]; designs[j] is AxisDesign.aug
-    over xs's rows for dependent axis j, so a segment's rows are one
-    contiguous view of it. Each (segment, axis) Gram of [design | x_j] comes
-    from one product, and numerics.ridge_solve solves all of their normal
-    equations as one stack. Each segment's mean and full covariance are formed
-    once, and every axis reads its explanatory block from them.
+    Segment i is xs[bounds[i]:bounds[i + 1]]. Every axis of every segment is
+    read from one centred Gram per segment (_solve_segments): the mean and
+    covariance, each axis's coefficients and its SSE. The residual variance
+    is floored at density.RESID_VAR_FLOOR times var(x_j), with one
+    ZeroResidualWarning per floored (segment, axis).
 
     Returns one entry per segment: select_orientation's (axis, CurveFit, H,
     FAdaptedParams), ties to the smallest axis, or None where no axis admits
-    a fit: fewer than max(family.size, d + 1) points, or on every axis a
-    ridge Gram with no Cholesky factor or an explanatory covariance that
-    density._cholesky_reg cannot regularize.
+    a fit: fewer than max(family.size, d + 1) points, or on every axis an
+    explanatory covariance that density._cholesky_reg cannot regularize.
     """
     from . import density
 
     n, d = xs.shape
-    p = family.size
-    sizes = np.diff(bounds)
+    sizes = bounds[1:] - bounds[:-1]
     fits = [None] * len(sizes)
-    live = np.flatnonzero(sizes >= max(p, d + 1))
+    live = np.flatnonzero(sizes >= max(family.size, d + 1))
     if not live.size:
         return fits
-    segs = [slice(bounds[s], bounds[s + 1]) for s in live.tolist()]
-    k = len(segs)
     nonempty = np.flatnonzero(sizes)
-    means, covs = density.segment_moments(xs, np.append(bounds[nonempty], n))
+    solved = _solve_segments(xs, np.concatenate([bounds[nonempty], [n]]), family)
     pick = np.searchsorted(nonempty, live)
-    others = np.array([[i for i in range(d) if i != j] for j in range(d)])  # (d, d-1)
-    mean_exp = means[pick][:, others]  # (k, d, d-1)
-    cov_exp = covs[pick][:, others[:, :, None], others[:, None, :]]
-
-    grams = np.empty((k, d, p + 1, p + 1))
-    for i, seg in enumerate(segs):
-        for j, aug in enumerate(designs):
-            np.matmul(aug[seg].T, aug[seg], out=grams[i, j])
-    coeffs, ok = numerics.ridge_solve(grams[..., :p, :p], grams[..., :p, p])
-    sse = np.zeros((k, d))
-    for i, j in zip(*np.nonzero(ok)):
-        blk = designs[j][segs[i]]
-        resid = blk[:, p] - blk[:, :p] @ coeffs[i, j]
-        sse[i, j] = resid @ resid
+    ok = np.ones((len(live), d), dtype=bool)
+    others = family._refit_layout.others  # (d, d-1)
+    mean_exp = solved.means[pick][:, others]  # (k, d, d-1)
+    cov_exp = solved.covs[pick][:, others[:, :, None], others[:, None, :]]
 
     try:
         low = np.linalg.cholesky(cov_exp)
@@ -226,16 +402,14 @@ def refit_segments(xs, bounds, designs, family):
                 except DegenerateCluster:
                     ok[i, j] = False
 
-    resid_var = sse / sizes[live][:, None]
-    floored = ok & (resid_var < density.RESID_VAR_FLOOR)
-    for _ in range(np.count_nonzero(floored)):
+    for _ in range(np.count_nonzero(ok & solved.floored[pick])):
         warnings.warn("residual variance floored", ZeroResidualWarning, stacklevel=2)
-    resid_var[floored] = density.RESID_VAR_FLOOR
-    h = np.full((k, d), np.inf)
+    resid_var = solved.resid_var[pick]
+    h = np.full(ok.shape, np.inf)
     h[ok] = density._fadapted_entropy(d, density._logdet(low[ok]), resid_var[ok])
     for i, (s, j) in enumerate(zip(live.tolist(), np.argmin(h, axis=1).tolist())):
         if ok[i, j]:
-            curve = CurveFit(family, coeffs[i, j], float(sse[i, j]))
+            curve = CurveFit(family, solved.coeffs[pick[i], j], float(solved.sse[pick[i], j]))
             rv = float(resid_var[i, j])
             params = density.FAdaptedParams(j, mean_exp[i, j], cov_exp[i, j], rv, curve)
             fits[s] = (j, curve, float(h[i, j]), params)
@@ -251,9 +425,7 @@ def select_orientation(x, family):
     segment.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    n, d = x.shape
-    designs = [axis_design(x, j, family).aug for j in range(d)]
-    (best,) = refit_segments(x, np.array([0, n]), designs, family)
+    (best,) = refit_segments(x, np.array([0, x.shape[0]]), family)
     if best is None:
         raise DegenerateCluster("no orientation admits a non-degenerate fit")
     return best

@@ -15,6 +15,8 @@ from .curves import axis_design
 from .errors import DegenerateCluster, NotPositiveDefinite, ZeroResidualWarning
 
 LOG_2PI = math.log(2.0 * math.pi)
+# floor on a curve's residual variance, relative to the variance of its
+# dependent coordinate, so a shrunk copy of the data is floored alike
 RESID_VAR_FLOOR = 1e-12
 # regularization ladder: try exact first, then escalate eps relative to
 # mean diagonal until Cholesky succeeds
@@ -224,10 +226,11 @@ def fadapted_cross_entropy(x, j, curve):
     Returns (H, params): H = d/2*ln(2*pi*e) + 0.5*ln det(cov_exp)
     + 0.5*ln(resid_var) with resid_var = mean squared residual of the curve
     (its intercept absorbs the dependent mean). Residual variance below
-    RESID_VAR_FLOOR is floored and flagged ZeroResidualWarning. mean_exp,
-    cov_exp and the residuals are read as the batched refit
-    (curves.refit_segments) reads them: from x's full mean and covariance,
-    and from axis_design's [design | x_j] rows.
+    RESID_VAR_FLOOR * var(x_j) (var 1 where it is 0) is floored there and
+    flagged ZeroResidualWarning, as in the batched refit
+    (curves.refit_segments). Unlike the refit, which reads the SSE from its
+    Gram, this evaluates the curve's residuals on axis_design's
+    [design | x_j] rows, so it checks the refit independently.
     """
     x = np.asarray(x, dtype=float)
     n, d = x.shape
@@ -239,8 +242,9 @@ def fadapted_cross_entropy(x, j, curve):
     aug, p = axis_design(x, j, curve.family).aug, curve.family.size
     resid = aug[:, p] - aug[:, :p] @ curve.coeffs
     resid_var = float(resid @ resid) / n
-    if resid_var < RESID_VAR_FLOOR:
+    var = float(covs[0][j, j]) if covs[0][j, j] > 0 else 1.0
+    if resid_var < RESID_VAR_FLOOR * var:
         warnings.warn("residual variance floored", ZeroResidualWarning, stacklevel=2)
-        resid_var = RESID_VAR_FLOOR
+        resid_var = RESID_VAR_FLOOR * var
     h = float(_fadapted_entropy(d, _logdet(low), resid_var))
     return h, FAdaptedParams(j, means[0][others], cov_used, resid_var, curve)

@@ -112,8 +112,8 @@ def cost(x, clusters, assignment):
 class DesignCache:
     """Per-axis designs over one fixed (n, d) point set.
 
-    A dependent axis's AxisDesign is built the first time that axis (and
-    family) is asked for, by a refit or by scoring a cluster. fit,
+    A dependent axis's AxisDesign is built the first time a cluster on that
+    axis (and family) is scored. fit,
     fit_restarts and selection.score take a DesignCache wherever they take
     data (it holds the points as `rows`, like a Dataset), so a command that
     passes one cache to all of them splits its data and builds each design
@@ -215,11 +215,11 @@ def _refit(cache, labels, ks, family):
 
     Each row's points are stably sorted by label, so every cluster is one
     contiguous segment holding its points in their original order. The rows'
-    segments are concatenated, and each axis's design is gathered from the
-    cache once for all of them (curves.refit_segments), which fits each
-    segment as it would fit it alone.
+    segments are concatenated into one gather of the points, and
+    curves.refit_segments fits each segment from its own centred Gram, as it
+    would fit it alone.
     """
-    n, d = cache.rows.shape
+    n = cache.rows.shape[0]
     # numpy sorts 8- and 16-bit keys stably by radix sort
     order = np.argsort(
         labels.astype(np.min_scalar_type(max(ks))), axis=1, kind="stable"
@@ -227,8 +227,7 @@ def _refit(cache, labels, ks, family):
     sizes = np.concatenate([np.bincount(row, minlength=k) for row, k in zip(labels, ks)])
     bounds = np.zeros(len(sizes) + 1, dtype=np.intp)
     np.cumsum(sizes, out=bounds[1:])
-    designs = [np.take(cache.axis(j, family).aug, order, axis=0) for j in range(d)]
-    fits = refit_segments(np.take(cache.rows, order, axis=0), bounds, designs, family)
+    fits = refit_segments(np.take(cache.rows, order, axis=0), bounds, family)
     models = [
         None if f is None else ClusterModel(f[3], size / n, size, f[2])
         for f, size in zip(fits, sizes.tolist())

@@ -1,51 +1,14 @@
-"""Dense linear algebra and quadrature primitives used by the other modules."""
+"""Dense least squares and the 2-D Simpson rule."""
 
 import numpy as np
 
 from .errors import RankDeficient
 
-# ridge scale for least-squares conditioning, relative to trace of the
-# normal matrix
-RIDGE_SCALE = 1e-10
-
-
-def ridge_solve(gram, rhs):
-    """Solve the normal equations gram @ c = rhs, one system or a stack of them.
-
-    gram is (..., p, p) and rhs (..., p). A ridge term RIDGE_SCALE*trace on each
-    diagonal conditions the solve; one iterative-refinement step with the
-    unregularized residual rhs - gram @ c follows, so well-posed fits are not
-    visibly biased. A system counts as solvable when its ridge-regularized
-    matrix has a Cholesky factor; all of them are then solved by one stacked
-    np.linalg.solve per step, since numpy has no stacked triangular solve.
-    Returns (coeffs, ok): ok (...,) is False where the Cholesky factor does not
-    exist, and coeffs is 0 there.
-    """
-    gram = np.asarray(gram, dtype=float)
-    rhs = np.asarray(rhs, dtype=float)
-    p = gram.shape[-1]
-    lam = RIDGE_SCALE * np.trace(gram, axis1=-2, axis2=-1)
-    greg = gram + np.asarray(lam)[..., None, None] * np.eye(p)
-    ok = np.ones(gram.shape[:-2], dtype=bool)
-    try:
-        np.linalg.cholesky(greg)
-    except np.linalg.LinAlgError:
-        for i in np.ndindex(ok.shape):
-            try:
-                np.linalg.cholesky(greg[i])
-            except np.linalg.LinAlgError:
-                ok[i] = False
-                greg[i] = np.eye(p)
-    c = np.linalg.solve(greg, rhs[..., None])
-    c += np.linalg.solve(greg, rhs[..., None] - gram @ c)
-    c = c[..., 0]
-    c[~ok] = 0.0
-    return c, ok
-
 
 def least_squares(design, target):
-    """Coefficients minimizing ||target - design @ c||^2, via ridge_solve on
-    the normal equations; RankDeficient when they have no Cholesky factor."""
+    """Coefficients minimizing ||target - design @ c||^2, the minimum-norm
+    ones where the design is rank-deficient (np.linalg.lstsq); RankDeficient
+    when it has fewer rows than columns or is all zero."""
     a = np.asarray(design, dtype=float)
     y = np.asarray(target, dtype=float)
     if a.ndim != 2:
@@ -53,9 +16,9 @@ def least_squares(design, target):
     n, nb = a.shape
     if n < nb:
         raise RankDeficient(f"need at least {nb} rows, got {n}")
-    c, ok = ridge_solve(a.T @ a, a.T @ y)
-    if not ok:
-        raise RankDeficient("ridge-regularized normal matrix is not positive definite")
+    c, _, rank, _ = np.linalg.lstsq(a, y, rcond=None)
+    if rank == 0:
+        raise RankDeficient("design is zero")
     return c
 
 

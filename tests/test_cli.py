@@ -4,14 +4,17 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import afcec
+from afcec import engine
 from afcec.cli import main
-from afcec.data import GeneratorSpec, generate, save_csv
+from afcec.data import GeneratorSpec, generate, load_model, save_csv
+from afcec.errors import ZeroResidualWarning
 
 
 @pytest.fixture()
@@ -70,12 +73,50 @@ def test_fit_missing_file_is_data_error(capsys):
     assert out == ""
 
 
-def test_fit_degenerate_data_exits_3(tmp_path, capsys):
-    path = tmp_path / "flat.csv"
-    path.write_text("x0,x1\n" + "".join("1.0,1.0\n" for _ in range(30)))
-    code, out = _run(capsys, "fit", "--input", str(path), "--k", "2")
-    assert code == 3
-    assert out == ""
+_T = np.random.default_rng(0).uniform(-1.0, 1.0, 60)
+# input rows, then the documented outcome of `fit --k 2 --seed 0`: its exit
+# code and whether a residual variance is floored (ZeroResidualWarning)
+DEGENERATE_INPUTS = {
+    # two clusters over three distinct points: each fit is exact
+    "duplicate-points": (np.repeat([[0.3, -1.2], [1.5, 0.4], [-0.7, 0.9]], 20, axis=0), 0, True),
+    "exact-line": (np.column_stack([_T, 2.0 * _T + 1.0]), 0, True),
+    "exact-line-moved-by-1e6": (np.column_stack([_T, 2.0 * _T + 1.0]) + 1e6, 0, True),
+    "exact-parabola": (np.column_stack([_T, _T * _T - 0.5]), 0, True),
+    # n = k * (d + 1): three points per cluster fit the quadratic exactly
+    "n-is-k(d+1)": (np.random.default_rng(1).standard_normal((6, 2)), 0, True),
+    # no cluster has a covariance to regularize: exit 3 with no output
+    "constant": (np.ones((30, 2)), 3, False),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DEGENERATE_INPUTS))
+def test_fit_degenerate_inputs_have_their_documented_outcome(tmp_path, capsys, case):
+    rows, want_code, floored = DEGENERATE_INPUTS[case]
+    path, model_path = tmp_path / "in.csv", tmp_path / "m.json"
+    np.savetxt(path, rows, delimiter=",", header="x0,x1", comments="")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out = _run(capsys, "fit", "--input", str(path), "--k", "2", "--seed", "0",
+                         "--output-model", str(model_path))
+    assert code == want_code
+    assert (ZeroResidualWarning in [w.category for w in caught]) == floored
+    if code:
+        assert out == ""
+        return
+    payload = json.loads(out)
+    assert all(np.isfinite(v) for v in payload.values())
+    model = load_model(model_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ZeroResidualWarning)
+        recomputed = engine.cost(rows, model.clusters, model.assignment)
+    assert payload["cost"] == pytest.approx(recomputed, rel=1e-9)
+    if case == "exact-line-moved-by-1e6":
+        line = DEGENERATE_INPUTS["exact-line"][0]
+        np.savetxt(path, line, delimiter=",", header="x0,x1", comments="")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ZeroResidualWarning)
+            _, unmoved = _run(capsys, "fit", "--input", str(path), "--k", "2", "--seed", "0")
+        assert payload["cost"] == pytest.approx(json.loads(unmoved)["cost"], rel=1e-9)
 
 
 def test_unknown_flag_is_config_error(circle_csv, capsys):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from afcec import curves
 from afcec.curves import (
     BUILTIN_KINDS,
     FunctionFamily,
@@ -13,7 +14,7 @@ from afcec.curves import (
     select_orientation,
 )
 from afcec.density import fadapted_cross_entropy
-from afcec.errors import DegenerateCluster, RankDeficient
+from afcec.errors import DegenerateCluster, RankDeficient, ZeroResidualWarning
 
 
 def test_builtin_family_sizes():
@@ -197,12 +198,44 @@ def test_select_orientation_degenerate_cluster():
 
 @pytest.mark.parametrize("kind,d", [("quadratic", 2), ("cubic", 3)])
 def test_select_orientation_h_equals_from_scratch(kind, d):
-    # select_orientation reuses fit_curve's SSE; a fresh evaluation of the
-    # returned curve must give the same H to the last bit
+    # select_orientation reads the SSE from the centred Gram's Schur
+    # complement; a fresh evaluation of the returned curve's residuals must
+    # give the same H and residual variance to rounding
     rng = np.random.default_rng(12)
     pts = rng.standard_normal((200, d)) * [1.0, 3.0, 0.5][:d] + 2.0
     pts[:, -1] += 0.4 * pts[:, 0] ** 2
     axis, curve, h, params = select_orientation(pts, builtin_family(kind, d - 1))
     h_fresh, p_fresh = fadapted_cross_entropy(pts, axis, curve)
-    assert h == h_fresh
-    assert params.resid_var == p_fresh.resid_var
+    assert h == pytest.approx(h_fresh, rel=1e-13, abs=0)
+    assert params.resid_var == pytest.approx(p_fresh.resid_var, rel=1e-13, abs=0)
+
+
+def test_full_rank_flags_only_the_failing_system():
+    rng = np.random.default_rng(4)
+    design = rng.standard_normal((30, 3))
+    gram = design.T @ design
+    dependent = np.column_stack([design[:, :2], design[:, 0] - 2.0 * design[:, 1]])
+    stack = np.stack([gram, np.zeros((3, 3)), dependent.T @ dependent, 2.0 * gram])
+    assert curves._full_rank(stack).tolist() == [True, False, False, True]
+    # each system's answer is the one it gets alone
+    for system, want in zip(stack, [True, False, False, True]):
+        assert curves._full_rank(system[None]).tolist() == [want]
+
+
+def test_rank_deficient_segment_gets_an_optimal_fit():
+    # a 3-d segment on a line: the explanatory coordinates are collinear, so
+    # every axis's quadratic Gram is singular; the refit still returns the
+    # exact fit, with its residual variance floored
+    t = np.linspace(-1.0, 1.0, 30)
+    pts = np.column_stack([1.0 + t, 2.0 - 3.0 * t, 0.5 + 0.5 * t + 0.25 * t * t])
+    fam = builtin_family("quadratic", 2)
+    for j in range(3):
+        fit = fit_curve(pts, j, fam)
+        others = [i for i in range(3) if i != j]
+        resid = pts[:, j] - fam.design_matrix(pts[:, others]) @ fit.coeffs
+        assert np.abs(resid).max() < 1e-12
+        # the Schur complement's SSE is exact to rounding of the total
+        assert fit.sse < 1e-12 * np.sum((pts[:, j] - pts[:, j].mean()) ** 2)
+    with pytest.warns(ZeroResidualWarning):
+        axis, curve, h, params = select_orientation(pts, fam)
+    assert np.isfinite(h)

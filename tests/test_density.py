@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,7 @@ from scipy import stats
 
 from afcec.curves import CurveFit, axis_design, builtin_family, fit_curve, select_orientation
 from afcec.density import (
+    RESID_VAR_FLOOR,
     FAdaptedParams,
     fadapted_cross_entropy,
     fadapted_log_density,
@@ -151,6 +154,31 @@ def test_fadapted_cross_entropy_zero_residual_warns():
         h, p = fadapted_cross_entropy(pts, 1, curve)
     assert np.isfinite(h)
     assert p.resid_var > 0.0
+
+
+@pytest.mark.parametrize("kind", ["quadratic", "cubic"])
+def test_residual_floor_is_relative_to_the_dependent_spread(kind):
+    # points exactly on a curve floor the residual variance at
+    # RESID_VAR_FLOOR * var(x_j), so shrinking the data by s still moves H by
+    # exactly 2 ln s, in the refit as in fadapted_cross_entropy, with one
+    # warning per floored (cluster, axis)
+    x0 = np.linspace(-1.0, 1.0, 40)
+    pts = np.column_stack([x0, 0.3 + x0 - 0.5 * x0**2 + (0.2 * x0**3 if kind == "cubic" else 0.0)])
+    fam = builtin_family(kind, 1)
+    hs = []
+    for s in (1.0, 1e-6):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            axis, curve, h, params = select_orientation(s * pts, fam)
+            h_fresh, fresh = fadapted_cross_entropy(s * pts, axis, curve)
+        assert axis == 1
+        # axis 1 is floored once by the refit and once by the fresh evaluation
+        assert [w.category for w in caught] == [ZeroResidualWarning] * 2
+        var = np.var(s * pts[:, 1])
+        assert params.resid_var == pytest.approx(RESID_VAR_FLOOR * var, rel=1e-12)
+        assert h_fresh == pytest.approx(h, rel=1e-13)
+        hs.append(h - 2.0 * np.log(s))
+    assert hs[1] == pytest.approx(hs[0], abs=1e-12)
 
 
 def test_fadapted_cross_entropy_too_few_points():

@@ -26,9 +26,11 @@ FIT_GOLDEN = {
         "bic": 12643.89477005732, "aic": 12307.538186268906,
         "k_final": 8, "iterations": 37, "n_params": 56,
     },
+    # re-recorded when the refit dropped its ridge: a np.longdouble solve on
+    # centred data over the same partition gives loglik -348.6815136582782
     ("parametric3d", 2000, "cubic", 6): {
-        "cost": 0.2312938216778778, "loglik": -348.6814648463191,
-        "bic": 1381.4441510514257, "aic": 877.3629296926382,
+        "cost": 0.23129382162300355, "loglik": -348.6815136582785,
+        "bic": 1381.4442486753444, "aic": 877.363027316557,
         "k_final": 6, "iterations": 6, "n_params": 90,
     },
 }
