@@ -27,6 +27,11 @@ BUILTIN_KINDS = ("linear", "quadratic", "cubic")
 # diagonal entry is rank-deficient (scaled Grams have diagonal entries of order
 # n, and rounding leaves pivots of order n * eps on exactly dependent columns)
 RANK_TOL = 1e-9
+# an axis whose SSE is below this fraction of its dependent coordinate's sum
+# of squares has it summed from explicit residuals: the refit's Schur
+# complement g_yy - g_12 . c cancels to a relative error of about
+# cond * eps / fraction, the explicit sum to about eps / sqrt(fraction)
+EXPLICIT_SSE_BELOW = 1e-3
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,59 +85,31 @@ class FunctionFamily:
         """The refit's _GramLayout over input_dim + 1 coordinates."""
         return _gram_layout(self)
 
-    @functools.cached_property
-    def _design_plan(self):
-        """(powers, products): powers[i] lists, for k = 2, 3, ... up to the
-        top exponent of coordinate i, the column holding x_i ** k (None where
-        the basis has none); products lists every other column with its
-        factors (i, k)."""
-        rows = self.exponents.tolist()
-        column = {}
-        for b, row in enumerate(rows):
-            column.setdefault(tuple(row), b)
-        unit = np.eye(self.input_dim, dtype=int)
-        powers = [
-            [column.get(tuple((k * unit[i]).tolist())) for k in range(2, top + 1)]
-            for i, top in enumerate(self.exponents.max(axis=0).tolist())
-        ]
-        filled = {b for cols in powers for b in cols}
-        products = [
-            (b, [(i, k) for i, k in enumerate(row) if k])
-            for b, row in enumerate(rows)
-            if b not in filled
-        ]
-        return powers, products
-
     def design_matrix(self, xe):
         """(n, size) design: column b is prod_i xe[:, i] ** exponents[b, i].
 
         Each coordinate's powers are formed once by repeated multiplication
-        (x, x*x, x*x*x, ...), straight into their own column where the basis
-        has one, and every other column is a product of them, so columns of
-        degree <= 2 are the correctly rounded monomials and cubes round twice.
+        (x, x*x, x*x*x, ...) and every column is a product of them, so columns
+        of degree <= 2 are the correctly rounded monomials and cubes round
+        twice.
         """
         xe = np.asarray(xe, dtype=float)
         if xe.ndim != 2:
             xe = xe.reshape(-1, self.input_dim)
         if xe.shape[1] != self.input_dim:
             raise ValueError(f"expected {self.input_dim} columns, got {xe.shape[1]}")
-        out = np.empty((xe.shape[0], self.size))
-        power_cols, products = self._design_plan
         # powers[i][k] = xe[:, i] ** k for k >= 1
         powers = []
-        for i, cols in enumerate(power_cols):
+        for i, top in enumerate(self.exponents.max(axis=0).tolist()):
             pw = [None, xe[:, i]]
-            for b in cols:
-                pw.append(np.multiply(pw[-1], xe[:, i], out=None if b is None else out[:, b]))
+            for _ in range(2, top + 1):
+                pw.append(pw[-1] * xe[:, i])
             powers.append(pw)
-        for b, factors in products:
-            col = out[:, b]
-            factors = [powers[i][k] for i, k in factors]
-            if len(factors) > 1:
-                np.multiply(factors[0], factors[1], out=col)
-            else:
-                col[...] = factors[0] if factors else 1.0
-            for f in factors[2:]:
+        out = np.empty((xe.shape[0], self.size))
+        for col, row in zip(out.T, self.exponents.tolist()):
+            factors = [powers[i][k] for i, k in enumerate(row) if k]
+            col[...] = factors[0] if factors else 1.0
+            for f in factors[1:]:
                 col *= f
         return out
 
@@ -217,17 +194,19 @@ class _GramLayout(NamedTuple):
     of the family taken over the coordinates other than some axis j. aug[j]
     lists the union columns of axis j's basis, then x_j's column 1 + j, and
     others[j] the coordinates other than j. When the family's exponents are
-    closed under divisors, a curve in centred coordinates is a curve of the
-    same family in raw ones: monomial b of x - centre expands to
+    closed under divisors (closed), the design is formed in coordinates
+    centred at the segment mean, and a curve in them is a curve of the same
+    family in raw ones: monomial b of x - centre expands to
     sum_a binom[b, a] * m_{quot[b, a]}(-centre) * m_a(x), m_t being the
-    family's monomial t. Otherwise centred is False, the Gram is formed about
-    the origin and binom is the identity.
+    family's monomial t. Otherwise only the linear columns are centred (the
+    constant keeps the span), the other monomials are taken about the origin,
+    and binom folds back just the linear columns' shifts.
     """
 
     union: FunctionFamily
     aug: np.ndarray
     others: np.ndarray
-    centred: bool
+    closed: bool
     binom: np.ndarray
     quot: np.ndarray
 
@@ -244,18 +223,19 @@ def _gram_layout(family):
         [[index[tuple(r)] for r in emb.tolist()] + [1 + j] for j, emb in enumerate(embedded)]
     )
     others = np.array([[i for i in range(d) if i != j] for j in range(d)])
-    rows = {tuple(r): t for t, r in enumerate(e.tolist())}
-    centred = all(
+    rows = {}
+    for t, r in enumerate(e.tolist()):
+        rows.setdefault(tuple(r), t)
+    closed = all(
         tuple(r - u) in rows for r in e for u in np.eye(e.shape[1], dtype=int) if (r >= u).all()
     )
-    binom = np.eye(len(e))
+    binom = np.zeros((len(e), len(e)))
     quot = np.zeros((len(e), len(e)), dtype=int)
-    if centred:
-        for b, a in itertools.product(range(len(e)), repeat=2):
-            if (e[a] <= e[b]).all():
-                binom[b, a] = math.prod(map(math.comb, e[b].tolist(), e[a].tolist()))
-                quot[b, a] = rows[tuple((e[b] - e[a]).tolist())]
-    return _GramLayout(union, aug, others, centred, binom, quot)
+    for b, a in itertools.product(range(len(e)), rows.values()):
+        if (e[a] <= e[b]).all() and (closed or (e[a] == e[b]).all() or e[b].sum() == 1):
+            binom[b, a] = math.prod(map(math.comb, e[b].tolist(), e[a].tolist()))
+            quot[b, a] = rows[tuple((e[b] - e[a]).tolist())]
+    return _GramLayout(union, aug, others, closed, binom, quot)
 
 
 class _SegmentFits(NamedTuple):
@@ -293,41 +273,42 @@ def _solve_segments(xs, bounds, family):
     """Least squares of every coordinate j on the family over the others, for
     every segment xs[bounds[i]:bounds[i + 1]] (non-empty, covering xs).
 
-    Each segment is centred at its mean (at 0 for a family not closed under
-    divisors), and one Gram of the union design (_GramLayout) is formed per
-    segment. Its linear block gives the segment's mean and covariance. Scaled
-    per coordinate by the RMS deviation (1 where that is 0), its principal
+    Each segment is centred at its mean, and one Gram of the union design
+    (_GramLayout) is formed per segment. Its linear block gives the segment's
+    mean and covariance, read through density.pin_constants. Scaled per
+    coordinate by the RMS deviation (1 where that is 0), its principal
     submatrices are every axis's normal equations, solved with no ridge as one
     stack; a rank-deficient system (_full_rank) gets its minimum-norm solution
     from the pseudo-inverse, eigenvalues below RANK_TOL times the largest
-    counting as 0. Each SSE is the Schur complement g_yy - g_12 . c, and the
+    counting as 0. Each SSE is the Schur complement g_yy - g_12 . c, or, below
+    EXPLICIT_SSE_BELOW of the total, the sum of the explicit residuals. The
     coefficients are folded back to the raw monomial basis.
     """
-    from .density import RESID_VAR_FLOOR
+    from .density import RESID_VAR_FLOOR, pin_constants
 
     n, d = xs.shape
     lay = family._refit_layout
-    sizes = bounds[1:] - bounds[:-1]
-    if lay.centred:
-        centre = np.add.reduceat(xs, bounds[:-1], axis=0) / sizes[:, None]
-    else:
-        centre = np.zeros((len(sizes), d))
+    starts, sizes = bounds[:-1], bounds[1:] - bounds[:-1]
+    centre = np.add.reduceat(xs, starts, axis=0) / sizes[:, None]
+    flat = np.maximum.reduceat(xs, starts, axis=0) == np.minimum.reduceat(xs, starts, axis=0)
     # centred coordinates as contiguous rows, so the design reads contiguous columns
     u_t = np.subtract(xs.T, np.repeat(centre.T, sizes, axis=1), out=np.empty((d, n)))
-    phi = lay.union.design_matrix(u_t.T)
+    if lay.closed:
+        phi = lay.union.design_matrix(u_t.T)
+    else:
+        phi = lay.union.design_matrix(xs)
+        phi[:, 1 : d + 1] = u_t.T
     del u_t
     gram = np.empty((len(sizes), phi.shape[1], phi.shape[1]))
-    for g, lo, hi in zip(gram, bounds[:-1].tolist(), bounds[1:].tolist()):
+    for g, lo, hi in zip(gram, starts.tolist(), bounds[1:].tolist()):
         # a copy of the rows, since BLAS's GEMM beats its SYRK on these shapes
         np.dot(phi[lo:hi].T, phi[lo:hi].copy(), out=g)
-    del phi
 
     m = sizes[:, None].astype(float)
     mean_u = gram[:, 0, 1 : d + 1] / m
     covs = gram[:, 1 : d + 1, 1 : d + 1] / m[:, :, None]
     covs -= mean_u[:, :, None] * mean_u[:, None, :]
-    var = np.diagonal(covs, axis1=1, axis2=2).copy()
-    var[var <= 0] = 1.0
+    covs, var = pin_constants(covs, flat)
     scale = np.sqrt(var)
     # 1 / prod_i scale_i ** e_i for every union column
     inv = np.exp(np.log(scale) @ -lay.union.exponents.T)
@@ -345,10 +326,24 @@ def _solve_segments(xs, bounds, family):
         c[~full] = (pinv @ rhs[~full][..., None])[..., 0]
     # products summed along the last axis: the same bits in any stack
     sse_u = np.maximum(aug[..., -1, -1] - (rhs * c).sum(axis=-1), 0.0)
+    # about the origin, a family not closed under divisors may cancel at any SSE
+    explicit = (sse_u < EXPLICIT_SSE_BELOW * m) | (not lay.closed)
+    for s in np.flatnonzero(explicit.any(axis=1)).tolist():
+        axes = np.flatnonzero(explicit[s])
+        cols = lay.aug[axes]  # (t, p + 1)
+        # residual x_j - design . c of every such axis, in scaled units
+        w = np.zeros((phi.shape[1], len(axes)))
+        w[cols.T, np.arange(len(axes))] = (
+            np.column_stack([-c[s, axes], np.ones(len(axes))]) * inv[s, cols]
+        ).T
+        resid = phi[bounds[s] : bounds[s + 1]] @ w
+        sse_u[s, axes] = np.einsum("ij,ij->j", resid, resid)
+    del phi
     floored = sse_u < RESID_VAR_FLOOR * m
     resid_var = var * np.where(floored, RESID_VAR_FLOOR, sse_u / m)
 
     # fold back: x_j = centre_j + scale_j * sum_b c_b prod_i ((x_i - centre_i) / scale_i) ** e_bi
+    # (for a family not closed under divisors only the linear columns are centred)
     c *= scale[:, :, None] * inv[:, lay.aug[:, :-1]]
     # every family monomial at -centre, (k, d, p)
     mono = family.design_matrix(-centre[:, lay.others].reshape(-1, d - 1)).reshape(c.shape)
@@ -364,8 +359,9 @@ def refit_segments(xs, bounds, family):
     Segment i is xs[bounds[i]:bounds[i + 1]]. Every axis of every segment is
     read from one centred Gram per segment (_solve_segments): the mean and
     covariance, each axis's coefficients and its SSE. The residual variance
-    is floored at density.RESID_VAR_FLOOR times var(x_j), with one
-    ZeroResidualWarning per floored (segment, axis).
+    is floored at density.RESID_VAR_FLOOR times var(x_j) (1 for a constant
+    x_j, as in density.pin_constants), with one ZeroResidualWarning per
+    floored (segment, axis).
 
     Returns one entry per segment: select_orientation's (axis, CurveFit, H,
     FAdaptedParams), ties to the smallest axis, or None where no axis admits

@@ -206,6 +206,22 @@ def segment_moments(xs, bounds):
     return means, covs
 
 
+def pin_constants(covs, flat):
+    """Covariances (..., d, d) with the rows and columns of constant
+    coordinates (flat (..., d): every value of the coordinate equal) set to 0,
+    and the variances the residual floor is relative to: each diagonal entry,
+    1 where it is not positive.
+
+    Whether a constant coordinate's computed variance is 0, a rounding
+    residue or negative depends on how it was summed; reading the moments
+    through this, the batched refit and fadapted_cross_entropy give it the
+    same covariance and residual floor, wherever it sits.
+    """
+    covs = np.where(flat[..., :, None] | flat[..., None, :], 0.0, covs)
+    var = np.diagonal(covs, axis1=-2, axis2=-1)
+    return covs, np.where(var > 0, var, 1.0)
+
+
 def _logdet(low):
     """ln det(low @ low.T) of one Cholesky factor or a stack of them."""
     return 2.0 * np.log(np.diagonal(low, axis1=-2, axis2=-1)).sum(axis=-1)
@@ -226,23 +242,24 @@ def fadapted_cross_entropy(x, j, curve):
     Returns (H, params): H = d/2*ln(2*pi*e) + 0.5*ln det(cov_exp)
     + 0.5*ln(resid_var) with resid_var = mean squared residual of the curve
     (its intercept absorbs the dependent mean). Residual variance below
-    RESID_VAR_FLOOR * var(x_j) (var 1 where it is 0) is floored there and
-    flagged ZeroResidualWarning, as in the batched refit
-    (curves.refit_segments). Unlike the refit, which reads the SSE from its
-    Gram, this evaluates the curve's residuals on axis_design's
-    [design | x_j] rows, so it checks the refit independently.
+    RESID_VAR_FLOOR * var(x_j) (var 1 where x_j is constant, see
+    pin_constants) is floored there and flagged ZeroResidualWarning, as in
+    the batched refit (curves.refit_segments). Unlike the refit, which reads
+    most SSEs from its Gram, this evaluates the curve's residuals on
+    axis_design's [design | x_j] rows, so it checks the refit independently.
     """
     x = np.asarray(x, dtype=float)
     n, d = x.shape
     if n < d + 1:
         raise DegenerateCluster(f"need at least {d + 1} points, got {n}")
     means, covs = segment_moments(x, np.array([0, n]))
+    cov, var = pin_constants(covs[0], x.max(axis=0) == x.min(axis=0))
     others = [i for i in range(d) if i != j]
-    low, cov_used = _cholesky_reg(covs[0][np.ix_(others, others)])
+    low, cov_used = _cholesky_reg(cov[np.ix_(others, others)])
     aug, p = axis_design(x, j, curve.family).aug, curve.family.size
     resid = aug[:, p] - aug[:, :p] @ curve.coeffs
     resid_var = float(resid @ resid) / n
-    var = float(covs[0][j, j]) if covs[0][j, j] > 0 else 1.0
+    var = float(var[j])
     if resid_var < RESID_VAR_FLOOR * var:
         warnings.warn("residual variance floored", ZeroResidualWarning, stacklevel=2)
         resid_var = RESID_VAR_FLOOR * var

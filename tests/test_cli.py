@@ -74,6 +74,7 @@ def test_fit_missing_file_is_data_error(capsys):
 
 
 _T = np.random.default_rng(0).uniform(-1.0, 1.0, 60)
+_XY = np.random.default_rng(2).standard_normal((60, 2))
 # input rows, then the documented outcome of `fit --k 2 --seed 0`: its exit
 # code and whether a residual variance is floored (ZeroResidualWarning)
 DEGENERATE_INPUTS = {
@@ -86,14 +87,34 @@ DEGENERATE_INPUTS = {
     "n-is-k(d+1)": (np.random.default_rng(1).standard_normal((6, 2)), 0, True),
     # no cluster has a covariance to regularize: exit 3 with no output
     "constant": (np.ones((30, 2)), 3, False),
+    # z is constant, so it is every cluster's dependent axis, floored at
+    # RESID_VAR_FLOOR whatever constant it is (see SAME_COST)
+    "constant-coordinate": (np.column_stack([_XY, np.full(60, 0.1)]), 0, True),
+    # residuals of 1e-6 against a spread of about 0.3: the Gram's Schur
+    # complement would cancel, so the refit sums these SSEs explicitly
+    "parabola-with-noise-1e-6": (
+        np.column_stack([_T, _T * _T - 0.5 + 1e-6 * np.random.default_rng(3).standard_normal(60)]),
+        0,
+        False,
+    ),
 }
+# inputs whose fit must cost what the named case's fit costs
+SAME_COST = {
+    "exact-line-moved-by-1e6": DEGENERATE_INPUTS["exact-line"][0],
+    "constant-coordinate": np.column_stack([_XY, np.ones(60)]),
+}
+
+
+def _save_rows(path, rows):
+    header = ",".join(f"x{i}" for i in range(rows.shape[1]))
+    np.savetxt(path, rows, delimiter=",", header=header, comments="")
 
 
 @pytest.mark.parametrize("case", sorted(DEGENERATE_INPUTS))
 def test_fit_degenerate_inputs_have_their_documented_outcome(tmp_path, capsys, case):
     rows, want_code, floored = DEGENERATE_INPUTS[case]
     path, model_path = tmp_path / "in.csv", tmp_path / "m.json"
-    np.savetxt(path, rows, delimiter=",", header="x0,x1", comments="")
+    _save_rows(path, rows)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code, out = _run(capsys, "fit", "--input", str(path), "--k", "2", "--seed", "0",
@@ -110,13 +131,12 @@ def test_fit_degenerate_inputs_have_their_documented_outcome(tmp_path, capsys, c
         warnings.simplefilter("ignore", ZeroResidualWarning)
         recomputed = engine.cost(rows, model.clusters, model.assignment)
     assert payload["cost"] == pytest.approx(recomputed, rel=1e-9)
-    if case == "exact-line-moved-by-1e6":
-        line = DEGENERATE_INPUTS["exact-line"][0]
-        np.savetxt(path, line, delimiter=",", header="x0,x1", comments="")
+    if case in SAME_COST:
+        _save_rows(path, SAME_COST[case])
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", ZeroResidualWarning)
-            _, unmoved = _run(capsys, "fit", "--input", str(path), "--k", "2", "--seed", "0")
-        assert payload["cost"] == pytest.approx(json.loads(unmoved)["cost"], rel=1e-9)
+            _, twin = _run(capsys, "fit", "--input", str(path), "--k", "2", "--seed", "0")
+        assert payload["cost"] == pytest.approx(json.loads(twin)["cost"], rel=1e-9)
 
 
 def test_unknown_flag_is_config_error(circle_csv, capsys):

@@ -210,6 +210,26 @@ def test_select_orientation_h_equals_from_scratch(kind, d):
     assert params.resid_var == pytest.approx(p_fresh.resid_var, rel=1e-13, abs=0)
 
 
+@pytest.mark.parametrize("noise", [1e-5, 1e-6])
+@pytest.mark.parametrize("kind,d", [("quadratic", 2), ("cubic", 2), ("cubic", 3)])
+def test_low_noise_fit_h_matches_explicit_residuals(kind, d, noise):
+    # the curve explains all but about noise**2 of the dependent spread, where
+    # the Gram's Schur complement cancels to up to 1e-3 relative; the refit
+    # sums those SSEs from explicit residuals, so H and the residual variance
+    # agree with a fresh evaluation to the bench checks' 1e-9
+    rng = np.random.default_rng(5)
+    xe = rng.uniform(-1.0, 1.0, (300, d - 1))
+    y = 0.3 + xe.sum(axis=1) - 0.5 * (xe**2).sum(axis=1)
+    if kind == "cubic":
+        y += 0.2 * (xe**3).sum(axis=1)
+    pts = np.column_stack([xe, y + noise * rng.standard_normal(300)])
+    axis, curve, h, params = select_orientation(pts, builtin_family(kind, d - 1))
+    assert axis == d - 1
+    h_fresh, fresh = fadapted_cross_entropy(pts, axis, curve)
+    assert h == pytest.approx(h_fresh, rel=0, abs=1e-9)
+    assert params.resid_var == pytest.approx(fresh.resid_var, rel=1e-9)
+
+
 def test_full_rank_flags_only_the_failing_system():
     rng = np.random.default_rng(4)
     design = rng.standard_normal((30, 3))
