@@ -290,9 +290,9 @@ def _solve_segments(xs, bounds, family):
     lay = family._refit_layout
     starts, sizes = bounds[:-1], bounds[1:] - bounds[:-1]
     centre = np.add.reduceat(xs, starts, axis=0) / sizes[:, None]
-    flat = np.maximum.reduceat(xs, starts, axis=0) == np.minimum.reduceat(xs, starts, axis=0)
     # centred coordinates as contiguous rows, so the design reads contiguous columns
     u_t = np.subtract(xs.T, np.repeat(centre.T, sizes, axis=1), out=np.empty((d, n)))
+    flat = np.maximum.reduceat(u_t, starts, axis=1) == np.minimum.reduceat(u_t, starts, axis=1)
     if lay.closed:
         phi = lay.union.design_matrix(u_t.T)
     else:
@@ -308,7 +308,7 @@ def _solve_segments(xs, bounds, family):
     mean_u = gram[:, 0, 1 : d + 1] / m
     covs = gram[:, 1 : d + 1, 1 : d + 1] / m[:, :, None]
     covs -= mean_u[:, :, None] * mean_u[:, None, :]
-    covs, var = pin_constants(covs, flat)
+    covs, var = pin_constants(covs, flat.T)
     scale = np.sqrt(var)
     # 1 / prod_i scale_i ** e_i for every union column
     inv = np.exp(np.log(scale) @ -lay.union.exponents.T)
