@@ -276,7 +276,7 @@ def _solve_segments(xs, bounds, family):
     Each segment is centred at its mean, and one Gram of the union design
     (_GramLayout) is formed per segment. Its linear block gives the segment's
     mean and covariance, read through density.pin_constants. Scaled per
-    coordinate by the RMS deviation (1 where that is 0), its principal
+    coordinate by the RMS deviation (1 for a constant coordinate), its principal
     submatrices are every axis's normal equations, solved with no ridge as one
     stack; a rank-deficient system (_full_rank) gets its minimum-norm solution
     from the pseudo-inverse, eigenvalues below RANK_TOL times the largest
