@@ -109,11 +109,11 @@ def _engine_setup(args, k, k_flag):
 
 def cmd_fit(args):
     ds, cfg = _engine_setup(args, args.k, "--k")
-    # one cache serves the fit and the scoring, so each design is built once
+    # one cache serves the fit and the scoring, so its design is built once
     cache = engine.DesignCache(ds.rows)
     best, all_costs = engine.fit_restarts(cache, cfg, args.restarts)
     sc = selection.score(cache, best, ll_mode=args.ll_mode)
-    del cache  # free the designs before the model is saved
+    del cache  # free the design before the model is saved
     log.info(
         "fit: k=%d, %d iterations, %d restart(s), cost %.6f",
         best.k, best.iterations, len(all_costs), best.final_cost,
@@ -145,7 +145,7 @@ def cmd_generate(args):
 
 def cmd_sweep(args):
     ds, cfg = _engine_setup(args, args.k_max, "--k-max")
-    # one cache serves every k's fits and scoring, so each design is built once
+    # one cache serves every k's fits and scoring, so its design is built once
     cache = engine.DesignCache(ds.rows)
     other_mode = "max" if args.ll_mode == "mixture" else "mixture"
     writer = csv.writer(sys.stdout)

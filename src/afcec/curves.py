@@ -148,31 +148,6 @@ class CurveFit:
         return float(vals[0]) if single else vals
 
 
-class AxisDesign(NamedTuple):
-    """The family's design for dependent axis j next to coordinate j.
-
-    aug is [design_matrix(x without column j) | x_j], (n, family.size + 1),
-    so one row gather moves both.
-    """
-
-    aug: np.ndarray
-
-    def take(self, idx):
-        """The same design restricted to rows idx."""
-        return AxisDesign(np.take(self.aug, idx, axis=0))
-
-
-def axis_design(x, j, family):
-    """AxisDesign of the (n, d) rows x for dependent axis j."""
-    x = np.asarray(x, dtype=float)
-    # explanatory coordinates as contiguous rows
-    xe_t = x.T[[i for i in range(x.shape[1]) if i != j]]
-    aug = np.empty((x.shape[0], family.size + 1))
-    aug[:, :-1] = family.design_matrix(xe_t.T)
-    aug[:, -1] = x[:, j]
-    return AxisDesign(aug)
-
-
 def fit_curve(x, j, family):
     """Least-squares fit of coordinate j on the family basis over the others:
     the refit's centred Gram solve (refit_segments) on one segment, read for

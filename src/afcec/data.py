@@ -278,8 +278,10 @@ def model_to_json(model):
 
 def model_from_json(obj):
     """The AfcecModel a model_to_json object describes. IoError when a field
-    is missing or malformed, or the model has no cluster or no cost;
-    SchemaVersionMismatch when the schema is not MODEL_SCHEMA."""
+    is missing or malformed (including a cluster shaped for another family, a
+    dependent axis outside 0..d-1, or clusters of different families), or the
+    model has no cluster or no cost; SchemaVersionMismatch when the schema is
+    not MODEL_SCHEMA."""
     if not isinstance(obj, dict):
         raise IoError(f"a model is a JSON object, got {type(obj).__name__}")
     if obj.get("schema") != MODEL_SCHEMA:
@@ -301,13 +303,27 @@ def _model_fields(obj):
         if c["mean_dep"] != 0:
             raise IoError(f"mean_dep must be 0, got {c['mean_dep']!r}")
         fam = _family_from_json(c["curve"]["family"])
-        curve = CurveFit(fam, np.asarray(c["curve"]["coeffs"], dtype=float), c["curve"]["sse"])
+        # every cluster is scored from one design of one family
+        if clusters and fam != clusters[0].params.curve.family:
+            raise IoError("every cluster must use the first cluster's family")
+        m = fam.input_dim
+        coeffs = np.asarray(c["curve"]["coeffs"], dtype=float)
+        mean_exp = np.asarray(c["mean_exp"], dtype=float)
+        cov_exp = np.asarray(c["cov_exp"], dtype=float)
+        axis = int(c["dependent_axis"])
+        if coeffs.shape != (fam.size,) or mean_exp.shape != (m,) or cov_exp.shape != (m, m):
+            raise IoError(
+                f"coeffs, mean_exp and cov_exp must be shaped ({fam.size},), ({m},) and "
+                f"({m}, {m}), got {coeffs.shape}, {mean_exp.shape} and {cov_exp.shape}"
+            )
+        if not 0 <= axis <= m:
+            raise IoError(f"dependent_axis must be in 0..{m}, got {axis}")
         params = FAdaptedParams(
-            dependent_axis=int(c["dependent_axis"]),
-            mean_exp=np.asarray(c["mean_exp"], dtype=float),
-            cov_exp=np.asarray(c["cov_exp"], dtype=float),
+            dependent_axis=axis,
+            mean_exp=mean_exp,
+            cov_exp=cov_exp,
             resid_var=c["resid_var"],
-            curve=curve,
+            curve=CurveFit(fam, coeffs, c["curve"]["sse"]),
         )
         clusters.append(
             ClusterModel(params, c["weight"], int(c["size"]), c["cross_entropy"])

@@ -11,7 +11,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curves import axis_design
 from .errors import DegenerateCluster, NotPositiveDefinite, ZeroResidualWarning
 
 LOG_2PI = math.log(2.0 * math.pi)
@@ -28,6 +27,9 @@ SCORE_BLOCK = 4096
 # every GEMM spans a multiple of this many points: at a ragged width OpenBLAS's
 # edge kernels can round one cluster's row differently alone and in a stack
 SCORE_ALIGN = 64
+# clusters per matrix product in score_blocks, which bounds its product
+# buffer whatever the number of clusters scored
+SCORE_GEMM_CLUSTERS = 8
 
 
 @dataclass(frozen=True)
@@ -80,115 +82,101 @@ def _cholesky_reg(cov):
     raise DegenerateCluster("covariance not positive definite after regularization")
 
 
-def _score_weights(params, groups):
-    """Per group of clusters sharing one dependent axis and family (a list of
-    indices into params), the weights W (kg*d, P+1) and constants c (kg, 1)
-    with -log f_i(x) = c_i + 0.5 * ||W_i @ aug(x)||^2, W_i being the cluster's
-    d rows and aug(x) AxisDesign.aug's row [design | x_j].
+def _score_weights(params):
+    """Weights W (k*d, q) and constants c (k, 1) with -log f_i(x) = c_i +
+    0.5 * ||W_i @ phi(x)||^2: W_i is cluster i's d rows, phi(x) the point's
+    row of the union design (curves._GramLayout) of the clusters' family.
 
-    Rows 0..d-2 of W_i give L^-1 (x_e - mean_exp) (cov_exp = L L^T): every
-    family holds the constant and every coordinate projection, so L^-1 sits in
-    the projection columns and -L^-1 mean_exp in the constant column. Row d-1
-    gives the scaled residual (x_j - curve) / sqrt(resid_var).
-    Folding -L^-1 mean_exp into the intercept computes L^-1 x - L^-1 mean
-    instead of L^-1 (x - mean), the same cancellation away from the origin that
-    the residual row has with raw monomial coefficients; a later centring of
-    the design columns should centre these columns too. Raises
-    NotPositiveDefinite when a cov_exp has no Cholesky factor.
+    For a cluster on axis j, rows 0..d-2 give L^-1 (x_e - mean_exp) with
+    cov_exp = L L^T: L^-1 in the projection columns 1 + others[j], -L^-1
+    mean_exp in the constant column 0. Row d-1 gives the residual
+    (x_j - curve) / sigma: -coeffs / sigma in the columns aug[j][:-1] and
+    1 / sigma in x_j's column 1 + j. Both rows sum raw-basis terms, which
+    cancel far from the origin. Raises NotPositiveDefinite when a cov_exp has
+    no Cholesky factor.
     """
-    d = params[0].dim
+    lay = params[0].curve.family._refit_layout
+    k, d = len(params), params[0].dim
     try:
         low = np.linalg.cholesky(np.array([q.cov_exp for q in params]))
     except np.linalg.LinAlgError as e:
         raise NotPositiveDefinite(str(e)) from e
     inv = np.linalg.inv(low)
-    centre = -(inv @ np.array([q.mean_exp for q in params])[:, :, None])[:, :, 0]
     resid_var = np.array([q.resid_var for q in params])
     sigma = np.sqrt(resid_var)
+    axes = np.array([q.dependent_axis for q in params])
+    w = np.zeros((k, d, lay.union.size))
+    at = np.arange(k)[:, None]
+    w[at[:, :, None], np.arange(d - 1)[:, None], 1 + lay.others[axes][:, None, :]] = inv
+    w[:, :-1, 0] = -(inv @ np.array([q.mean_exp for q in params])[:, :, None])[:, :, 0]
+    # added, so a family listing one monomial twice scores its summed coefficient
+    coeffs = np.array([q.curve.coeffs for q in params])
+    np.add.at(w, (at, d - 1, lay.aug[axes, :-1]), coeffs / -sigma[:, None])
+    w[at[:, 0], d - 1, 1 + axes] = 1.0 / sigma
     consts = 0.5 * (d * LOG_2PI + _logdet(low) + np.log(resid_var))
-    out = []
-    for rows in groups:
-        family = params[rows[0]].curve.family
-        p = family.size
-        w = np.zeros((len(rows), d, p + 1))
-        w[:, :-1, family.projections] = inv[rows]
-        w[:, :-1, 0] = centre[rows]
-        w[:, -1, :p] = [params[i].curve.coeffs for i in rows]
-        w[:, -1, :p] /= -sigma[rows, None]
-        w[:, -1, p] = 1.0 / sigma[rows]
-        out.append((w.reshape(-1, p + 1), consts[rows, None]))
-    return out
+    return w.reshape(k * d, -1), consts[:, None]
 
 
-def score_blocks(params, augs, shift=None):
+def score_blocks(params, design, shift=None):
     """Walk the points in fixed column blocks and yield (cols, scores): scores
     is (k, width) with scores[i] = shift[i] - log f_i(x) at the points cols.
 
-    augs[i] is AxisDesign.aug of the points for params[i]'s dependent axis
-    and family; clusters passing the same array share one GEMM per block.
-    The blocks start at multiples of SCORE_BLOCK whatever the caller, and a
-    short last block is zero-padded to a multiple of SCORE_ALIGN points, so
-    one (cluster, point) score has the same bits alone, inside any set of
-    clusters, and through fadapted_log_density. scores is reused by the next
-    block: reduce it before asking for the next one.
+    Every cluster must use one family, and design is the points' union
+    design under it (curves._GramLayout.union, as the refit forms it), so
+    clusters on any dependent axis share each block's matrix products, one
+    per SCORE_GEMM_CLUSTERS clusters. The blocks start at multiples of
+    SCORE_BLOCK whatever the caller, and a short last block is zero-padded to
+    a multiple of SCORE_ALIGN points, so one (cluster, point) score has the
+    same bits alone, inside any set of clusters, and through
+    fadapted_log_density. scores is reused by the next block: reduce it
+    before asking for the next one.
     """
-    k, n = len(params), augs[0].shape[0]
+    family = params[0].curve.family
+    if any(q.curve.family is not family and q.curve.family != family for q in params):
+        raise ValueError("score_blocks needs clusters of one family")
+    k, n, d = len(params), design.shape[0], params[0].dim
     span = min(SCORE_BLOCK, -(-n // SCORE_ALIGN) * SCORE_ALIGN)
-    groups = {}
-    for i, aug in enumerate(augs):
-        groups.setdefault(id(aug), []).append(i)
-    groups = list(groups.values())
+    w, consts = _score_weights(params)
     if shift is not None:
         shift = np.asarray(shift, dtype=float)[:, None]
-    prepared = [
-        (rows, augs[rows[0]], w, c, None if shift is None else shift[rows])
-        for rows, (w, c) in zip(groups, _score_weights(params, groups))
-    ]
     # working arrays, allocated once per call and reused by every block
     block = np.empty((k, span))
-    prod = np.empty((max(len(w) for _, _, w, _, _ in prepared), span))
+    prod = np.empty((min(k, SCORE_GEMM_CLUSTERS) * d, span))
     pad = None
     for lo in range(0, n, SCORE_BLOCK):
         hi = min(lo + SCORE_BLOCK, n)
         width = hi - lo
         padded = min(SCORE_BLOCK, -(-width // SCORE_ALIGN) * SCORE_ALIGN)
-        scores = block[:, :width]
-        for rows, aug, w, c, sh in prepared:
-            pts = aug[lo:hi]
-            if padded > width:
-                if pad is None:
-                    pad = np.zeros((padded, max(a.shape[1] for a in augs)))
-                pts = pad[:, : aug.shape[1]]
-                pts[:width] = aug[lo:hi]
-            g = np.matmul(w, pts.T, out=prod[: len(w), :padded])[:, :width]
+        pts = design[lo:hi]
+        if padded > width:
+            if pad is None:
+                pad = np.zeros((padded, design.shape[1]))
+            pad[:width] = pts
+            pts = pad
+        for first in range(0, k, SCORE_GEMM_CLUSTERS):
+            last = min(first + SCORE_GEMM_CLUSTERS, k)
+            g = np.matmul(w[first * d : last * d], pts.T, out=prod[: (last - first) * d, :padded])
+            g = g[:, :width].reshape(last - first, d, width)
             np.square(g, out=g)
             # each cluster's d squared rows summed in order into its first row
-            g = g.reshape(len(rows), -1, width)
             s = g[:, 0]
-            for r in range(1, g.shape[1]):
+            for r in range(1, d):
                 s += g[:, r]
             s *= 0.5
-            s += c
-            if sh is not None:
-                s += sh
-            scores[rows] = s
-        yield slice(lo, hi), scores
+            s += consts[first:last]
+            if shift is not None:
+                s += shift[first:last]
+            block[first:last, :width] = s
+        yield slice(lo, hi), block[:, :width]
 
 
-def fadapted_log_density(p, x, design=None, out=None):
-    """Log density of the curve-adapted Gaussian at x ((d,) or (n,d)).
-
-    design, when given, must be axis_design(x, p.dependent_axis,
-    p.curve.family) (the engine builds it once per fit); x is then not split
-    again. out, when given, is an (n,) float array the densities are written
-    into and returned. This is score_blocks on one cluster.
-    """
+def fadapted_log_density(p, x):
+    """Log density of the curve-adapted Gaussian at x ((d,) or (n,d)):
+    score_blocks on one cluster."""
     x = np.asarray(x, dtype=float)
-    if design is None:
-        design = axis_design(x.reshape(-1, p.dim), p.dependent_axis, p.curve.family)
-    if out is None:
-        out = np.empty(design.aug.shape[0])
-    for cols, scores in score_blocks([p], [design.aug]):
+    design = p.curve.family._refit_layout.union.design_matrix(x.reshape(-1, p.dim))
+    out = np.empty(design.shape[0])
+    for cols, scores in score_blocks([p], design):
         np.negative(scores[0], out=out[cols])
     return float(out[0]) if x.ndim == 1 else out
 
@@ -245,8 +233,9 @@ def fadapted_cross_entropy(x, j, curve):
     RESID_VAR_FLOOR * var(x_j) (var 1 where x_j is constant, see
     pin_constants) is floored there and flagged ZeroResidualWarning, as in
     the batched refit (curves.refit_segments). Unlike the refit, which reads
-    most SSEs from its Gram, this evaluates the curve's residuals on
-    axis_design's [design | x_j] rows, so it checks the refit independently.
+    most SSEs from its Gram, this evaluates the curve's residuals on the
+    union design's columns for axis j (curves._GramLayout), so it checks the
+    refit independently.
     """
     x = np.asarray(x, dtype=float)
     n, d = x.shape
@@ -256,8 +245,9 @@ def fadapted_cross_entropy(x, j, curve):
     cov, var = pin_constants(covs[0], x.max(axis=0) == x.min(axis=0))
     others = [i for i in range(d) if i != j]
     low, cov_used = _cholesky_reg(cov[np.ix_(others, others)])
-    aug, p = axis_design(x, j, curve.family).aug, curve.family.size
-    resid = aug[:, p] - aug[:, :p] @ curve.coeffs
+    lay = curve.family._refit_layout
+    design = lay.union.design_matrix(x)
+    resid = design[:, 1 + j] - design[:, lay.aug[j, :-1]] @ curve.coeffs
     resid_var = float(resid @ resid) / n
     var = float(var[j])
     if resid_var < RESID_VAR_FLOOR * var:

@@ -14,7 +14,7 @@ import numpy as np
 
 # select_orientation is not called here; bench/spans.py wraps it under this
 # module's name as well
-from .curves import axis_design, refit_segments, select_orientation  # noqa: F401
+from .curves import refit_segments, select_orientation  # noqa: F401
 # fadapted_log_density is not called here; bench/spans.py wraps it under this
 # module's name as well
 from .density import fadapted_cross_entropy, fadapted_log_density, score_blocks  # noqa: F401
@@ -110,34 +110,31 @@ def cost(x, clusters, assignment):
 
 
 class DesignCache:
-    """Per-axis designs over one fixed (n, d) point set.
-
-    A dependent axis's AxisDesign is built the first time a cluster on that
-    axis (and family) is scored. fit,
-    fit_restarts and selection.score take a DesignCache wherever they take
-    data (it holds the points as `rows`, like a Dataset), so a command that
-    passes one cache to all of them splits its data and builds each design
-    once per axis.
+    """The scoring design over one fixed (n, d) point set: the union design
+    (curves._GramLayout) of the clusters' family, from which score_blocks
+    scores a cluster on any dependent axis. It is built when a cluster is
+    first scored, and again only for another family. fit, fit_restarts and
+    selection.score take a DesignCache wherever they take data (it holds the
+    points as `rows`, like a Dataset), so a command that passes one cache to
+    all of them builds its design once.
     """
 
     def __init__(self, rows):
         self.rows = rows
-        self._designs = {}
+        self._family = self._design = None
 
-    def design(self, params):
-        return self.axis(params.dependent_axis, params.curve.family)
-
-    def axis(self, j, family):
-        """The AxisDesign of dependent axis j under family."""
-        found = self._designs.get((j, family))
-        if found is None:
-            found = self._designs[j, family] = axis_design(self.rows, j, family)
-        return found
+    def design(self, family):
+        """The union design of family over rows."""
+        if family != self._family:
+            self._design = family._refit_layout.union.design_matrix(self.rows)
+            self._family = family
+        return self._design
 
     def take(self, idx):
-        """A cache over rows[idx] holding this one's designs restricted to idx."""
+        """A cache over rows[idx] holding this one's design restricted to idx."""
         sub = DesignCache(self.rows[idx])
-        sub._designs = {key: found.take(idx) for key, found in self._designs.items()}
+        if self._design is not None:
+            sub._family, sub._design = self._family, np.take(self._design, idx, axis=0)
         return sub
 
 
@@ -148,10 +145,10 @@ def design_cache(x):
 
 def cluster_score_blocks(cache, clusters):
     """density.score_blocks of -ln p_i - log f_i(x) over the cache's points,
-    each cluster scored from the cache's design for its axis."""
+    every cluster scored from the cache's one design."""
     params = [cl.params for cl in clusters]
-    augs = [cache.design(p).aug for p in params]
-    return score_blocks(params, augs, [-math.log(cl.weight) for cl in clusters])
+    design = cache.design(params[0].curve.family)
+    return score_blocks(params, design, [-math.log(cl.weight) for cl in clusters])
 
 
 def _argmin_rows(scores):
@@ -239,7 +236,7 @@ def _refit(cache, labels, ks, family):
 def _reassign(cache, assignment, k, keep, survivors):
     """Relabel keep[i] -> i (keep ascending, labels below k) and send every
     point whose label is not kept to the survivor minimizing the assignment
-    cost, scored from the cache's designs."""
+    cost, scored from the cache's design."""
     lookup = np.full(k, -1)
     lookup[keep] = np.arange(len(keep))
     out = lookup[assignment]

@@ -34,7 +34,7 @@ def log_likelihood(x, model, mode="mixture"):
     point's largest term); max: sum_l max_i [ln p_i + ln f_i(x_l)].
 
     x is a Dataset, an (n, d) array, or an engine.DesignCache over the data,
-    whose designs are then reused. Each block of engine.cluster_score_blocks
+    whose design is then reused. Each block of engine.cluster_score_blocks
     is reduced as it arrives, so no (k, n) block is formed."""
     if mode not in LL_MODES:
         raise ValueError(f"mode must be one of {LL_MODES}")

@@ -269,6 +269,39 @@ def _without_curve(blob):
     return blob
 
 
+def _setting(*path, value):
+    """An edit setting the first cluster's field at path to value."""
+
+    def edit(blob):
+        target = blob["clusters"][0]
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        return blob
+
+    return edit
+
+
+def _adding_cluster(kind, input_dim):
+    """An edit appending a cluster that fits its own family, kind over
+    input_dim coordinates, but not the first cluster's."""
+
+    def edit(blob):
+        fam = builtin_family(kind, input_dim)
+        m = input_dim
+        cluster = {
+            **blob["clusters"][0],
+            "dependent_axis": m,
+            "mean_exp": [0.0] * m,
+            "cov_exp": np.eye(m).tolist(),
+            "curve": {"family": data._family_to_json(fam), "coeffs": [0.0] * fam.size, "sse": 0.0},
+        }
+        blob["clusters"].append(cluster)
+        return blob
+
+    return edit
+
+
 @pytest.mark.parametrize(
     "edit",
     [
@@ -277,8 +310,20 @@ def _without_curve(blob):
         lambda blob: {**blob, "cost_trace": []},
         _without_curve,
         lambda blob: [blob],
+        _setting("curve", "coeffs", value=[0.5]),
+        _setting("dependent_axis", value=-1),
+        _setting("dependent_axis", value=3),
+        _setting("mean_exp", value=[0.25]),
+        _setting("mean_exp", value=[[0.25, -1.5]]),
+        _setting("cov_exp", value=[[1.0]]),
+        _adding_cluster("linear", 2),
+        _adding_cluster("quadratic", 1),
     ],
-    ids=["schema-only", "no-clusters-no-costs", "no-costs", "cluster-without-curve", "not-an-object"],
+    ids=[
+        "schema-only", "no-clusters-no-costs", "no-costs", "cluster-without-curve",
+        "not-an-object", "short-coeffs", "axis-below-0", "axis-above-d-1", "short-mean-exp",
+        "2d-mean-exp", "small-cov-exp", "second-family", "second-dimension",
+    ],
 )
 def test_incomplete_model_file_is_an_io_error(tmp_path, edit):
     path = tmp_path / "model.json"

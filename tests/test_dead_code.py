@@ -1,7 +1,10 @@
 """Every module-level function and class in afcec has a caller outside tests:
 it is exported in afcec.__all__, or something else in src/afcec or bench/
 names it. A name counts as an identifier, an attribute or a string constant,
-since bench/spans.py wraps its layers by attribute name."""
+since bench/spans.py wraps its layers by attribute name. And every name that
+a module of afcec imports under `# noqa: F401` is used by that module or
+wrapped under that module's name by bench/spans.py, so a stale import cannot
+hide behind the noqa."""
 
 import ast
 from collections import defaultdict
@@ -53,3 +56,52 @@ def unreferenced(sources, exported):
 
 def test_no_module_level_definition_lacks_a_caller():
     assert unreferenced(_sources(), set(afcec.__all__)) == []
+
+
+def wrapped_attributes(spans):
+    """(module, attribute) pairs that the spans.py source wraps: every call
+    whose first argument is a bare name and whose second is a string, as in
+    `w(engine, "fit", ...)`."""
+    out = set()
+    for node in ast.walk(ast.parse(spans)):
+        if isinstance(node, ast.Call) and len(node.args) >= 2:
+            module, attr = node.args[:2]
+            if isinstance(module, ast.Name) and isinstance(attr, ast.Constant):
+                out.add((module.id, attr.value))
+    return out
+
+
+def stale_noqa_imports(sources, wrapped):
+    """Names imported under `# noqa: F401` in the given package files that
+    their module does not name outside its imports and that wrapped does not
+    hold for that module, as "module.name"."""
+    out = []
+    for path in sources:
+        text = path.read_text()
+        lines = text.splitlines()
+        body = ast.parse(text, filename=str(path)).body
+        imports = [node for node in body if isinstance(node, (ast.Import, ast.ImportFrom))]
+        used = {name for node in body if node not in imports for name in _names(node)}
+        for node in imports:
+            if not any("noqa: F401" in line for line in lines[node.lineno - 1 : node.end_lineno]):
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name
+                if name not in used and (path.stem, name) not in wrapped:
+                    out.append(f"{path.stem}.{name}")
+    return out
+
+
+def test_no_noqa_import_is_stale():
+    wrapped = wrapped_attributes((ROOT / "bench" / "spans.py").read_text())
+    assert stale_noqa_imports(sorted(PACKAGE.glob("*.py")), wrapped) == []
+
+
+def test_stale_noqa_import_is_found(tmp_path):
+    module = tmp_path / "mod.py"
+    module.write_text(
+        "from .a import (  # noqa: F401\n    kept,\n    wrapped,\n    stale,\n)\n"
+        "from .b import plain\n\n\ndef f():\n    return kept()\n"
+    )
+    wrapped = wrapped_attributes('w(mod, "wrapped", "span")\nw(other, "stale", "span")\n')
+    assert stale_noqa_imports([module], wrapped) == ["mod.stale"]

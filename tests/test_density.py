@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from afcec.curves import CurveFit, axis_design, builtin_family, fit_curve, select_orientation
+from afcec.curves import CurveFit, FunctionFamily, builtin_family, fit_curve, select_orientation
 from afcec.density import (
     RESID_VAR_FLOOR,
     FAdaptedParams,
@@ -108,18 +108,19 @@ def test_fadapted_matches_factored_form():
         -0.5 * np.log(2.0 * np.pi * p.resid_var) - 0.5 * resid * resid / p.resid_var
     )
     assert np.allclose(got, expect, atol=1e-12)
+    assert fadapted_log_density(p, pts[7]) == pytest.approx(got[7], rel=1e-15)
 
 
-def test_fadapted_log_density_from_given_design_into_row():
-    rng = np.random.default_rng(6)
-    pts = rng.standard_normal((50, 3))
-    fam = builtin_family("cubic", 2)
-    _, p = fadapted_cross_entropy(pts, 0, fit_curve(pts, 0, fam))
-    row = np.empty(len(pts))
-    got = fadapted_log_density(p, pts, axis_design(pts, 0, fam), out=row)
-    assert got is row
-    assert np.array_equal(row, fadapted_log_density(p, pts))
-    assert fadapted_log_density(p, pts[7]) == pytest.approx(row[7], rel=1e-15)
+def test_family_repeating_a_monomial_scores_its_summed_coefficient():
+    # both copies of x^2 share one column of the scoring design
+    fam = FunctionFamily(1, [[0], [1], [2], [2]])
+    curve = CurveFit(fam, np.array([0.1, -0.2, 0.5, 0.25]))
+    p = FAdaptedParams(1, [0.3], [[1.5]], 0.2, curve)
+    pts = np.random.default_rng(9).standard_normal((30, 2))
+    expect = stats.norm(0.3, np.sqrt(1.5)).logpdf(pts[:, 0]) + stats.norm(
+        0.1 - 0.2 * pts[:, 0] + 0.75 * pts[:, 0] ** 2, np.sqrt(0.2)
+    ).logpdf(pts[:, 1])
+    assert np.allclose(fadapted_log_density(p, pts), expect, atol=1e-12)
 
 
 def test_non_positive_definite_covariance_raises():
@@ -129,8 +130,6 @@ def test_non_positive_definite_covariance_raises():
     p = FAdaptedParams(0, np.zeros(2), bad, 1.0, fit_curve(pts, 0, fam))
     with pytest.raises(NotPositiveDefinite):
         fadapted_log_density(p, pts)
-    with pytest.raises(NotPositiveDefinite):
-        fadapted_log_density(p, pts, axis_design(pts, 0, fam), out=np.empty(len(pts)))
 
 
 def test_fadapted_cross_entropy_equals_empirical_mean():

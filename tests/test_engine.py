@@ -1,3 +1,5 @@
+import contextlib
+import io
 import math
 from dataclasses import replace
 
@@ -7,14 +9,9 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from afcec import engine
-from afcec.curves import (
-    BUILTIN_KINDS,
-    FunctionFamily,
-    axis_design,
-    builtin_family,
-    select_orientation,
-)
-from afcec.data import Dataset, GeneratorSpec, generate
+from afcec.cli import main
+from afcec.curves import BUILTIN_KINDS, builtin_family, select_orientation
+from afcec.data import Dataset, GeneratorSpec, generate, save_csv
 from afcec.density import fadapted_log_density
 from afcec.engine import (
     ClusterModel,
@@ -331,29 +328,34 @@ def test_orphan_reassignment_ties_go_to_lowest_index():
 
 def test_design_cache_take_equals_fresh_designs():
     ds = generate(GeneratorSpec(kind="parametric3d", n=400, noise_sigma=0.1, seed=18))
-    m = fit(ds, EngineConfig(k_init=4, family=builtin_family("cubic", 2), seed=1, max_iters=3))
+    family = builtin_family("cubic", 2)
+    m = fit(ds, EngineConfig(k_init=4, family=family, seed=1, max_iters=3))
     cache = DesignCache(ds.rows)
     engine._nearest(cache, [m.clusters])  # fills the cache
     rows = np.flatnonzero(np.arange(ds.n) % 7 == 3)
     sub = cache.take(rows)
-    for cl in m.clusters:
-        fresh = axis_design(ds.rows[rows], cl.params.dependent_axis, cl.params.curve.family)
-        for got, want in zip(sub.design(cl.params), fresh):
-            assert np.array_equal(got, want)
+    fresh = family._refit_layout.union.design_matrix(ds.rows[rows])
+    assert np.array_equal(sub.design(family), fresh)
 
 
-def test_fit_builds_each_full_design_once_per_axis(monkeypatch):
+@pytest.mark.parametrize("command", ["fit", "sweep"])
+def test_command_builds_its_scoring_design_once(tmp_path, monkeypatch, command):
     ds = generate(GeneratorSpec(kind="parametric3d", n=900, noise_sigma=0.1, seed=16))
-    original = FunctionFamily.design_matrix
-    full_rows = []
+    path = tmp_path / "in.csv"
+    save_csv(ds, path)
+    original = DesignCache.design
+    full = []  # the distinct designs over every point
 
-    def counting(self, xe):
-        # per-axis designs; the refit's design over all d coordinates is
-        # rebuilt from each pass's centred segments
-        if np.shape(xe)[0] == ds.n and self.input_dim == ds.d - 1:
-            full_rows.append(1)
-        return original(self, xe)
+    def recording(self, family):
+        out = original(self, family)
+        # orphan reassignment scores a cache over a subset of the points
+        if out.shape[0] == ds.n and not any(out is seen for seen in full):
+            full.append(out)
+        return out
 
-    monkeypatch.setattr(FunctionFamily, "design_matrix", counting)
-    fit(ds, EngineConfig(k_init=6, family=builtin_family("quadratic", 2), seed=0, max_iters=5))
-    assert 1 <= len(full_rows) <= ds.d
+    monkeypatch.setattr(DesignCache, "design", recording)
+    size = ["--k", "6"] if command == "fit" else ["--k-max", "4", "--restarts", "2"]
+    argv = [command, "--input", str(path), *size, "--family", "quadratic", "--max-iters", "5"]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0
+    assert len(full) == 1

@@ -2,8 +2,9 @@
 printing the values recorded below.
 
 The values were recorded before the engine's assignment step moved to cached
-per-axis designs, so a speed change that alters a result fails here. Counts
-must match exactly; costs and scores to GOLDEN_RTOL relative.
+designs (first one per dependent axis, now one union design per command), so
+a speed or design change that alters a result fails here. Counts must match
+exactly; costs and scores to GOLDEN_RTOL relative.
 """
 
 import contextlib

@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from afcec import engine
-from afcec.curves import BUILTIN_KINDS, axis_design, builtin_family, select_orientation
-from afcec.density import SCORE_BLOCK, fadapted_log_density, score_blocks
+from afcec.curves import BUILTIN_KINDS, builtin_family, select_orientation
+from afcec.density import SCORE_BLOCK, SCORE_GEMM_CLUSTERS, fadapted_log_density, score_blocks
 from afcec.engine import ClusterModel, DesignCache, EngineConfig
 from afcec.errors import DegenerateCluster
 from afcec.selection import log_likelihood
@@ -56,42 +56,44 @@ def _clusters_on(x, labels, family):
     kind=st.sampled_from(BUILTIN_KINDS),
     d=st.integers(min_value=2, max_value=4),
     extra=st.integers(min_value=1, max_value=SCORE_BLOCK - 1),
+    # past SCORE_GEMM_CLUSTERS, the clusters span more than one matrix product
+    k=st.integers(min_value=1, max_value=SCORE_GEMM_CLUSTERS + 4),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
-def test_cluster_row_has_the_same_bits_alone_and_in_a_block(kind, d, extra, seed):
+def test_cluster_row_has_the_same_bits_alone_and_in_a_block(kind, d, extra, k, seed):
     rng = np.random.default_rng(seed)
     n = SCORE_BLOCK + extra  # a full block and a partial one
     x = _data(rng, n, d)
     family = builtin_family(kind, d - 1)
     try:
-        clusters = _clusters_on(x, rng.integers(0, 5, n), family)
+        clusters = _clusters_on(x, rng.integers(0, k, n), family)
     except DegenerateCluster:
         assume(False)
     cache = DesignCache(x)
     block = _score_rows(cache, clusters)
+    design = family._refit_layout.union.design_matrix(x)
+    assert np.array_equal(cache.design(family), design)
     for i, cl in enumerate(clusters):
         shift = -math.log(cl.weight)
         alone = np.empty(n)
-        for cols, scores in score_blocks([cl.params], [cache.design(cl.params).aug], [shift]):
+        for cols, scores in score_blocks([cl.params], design, [shift]):
             alone[cols] = scores[0]
         assert np.array_equal(block[i], alone)
         assert np.array_equal(block[i], shift - fadapted_log_density(cl.params, x))
-        design = axis_design(x, cl.params.dependent_axis, family)
-        assert np.array_equal(block[i], shift - fadapted_log_density(cl.params, x, design))
 
 
-def test_clusters_of_different_families_score_as_they_do_alone():
+def test_clusters_of_different_families_are_rejected():
     rng = np.random.default_rng(4)
     x = _data(rng, 900, 3)
-    labels = rng.integers(0, 3, x.shape[0])
+    labels = rng.integers(0, 2, x.shape[0])
     clusters = [
         _clusters_on(x[labels == lab], np.zeros(np.count_nonzero(labels == lab)),
                      builtin_family(kind, 2))[0]
-        for lab, kind in enumerate(BUILTIN_KINDS)
+        for lab, kind in enumerate(["quadratic", "cubic"])
     ]
-    block = _score_rows(DesignCache(x), clusters)
-    for row, cl in zip(block, clusters):
-        assert np.array_equal(row, -math.log(cl.weight) - fadapted_log_density(cl.params, x))
+    design = clusters[0].params.curve.family._refit_layout.union.design_matrix(x)
+    with pytest.raises(ValueError, match="one family"):
+        next(score_blocks([cl.params for cl in clusters], design))
 
 
 def _long_double_scores(x, cl):
