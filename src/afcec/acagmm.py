@@ -187,11 +187,20 @@ def normalization_table(
     sigma_grid) order. Grid nodes where the Jacobian factor has collapsed
     (<= FOLD_EPS, the cut-locus cusp) contribute nothing to the corrected
     integral; excluded_mass is the fold mass the correction cannot recover
-    (see fold_mass).
+    (see fold_mass). Raises ValueError naming the configuration when a step
+    overflows or divides by zero in float64 (an extreme a, box or sigma), so
+    no integral is NaN or infinite.
 
-    The grid is streamed in FOOT_BLOCK_ROWS-row blocks, each projected once
-    per a. The raw density is N1(arc) N2(p), so per block and a the sums for
-    every (s1, s2) pair are two small matrix products of the per-sigma
+    Every integrand is even in x: the parabola, its arc-length/normal map and
+    the grid are symmetric under x -> -x, which negates the foot parameter
+    and the arc length and keeps p, the Jacobian factor and the side of the
+    graph. So only the (n/2 + 1)(n + 1) nodes with x >= 0 are projected, the
+    x = 0 column with its Simpson weight and every other column with twice
+    its weight (simpson_blocks_2d's even_x).
+
+    That half grid is streamed in FOOT_BLOCK_ROWS-row blocks, each projected
+    once per a. The raw density is N1(arc) N2(p), so per block and a the sums
+    for every (s1, s2) pair are two small matrix products of the per-sigma
     factors exp(-(arc/s)^2/2) and exp(-(p/s)^2/2); the 1/(2 pi s1 s2)
     normalization is applied to the finished sums.
     """
@@ -201,26 +210,42 @@ def normalization_table(
         # built before the projection, which divides by a, so a = 0 is
         # rejected first
         models = [AcaParabolaModel(a, s1, s2) for s1 in sigma_grid for s2 in sigma_grid]
-        raw, corr = np.zeros((sig.size, sig.size)), np.zeros((sig.size, sig.size))
-        for bx, by, w in simpson_blocks_2d(-box, box, -box, box, n, FOOT_BLOCK_ROWS):
-            arc, p, factor = (v.reshape(1, -1) for v in _foot_grid(a, bx, by))
-            w = w.reshape(1, -1)
-            ok = factor > FOLD_EPS
-            ea = np.exp(-0.5 * (arc / sig) ** 2)
-            ep_t = np.exp(-0.5 * (p / sig) ** 2).T
-            raw += (ea * w) @ ep_t
-            corr += (ea * np.where(ok, w / np.where(ok, factor, 1.0), 0.0)) @ ep_t
-        # sums indexed by position, so a repeated sigma keeps its own row
-        for m, (i, j) in zip(models, np.ndindex(len(sigma_grid), len(sigma_grid))):
-            scale = 2.0 * math.pi * m.sigma1 * m.sigma2
-            rows.append(
-                {
-                    "a": a,
-                    "sigma1": m.sigma1,
-                    "sigma2": m.sigma2,
-                    "raw_integral": float(raw[i, j] / scale),
-                    "corrected_integral": float(corr[i, j] / scale),
-                    "excluded_mass": fold_mass(m),
-                }
-            )
+        config = f"a={a!r}, sigma grid {tuple(sigma_grid)!r}, box={box!r}, n={n}"
+        try:
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                a_rows = _table_rows(a, models, sig, box, n)
+        except (FloatingPointError, OverflowError) as e:
+            raise ValueError(f"{config} is out of float64 range: {e}") from None
+        if not all(math.isfinite(v) for r in a_rows for v in r.values()):
+            raise ValueError(f"{config} is out of float64 range: an integral is not finite")
+        rows += a_rows
+    return rows
+
+
+def _table_rows(a, models, sig, box, n):
+    """normalization_table's rows for one a (models in sigma-pair order)."""
+    raw, corr = np.zeros((sig.size, sig.size)), np.zeros((sig.size, sig.size))
+    blocks = simpson_blocks_2d(-box, box, -box, box, n, FOOT_BLOCK_ROWS, even_x=True)
+    for bx, by, w in blocks:
+        arc, p, factor = (v.reshape(1, -1) for v in _foot_grid(a, bx, by))
+        w = w.reshape(1, -1)
+        ok = factor > FOLD_EPS
+        ea = np.exp(-0.5 * (arc / sig) ** 2)
+        ep_t = np.exp(-0.5 * (p / sig) ** 2).T
+        raw += (ea * w) @ ep_t
+        corr += (ea * np.where(ok, w / np.where(ok, factor, 1.0), 0.0)) @ ep_t
+    # sums indexed by position, so a repeated sigma keeps its own row
+    rows = []
+    for m, (i, j) in zip(models, np.ndindex(sig.size, sig.size)):
+        scale = 2.0 * math.pi * m.sigma1 * m.sigma2
+        rows.append(
+            {
+                "a": a,
+                "sigma1": m.sigma1,
+                "sigma2": m.sigma2,
+                "raw_integral": float(raw[i, j] / scale),
+                "corrected_integral": float(corr[i, j] / scale),
+                "excluded_mass": fold_mass(m),
+            }
+        )
     return rows

@@ -279,9 +279,10 @@ def model_to_json(model):
 def model_from_json(obj):
     """The AfcecModel a model_to_json object describes. IoError when a field
     is missing or malformed (including a cluster shaped for another family, a
-    dependent axis outside 0..d-1, or clusters of different families), or the
-    model has no cluster or no cost; SchemaVersionMismatch when the schema is
-    not MODEL_SCHEMA."""
+    dependent axis outside 0..d-1, clusters of different families, a
+    non-finite mean_exp, cov_exp, coeffs, resid_var or weight, a resid_var
+    <= 0 or a weight outside (0, 1]), or the model has no cluster or no cost;
+    SchemaVersionMismatch when the schema is not MODEL_SCHEMA."""
     if not isinstance(obj, dict):
         raise IoError(f"a model is a JSON object, got {type(obj).__name__}")
     if obj.get("schema") != MODEL_SCHEMA:
@@ -318,16 +319,21 @@ def _model_fields(obj):
             )
         if not 0 <= axis <= m:
             raise IoError(f"dependent_axis must be in 0..{m}, got {axis}")
+        resid_var, weight = float(c["resid_var"]), float(c["weight"])
+        if not all(np.isfinite(v).all() for v in (coeffs, mean_exp, cov_exp, resid_var, weight)):
+            raise IoError("mean_exp, cov_exp, coeffs, resid_var and weight must be finite")
+        # scoring takes the log of the weight; FAdaptedParams rejects a
+        # resid_var <= 0
+        if not 0 < weight <= 1:
+            raise IoError(f"weight must be in (0, 1], got {weight!r}")
         params = FAdaptedParams(
             dependent_axis=axis,
             mean_exp=mean_exp,
             cov_exp=cov_exp,
-            resid_var=c["resid_var"],
+            resid_var=resid_var,
             curve=CurveFit(fam, coeffs, c["curve"]["sse"]),
         )
-        clusters.append(
-            ClusterModel(params, c["weight"], int(c["size"]), c["cross_entropy"])
-        )
+        clusters.append(ClusterModel(params, weight, int(c["size"]), c["cross_entropy"]))
     return AfcecModel(
         clusters=clusters,
         assignment=np.asarray(obj["assignment"], dtype=int),

@@ -22,7 +22,7 @@ def least_squares(design, target):
     return c
 
 
-def simpson_blocks_2d(xlo, xhi, ylo, yhi, n, rows):
+def simpson_blocks_2d(xlo, xhi, ylo, yhi, n, rows, even_x=False):
     """Nodes and weights of the composite 2-D Simpson rule on a box, `rows`
     x-nodes at a time.
 
@@ -32,6 +32,12 @@ def simpson_blocks_2d(xlo, xhi, ylo, yhi, n, rows):
     nodes each) such that the sum over blocks of sum(W * f(X, Y)) estimates
     the integral of f. Each node's weight is (w_i * w_j) * h whatever the
     blocking, so the blocks are slices of the one-block grid.
+
+    With even_x, f must be even in x about the box's centre: the blocks hold
+    only the n/2 + 1 x-nodes from the centre on, and every one but the centre
+    carries its mirror image's weight too, so the sum equals the full rule's
+    at about half the nodes. This folds the full rule rather than taking a
+    Simpson rule on the half box, so it holds for odd n/2 as well.
     """
     n = int(n)
     if n < 2 or n % 2:
@@ -40,12 +46,16 @@ def simpson_blocks_2d(xlo, xhi, ylo, yhi, n, rows):
     w = np.ones(n + 1)
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
+    wx = w
+    if even_x:
+        x, wx = x[n // 2 :], w[n // 2 :].copy()
+        wx[1:] *= 2.0
     h = (xhi - xlo) / n * ((yhi - ylo) / n) / 9.0
 
     def blocks():
-        for lo in range(0, n + 1, rows):
+        for lo in range(0, x.size, rows):
             X, Y = np.meshgrid(x[lo : lo + rows], y, indexing="ij")
-            yield X, Y, np.outer(w[lo : lo + rows], w) * h
+            yield X, Y, np.outer(wx[lo : lo + rows], w) * h
 
     return blocks()
 

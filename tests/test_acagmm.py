@@ -239,6 +239,35 @@ def test_side_rules_agree_for_nearest_foot(a, px, py):
         assert _side(a, px, py) == _determinant_side(a, (px, py), t0)
 
 
+@given(
+    st.floats(min_value=0.1, max_value=3.0),
+    st.sampled_from((-1.0, 1.0)),
+    st.floats(min_value=1e-3, max_value=6.0),
+    st.floats(min_value=-6.0, max_value=6.0),
+    st.floats(min_value=1e-3, max_value=6.0),
+    st.floats(min_value=0.01, max_value=0.99),
+)
+@settings(max_examples=150, deadline=None)
+def test_foot_grid_is_even_in_x(mag, sign, px, py, depth, frac):
+    # x -> -x negates the arc length and keeps p and the Jacobian factor, the
+    # symmetry normalization_table folds its grid by. Checked at a free point
+    # and at one inside the evolute, where three feet exist and the
+    # trigonometric branch runs; px stays off the axis, where two feet tie
+    a = sign * mag
+    # past the cusp on the concave side, q = -depth / (3|a|), and |px| below
+    # 4 a^2 (-q)^(3/2) keeps the discriminant negative
+    mq = depth / (3.0 * mag)
+    inside = (frac * 4.0 * a * a * mq ** 1.5, sign * (0.5 / mag + depth))
+    q = (1.0 - 2.0 * a * inside[1]) / (6.0 * a * a)
+    assert q ** 3 + (inside[0] / (4.0 * a * a)) ** 2 < 0.0
+    xs, ys = np.array([px, inside[0]]), np.array([py, inside[1]])
+    arc, p, factor = acagmm._foot_grid(a, xs, ys)
+    m_arc, m_p, m_factor = acagmm._foot_grid(a, -xs, ys)
+    assert m_arc == pytest.approx(-arc, rel=1e-12, abs=1e-12)
+    assert m_p == pytest.approx(p, rel=1e-12, abs=1e-12)
+    assert m_factor == pytest.approx(factor, rel=1e-12, abs=1e-12)
+
+
 def test_raw_log_density_hand_value():
     # point on the axis below the vertex: t0=0, p=1, l=0
     m = AcaParabolaModel(1.0, 0.5, 2.0)
@@ -344,12 +373,14 @@ def test_normalization_table_invariants():
     assert anchor and anchor[0]["raw_integral"] == pytest.approx(1.038, abs=2e-3)
 
 
-def test_normalization_table_equals_per_configuration_recompute():
-    # the table projects once per a, shares the per-sigma factors across the
-    # sigma pairs and sums block by block; each integral must match the
-    # correctly rounded sum of a from-scratch density on the whole grid. A
-    # repeated sigma keeps its own rows (sums are indexed by position)
-    a_grid, sigma_grid, box, n = (0.5, -1.0), (0.5, 1.0, 0.5), 5.0, 100
+@pytest.mark.parametrize("n", [100, 102])
+def test_normalization_table_equals_per_configuration_recompute(n):
+    # the table projects the x >= 0 half of the grid once per a, shares the
+    # per-sigma factors across the sigma pairs and sums block by block; each
+    # integral must match the correctly rounded sum of a from-scratch density
+    # on the whole grid, whether n/2 is even (100) or odd (102). A repeated
+    # sigma keeps its own rows (sums are indexed by position)
+    a_grid, sigma_grid, box = (0.5, -1.0), (0.5, 1.0, 0.5), 5.0
     rows = normalization_table(a_grid=a_grid, sigma_grid=sigma_grid, box=box, n=n)
     keys = [(r["a"], r["sigma1"], r["sigma2"]) for r in rows]
     assert keys == list(itertools.product(a_grid, sigma_grid, sigma_grid))
@@ -378,7 +409,9 @@ def test_normalization_table_equals_per_configuration_recompute():
 
 
 def test_normalization_table_projects_once_per_a(monkeypatch):
-    # the grid is streamed in row blocks, and each a projects every node once
+    # the grid is streamed in row blocks, and each a projects every node with
+    # x >= 0 once: the integrands are even in x, so the other half is folded
+    # onto it
     nodes = []
     project = acagmm._project_t0_grid
 
@@ -392,7 +425,7 @@ def test_normalization_table_projects_once_per_a(monkeypatch):
     normalization_table(a_grid=a_grid, sigma_grid=(0.25, 0.5, 1.0), n=n)
     assert [a for a, _ in itertools.groupby(a for a, _ in nodes)] == list(a_grid)
     for a in a_grid:
-        assert sum(size for b, size in nodes if b == a) == (n + 1) ** 2
+        assert sum(size for b, size in nodes if b == a) == (n // 2 + 1) * (n + 1)
 
 
 def test_normalization_table_rejects_zero_a_before_projecting():

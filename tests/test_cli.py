@@ -255,6 +255,28 @@ def test_acagmm_check_bad_grid_is_config_error(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "argv, config",
+    [
+        (["--a-grid", "1e-300"], "a=1e-300"),
+        (["--a-grid", "1e300"], "a=1e+300"),
+        (["--box", "1e160", "--n", "10"], "box=1e+160"),
+        (["--a-grid", "1", "--sigma-grid", "1e-300"], "sigma grid (1e-300,)"),
+        (["--sigma-grid", "1e200"], "sigma grid (1e+200,)"),
+    ],
+    ids=["tiny-a", "huge-a", "huge-box", "tiny-sigma", "huge-sigma"],
+)
+def test_acagmm_check_beyond_float64_is_config_error(capsys, caplog, argv, config):
+    # each of these overflows or divides by zero somewhere in the table, or
+    # (huge-sigma) makes fold_mass's quadrature NaN: it must fail naming its
+    # configuration, not print NaN or raise
+    code, out = _run(capsys, "acagmm-check", "--n", "4", "--sigma-grid", "1", *argv)
+    assert code == 1
+    assert out == ""
+    assert "out of float64 range" in caplog.text
+    assert config in caplog.text
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 @pytest.mark.parametrize("flag", ["a-grid", "sigma-grid", "box"])
 def test_acagmm_check_non_finite_value_is_config_error(capsys, flag, value):

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 import warnings
 
 import numpy as np
@@ -318,11 +319,25 @@ def _adding_cluster(kind, input_dim):
         _setting("cov_exp", value=[[1.0]]),
         _adding_cluster("linear", 2),
         _adding_cluster("quadratic", 1),
+        _setting("mean_exp", value=[0.25, math.inf]),
+        _setting("cov_exp", value=[[1.0, math.nan], [math.nan, 2.0]]),
+        _setting("curve", "coeffs", value=[0.5, -1.0, 2.0, 0.1, -math.inf, -0.3]),
+        _setting("resid_var", value=math.nan),
+        _setting("resid_var", value=math.inf),
+        _setting("resid_var", value=0.0),
+        _setting("resid_var", value=-0.01),
+        _setting("weight", value=math.nan),
+        _setting("weight", value=0.0),
+        _setting("weight", value=-1.0),
+        _setting("weight", value=7.0),
     ],
     ids=[
         "schema-only", "no-clusters-no-costs", "no-costs", "cluster-without-curve",
         "not-an-object", "short-coeffs", "axis-below-0", "axis-above-d-1", "short-mean-exp",
         "2d-mean-exp", "small-cov-exp", "second-family", "second-dimension",
+        "inf-mean-exp", "nan-cov-exp", "inf-coeff", "nan-resid-var", "inf-resid-var",
+        "zero-resid-var", "negative-resid-var", "nan-weight", "zero-weight", "negative-weight",
+        "weight-above-1",
     ],
 )
 def test_incomplete_model_file_is_an_io_error(tmp_path, edit):

@@ -1,10 +1,12 @@
-"""Golden outputs: `fit` and `sweep` on small generated inputs must keep
-printing the values recorded below.
+"""Golden outputs: `fit`, `sweep` and `acagmm-check` on small or default
+inputs must keep printing the values recorded below.
 
-The values were recorded before the engine's assignment step moved to cached
-designs (first one per dependent axis, now one union design per command), so
-a speed or design change that alters a result fails here. Counts must match
-exactly; costs and scores to GOLDEN_RTOL relative.
+The fit and sweep values were recorded before the engine's assignment step
+moved to cached designs (first one per dependent axis, now one union design
+per command), so a speed or design change that alters a result fails here.
+Counts must match exactly; costs and scores to GOLDEN_RTOL relative. The
+acagmm-check table was recorded from the full-grid Simpson walk, before the
+table folded its grid about x = 0.
 """
 
 import contextlib
@@ -52,6 +54,39 @@ SWEEP_GOLDEN = [
      "aic": 916.750135695061},
 ]
 
+# default `acagmm-check`: (a, sigma1, sigma2, raw_integral, corrected_integral,
+# excluded_mass), as printed
+ACA_GOLDEN = [
+    (0.25, 0.25, 0.25, 0.9999999999999994, 0.9999999999999896, 4.425220433461589e-16),
+    (0.25, 0.25, 0.5, 1.0000011112878122, 0.9999791216885358, 2.8206775618123734e-05),
+    (0.25, 0.25, 1.0, 1.0036900220758802, 0.9797175982668875, 0.02196317448942835),
+    (0.25, 0.5, 0.25, 1.0000000000000002, 0.999999999999998, 2.814273601413833e-16),
+    (0.25, 0.5, 0.5, 1.000000555439889, 0.9999812280111157, 2.225943279350499e-05),
+    (0.25, 0.5, 1.0, 1.002636370210291, 0.9806571028590438, 0.02009352652026458),
+    (0.25, 1.0, 0.25, 0.9999999999967126, 0.9999999999967003, 1.5199174566440135e-16),
+    (0.25, 1.0, 0.5, 1.000000117560595, 0.9999875888496277, 1.4126057268266148e-05),
+    (0.25, 1.0, 1.0, 1.0010850749457276, 0.9845056709659241, 0.01585058518492877),
+    (0.5, 0.25, 0.25, 1.0000004548812618, 0.9999798433426984, 2.225943279350499e-05),
+    (0.5, 0.25, 0.5, 1.0026337796125315, 0.980646712467251, 0.02009352652026458),
+    (0.5, 0.25, 1.0, 1.0663404397021328, 0.8497003102551445, 0.1520199668376136),
+    (0.5, 0.5, 0.25, 1.0000001116691448, 0.999986992671709, 1.4126057268266148e-05),
+    (0.5, 0.5, 0.5, 1.0010957505800422, 0.9844756263112975, 0.01585058518492877),
+    (0.5, 0.5, 1.0, 1.0419514622871593, 0.8626489414419783, 0.1381081976927305),
+    (0.5, 1.0, 0.25, 1.0000000045516957, 0.9999928758361797, 7.687626550984355e-06),
+    (0.5, 1.0, 0.5, 1.0001541724996004, 0.989982110537769, 0.010175497824412036),
+    (0.5, 1.0, 1.0, 1.0144716138368723, 0.8904239118662471, 0.10993532256547503),
+    (1.0, 0.25, 0.25, 1.0010957459770977, 0.9823582790747124, 0.01585058518492877),
+    (1.0, 0.25, 0.5, 1.0419562563644424, 0.8581053739422423, 0.1381081976927305),
+    (1.0, 0.25, 1.0, 1.2600530281109852, 0.7050499066810895, 0.29223359827222567),
+    (1.0, 0.5, 0.25, 1.0001545006001478, 0.9888866935296377, 0.010175497824412036),
+    (1.0, 0.5, 0.5, 1.0144816740000644, 0.8880693565788111, 0.10993532256547503),
+    (1.0, 0.5, 1.0, 1.1400028373716513, 0.7335349769026865, 0.2650318128692355),
+    (1.0, 1.0, 0.25, 0.9999417559092032, 0.9939291805413524, 0.00559650081830784),
+    (1.0, 1.0, 0.5, 0.9998050603264594, 0.9258357267488011, 0.0731535913402302),
+    (1.0, 1.0, 1.0, 1.0380984718712798, 0.7822321137350334, 0.2170378973335264),
+]
+ACA_RTOL = 1e-12
+
 
 def _run(*argv):
     buf = io.StringIO()
@@ -97,3 +132,17 @@ def test_sweep_matches_golden(tmp_path):
     for row, want in zip(rows, SWEEP_GOLDEN):
         got = {key: (int(v) if key in EXACT or key == "k" else float(v)) for key, v in row.items()}
         _assert_matches(got, want)
+
+
+def test_acagmm_check_matches_golden():
+    rows = list(csv.reader(io.StringIO(_run("acagmm-check"))))
+    assert rows[0] == ["a", "sigma1", "sigma2", "raw_integral",
+                       "corrected_integral", "excluded_mass"]
+    assert len(rows) == 1 + len(ACA_GOLDEN)
+    for row, want in zip(rows[1:], ACA_GOLDEN):
+        got = tuple(float(v) for v in row)
+        assert got[:3] == want[:3]
+        assert got[3] == pytest.approx(want[3], rel=ACA_RTOL, abs=0)
+        assert got[4] == pytest.approx(want[4], rel=ACA_RTOL, abs=0)
+        # the fold mass is 1-D quadrature, untouched by the grid
+        assert got[5] == want[5]
