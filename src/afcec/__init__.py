@@ -11,7 +11,6 @@ from .errors import (
     BeyondCurvatureCenter,
     DegenerateCluster,
     InvalidConfig,
-    InvalidConvention,
     InvalidSpec,
     IoError,
     NotPositiveDefinite,
@@ -37,7 +36,6 @@ __all__ = [
     "FunctionFamily",
     "GeneratorSpec",
     "InvalidConfig",
-    "InvalidConvention",
     "InvalidSpec",
     "IoError",
     "ModelScore",

@@ -24,8 +24,11 @@ DEFAULT_A_GRID = (0.25, 0.5, 1.0)
 DEFAULT_SIGMA_GRID = (0.25, 0.5, 1.0)
 DEFAULT_BOX = 5.0
 DEFAULT_N = 500
-# grid rows _foot_grid projects at once
+# grid rows _table_rows projects at once
 FOOT_BLOCK_ROWS = 32
+# fold_mass integrates where the arc length is within FOLD_TAIL * max(sigma1,
+# 1) of the vertex; the along-curve Gaussian is below exp(-800) beyond
+FOLD_TAIL = 40.0
 
 
 @dataclass(frozen=True)
@@ -116,21 +119,15 @@ def _foot_grid(a, px, py):
     nearest foot on y = a x^2. None of it depends on the sigmas, so one call
     serves every (sigma1, sigma2) pair with the same a.
 
-    The points are projected FOOT_BLOCK_ROWS rows at a time into full-size
-    outputs, so the solver's temporaries stay block-sized; every step is
-    elementwise, so the values equal a one-shot projection.
+    A point is solved as a one-node array, as in _project_t0_grid, and
+    returned in its input's shape.
     """
     px, py = np.broadcast_arrays(np.asarray(px, dtype=float), np.asarray(py, dtype=float))
-    rows_x, rows_y = np.atleast_1d(px), np.atleast_1d(py)
-    arc, p, factor = (np.empty(rows_x.shape) for _ in range(3))
-    for lo in range(0, rows_x.shape[0], FOOT_BLOCK_ROWS):
-        rows = slice(lo, lo + FOOT_BLOCK_ROWS)
-        bx, by = rows_x[rows], rows_y[rows]
-        t0 = _project_t0_grid(a, bx, by)
-        p[rows] = np.hypot(bx - t0, by - a * t0 * t0)
-        arc[rows] = _signed_arc(a, t0)
-        factor[rows] = _jacobian_factor(a, t0, p[rows], by > a * bx * bx)
-    return arc.reshape(px.shape), p.reshape(px.shape), factor.reshape(px.shape)
+    bx, by = np.atleast_1d(px, py)
+    t0 = _project_t0_grid(a, bx, by)
+    p = np.hypot(bx - t0, by - a * t0 * t0)
+    feet = _signed_arc(a, t0), p, _jacobian_factor(a, t0, p, by > a * bx * bx)
+    return tuple(v.reshape(px.shape) for v in feet)
 
 
 def _log_density_grid(m, px, py):
@@ -144,7 +141,7 @@ def _log_density_grid(m, px, py):
     return raw, factor
 
 
-def fold_mass(m, tail=40.0):
+def fold_mass(m):
     """Mass of the base (arc, normal) Gaussian lying beyond the cut locus,
     i.e. normal offsets past c(t) = sqrt(1 + 4 a^2 t^2) / (2|a|) on the concave
     side. This is exactly what the single-nearest-foot corrected density loses,
@@ -167,9 +164,11 @@ def fold_mass(m, tail=40.0):
         return n1 * q * root
 
     # g is even in t and peaks at t=0; integrating outward from the peak keeps
-    # the adaptive rule from missing a narrow ridge
-    span = tail * max(m.sigma1, 1.0)
-    val, _ = integrate.quad(g, 0.0, span, limit=200)
+    # the adaptive rule from missing a narrow ridge. arc(t) >= max(t, |a| t^2),
+    # so g has vanished by t = min(reach, sqrt(reach / |a|)); at large |a| a
+    # span of reach alone hides the ridge (about 1/sqrt|a| wide) from quad
+    reach = FOLD_TAIL * max(s1, 1.0)
+    val, _ = integrate.quad(g, 0.0, min(reach, math.sqrt(reach / aa)), limit=200)
     return 2.0 * float(val)
 
 
@@ -234,17 +233,19 @@ def _table_rows(a, models, sig, box, n):
         ep_t = np.exp(-0.5 * (p / sig) ** 2).T
         raw += (ea * w) @ ep_t
         corr += (ea * np.where(ok, w / np.where(ok, factor, 1.0), 0.0)) @ ep_t
+    # numpy, so an overflowing 2 pi s1 s2 raises under the caller's errstate
+    # instead of printing integrals of 0
+    scale = 2.0 * math.pi * sig * sig.T
     # sums indexed by position, so a repeated sigma keeps its own row
     rows = []
     for m, (i, j) in zip(models, np.ndindex(sig.size, sig.size)):
-        scale = 2.0 * math.pi * m.sigma1 * m.sigma2
         rows.append(
             {
                 "a": a,
                 "sigma1": m.sigma1,
                 "sigma2": m.sigma2,
-                "raw_integral": float(raw[i, j] / scale),
-                "corrected_integral": float(corr[i, j] / scale),
+                "raw_integral": float(raw[i, j] / scale[i, j]),
+                "corrected_integral": float(corr[i, j] / scale[i, j]),
                 "excluded_mass": fold_mass(m),
             }
         )

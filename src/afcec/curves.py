@@ -40,8 +40,7 @@ class FunctionFamily:
     prod_i x_i ** exponents[b, i].
 
     exponents is a (size, input_dim) integer matrix. Row 0 must be all zeros
-    (the constant 1) and every unit row (coordinate projection) must be present;
-    projections[i] is the first row projecting onto coordinate i.
+    (the constant 1) and every unit row (coordinate projection) must be present.
     """
 
     input_dim: int
@@ -58,15 +57,11 @@ class FunctionFamily:
             raise ValueError("exponents must be non-negative")
         if e[0].any():
             raise ValueError("basis[0] must be the constant function")
-        projections = []
         for i, unit in enumerate(np.eye(self.input_dim, dtype=int)):
-            rows = np.flatnonzero((e == unit).all(axis=1))
-            if not rows.size:
+            if not (e == unit).all(axis=1).any():
                 raise ValueError(f"basis lacks the projection onto coordinate {i}")
-            projections.append(int(rows[0]))
         e.setflags(write=False)
         object.__setattr__(self, "exponents", e)
-        object.__setattr__(self, "projections", projections)
 
     def __eq__(self, other):
         if not isinstance(other, FunctionFamily):
@@ -140,12 +135,8 @@ class CurveFit:
     sse: float = 0.0
 
     def evaluate(self, xe):
-        """Curve value at one point (scalar out) or a batch (vector out)."""
-        xe = np.asarray(xe, dtype=float)
-        p = self.family.input_dim
-        single = xe.ndim == 0 or (xe.ndim == 1 and p > 1 and xe.shape[0] == p)
-        vals = self.family.design_matrix(xe.reshape(-1, p)) @ self.coeffs
-        return float(vals[0]) if single else vals
+        """Curve values at a batch of points, xe of shape (n, input_dim)."""
+        return self.family.design_matrix(xe) @ self.coeffs
 
 
 def fit_curve(x, j, family):

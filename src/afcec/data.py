@@ -17,9 +17,13 @@ MODEL_SCHEMA = 1
 
 GENERATOR_KINDS = ("circle", "spiral", "strokes", "parametric3d")
 
-# five quadratic/cubic strokes laid out like a rough glyph; each entry is
-# (x(t) coefficients, y(t) coefficients) in ascending powers of t, t in [-1, 1]
-DEFAULT_STROKES = (
+CIRCLE_RADIUS = 1.0
+SPIRAL_TURNS = 2.0
+SPIRAL_PITCH = 0.25  # r = pitch * theta
+# five quadratic/cubic strokes laid out like a rough glyph, sampled in equal
+# proportions; each entry is (x(t) coefficients, y(t) coefficients) in
+# ascending powers of t, t in [-1, 1]
+STROKES = (
     ((0.0, 2.0), (1.8, 0.0, 0.1)),  # top bar
     ((-1.5, 0.0, 0.12), (0.0, 1.6)),  # left vertical, slightly bowed
     ((0.3, 1.2), (0.2, -1.2, 0.3)),  # falling diagonal
@@ -66,13 +70,6 @@ class GeneratorSpec:
     n: int = 500
     noise_sigma: float = 0.1
     seed: int = 0
-    # kind-specific knobs
-    radius: float = 1.0  # circle
-    turns: float = 2.0  # spiral
-    pitch: float = 0.25  # spiral: r = pitch * theta
-    strokes: tuple = DEFAULT_STROKES  # strokes: ((x coeffs, y coeffs), ...)
-    weights: tuple = None  # strokes: sampling proportions
-    curve3d: object = None  # parametric3d: t in [0,1] -> (x, y, z)
 
     def validate(self):
         if self.kind not in GENERATOR_KINDS:
@@ -91,43 +88,39 @@ def _poly(coeffs, t):
 
 
 def generate(spec):
-    """Synthetic datasets, pure functions of the configuration."""
+    """Synthetic datasets, pure functions of the configuration: a circle of
+    radius CIRCLE_RADIUS, an Archimedean spiral of SPIRAL_TURNS turns, the
+    STROKES glyph, or the helix (cos 2 pi t, sin 2 pi t, 1.5 t) for t in
+    [0, 1], each with Gaussian noise of noise_sigma."""
     spec.validate()
     rng = np.random.default_rng(spec.seed & 0xFFFFFFFFFFFFFFFF)
     n = spec.n
     if spec.kind == "circle":
         theta = rng.uniform(0.0, 2.0 * math.pi, n)
-        r = spec.radius + rng.normal(0.0, spec.noise_sigma, n)
+        r = CIRCLE_RADIUS + rng.normal(0.0, spec.noise_sigma, n)
         rows = np.column_stack([r * np.cos(theta), r * np.sin(theta)])
         labels = (theta >= math.pi).astype(int)
         return Dataset(rows, labels)
     if spec.kind == "spiral":
-        theta = rng.uniform(0.5, spec.turns * 2.0 * math.pi, n)
-        r = spec.pitch * theta + rng.normal(0.0, spec.noise_sigma, n)
+        theta = rng.uniform(0.5, SPIRAL_TURNS * 2.0 * math.pi, n)
+        r = SPIRAL_PITCH * theta + rng.normal(0.0, spec.noise_sigma, n)
         rows = np.column_stack([r * np.cos(theta), r * np.sin(theta)])
         labels = (theta / (2.0 * math.pi)).astype(int)
         return Dataset(rows, labels)
     if spec.kind == "strokes":
-        strokes = spec.strokes
-        if not strokes:
-            raise InvalidSpec("strokes must be non-empty")
-        w = np.asarray(spec.weights if spec.weights else [1.0] * len(strokes), dtype=float)
-        if w.shape != (len(strokes),) or np.any(w <= 0):
-            raise InvalidSpec("weights must be positive, one per stroke")
-        labels = rng.choice(len(strokes), size=n, p=w / w.sum())
+        # drawn with explicit probabilities: p=None draws a different stream
+        labels = rng.choice(len(STROKES), size=n, p=np.full(len(STROKES), 1.0 / len(STROKES)))
         t = rng.uniform(-1.0, 1.0, n)
         rows = np.empty((n, 2))
-        for i, (cx, cy) in enumerate(strokes):
+        for i, (cx, cy) in enumerate(STROKES):
             sel = labels == i
             rows[sel, 0] = _poly(cx, t[sel])
             rows[sel, 1] = _poly(cy, t[sel])
         rows += rng.normal(0.0, spec.noise_sigma, rows.shape)
         return Dataset(rows, labels)
     # parametric3d
-    curve = spec.curve3d or (lambda t: (np.cos(2 * math.pi * t), np.sin(2 * math.pi * t), 1.5 * t))
     t = rng.uniform(0.0, 1.0, n)
-    parts = curve(t)
-    rows = np.column_stack([np.broadcast_to(np.asarray(p, dtype=float), t.shape) for p in parts])
+    rows = np.column_stack([np.cos(2 * math.pi * t), np.sin(2 * math.pi * t), 1.5 * t])
     rows = rows + rng.normal(0.0, spec.noise_sigma, rows.shape)
     return Dataset(rows, np.zeros(n, dtype=int))
 

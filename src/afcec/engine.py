@@ -8,7 +8,7 @@ decreases on every iteration that performs no deletion.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -288,8 +288,9 @@ def _reestimate(cache, labels, ks, family):
 def delete_small(cache, clusters, assignment, threshold_fraction):
     """Remove clusters holding fewer than threshold_fraction*n of the cache's
     n points (empty ones always go); reassign their points by the assignment
-    cost argmin over the survivors (using the survivors' current weights),
-    then renormalize all weights from the final sizes."""
+    cost argmin over the survivors (using the survivors' current weights).
+    Returns (surviving count, assignment compacted to 0..count-1, deleted
+    count)."""
     assignment = np.asarray(assignment)
     n = cache.rows.shape[0]
     sizes = np.bincount(assignment, minlength=len(clusters))
@@ -298,14 +299,9 @@ def delete_small(cache, clusters, assignment, threshold_fraction):
         raise AllClustersDegenerate("no cluster meets the size threshold")
     deleted = len(clusters) - len(keep)
     if deleted == 0:
-        return list(clusters), assignment, 0
+        return len(clusters), assignment, 0
     survivors = [clusters[i] for i in keep]
-    assignment = _reassign(cache, assignment, len(clusters), keep, survivors)
-    new_sizes = np.bincount(assignment, minlength=len(survivors))
-    survivors = [
-        replace(cl, weight=int(s) / n, size=int(s)) for cl, s in zip(survivors, new_sizes)
-    ]
-    return survivors, assignment, deleted
+    return len(keep), _reassign(cache, assignment, len(clusters), keep, survivors), deleted
 
 
 def _sq_dist(xs_t, c):
@@ -392,13 +388,11 @@ def _lloyd(cache, cfg, seeds):
             ks = [None] * len(seeds)
             for r in running:
                 try:
-                    survivors, labels[r], deleted[r] = delete_small(
+                    ks[r], labels[r], deleted[r] = delete_small(
                         cache, batch[r], labels[r], cfg.deletion_fraction
                     )
                 except AllClustersDegenerate as e:
                     results[r] = e
-                    continue
-                ks[r] = len(survivors)
         batch, labels, _ = _reestimate(cache, labels, ks, cfg.family)
         still = []
         for r in running:

@@ -25,10 +25,6 @@ class InvalidConfig(AfcecError):
     """An engine or CLI configuration value is out of range."""
 
 
-class InvalidConvention(AfcecError):
-    """A parameter-counting convention does not apply to the model."""
-
-
 class BeyondCurvatureCenter(AfcecError):
     """Corrected density requested where the normal map folds (factor <= 0)."""
 

@@ -9,9 +9,7 @@ import numpy as np
 # module's name as well
 from .density import fadapted_log_density  # noqa: F401
 from .engine import cluster_score_blocks, design_cache
-from .errors import InvalidConvention
 
-CONVENTIONS = ("general", "paper2d")
 LL_MODES = ("mixture", "max")
 # mixture log-likelihood: a term smaller than exp(LSE_FLOOR) times a point's
 # largest term is raised to that bound. This moves the point's sum by at most
@@ -24,7 +22,6 @@ LSE_FLOOR = -60.0
 class ModelScore:
     loglik: float
     n_params: int
-    n_points: int
     bic: float
     aic: float
 
@@ -62,33 +59,24 @@ def _cluster_params(cl):
     return (d - 1) + (d - 1) * d // 2 + 1 + b + 1
 
 
-def count_params(model, convention="general"):
-    """Free-parameter count. general: per cluster (d-1) mean + (d-1)d/2
-    covariance + 1 residual variance + B curve coefficients + 1 weight (the
-    discrete dependent-axis choice is not counted). paper2d: the 7-per-cluster
-    shortcut, valid only for d=2 with the quadratic family."""
-    if convention not in CONVENTIONS:
-        raise InvalidConvention(f"convention must be one of {CONVENTIONS}")
-    if convention == "paper2d":
-        for cl in model.clusters:
-            fam = cl.params.curve.family
-            if cl.params.dim != 2 or fam.size != 3 or fam.input_dim != 1:
-                raise InvalidConvention("paper2d applies only to d=2 quadratic models")
-        return 7 * len(model.clusters)
+def count_params(model):
+    """Free-parameter count: per cluster (d-1) mean + (d-1)d/2 covariance + 1
+    residual variance + B curve coefficients + 1 weight (the discrete
+    dependent-axis choice is not counted). For d=2 with the quadratic family
+    that is the paper's 7 per cluster."""
     return sum(_cluster_params(cl) for cl in model.clusters)
 
 
-def score(x, model, ll_mode="mixture", convention="general"):
+def score(x, model, ll_mode="mixture"):
     """Log-likelihood, parameter count, BIC and AIC of model on x (a Dataset,
     an (n, d) array, or an engine.DesignCache over the data)."""
     cache = design_cache(x)
     ll = log_likelihood(cache, model, ll_mode)
-    k = count_params(model, convention)
+    k = count_params(model)
     n = cache.rows.shape[0]
     return ModelScore(
         loglik=ll,
         n_params=k,
-        n_points=n,
         bic=-2.0 * ll + k * math.log(n),
         aic=-2.0 * ll + 2.0 * k,
     )

@@ -354,6 +354,29 @@ def test_fold_mass_integrand_is_float_math(monkeypatch):
         assert got == pytest.approx(n1 * tail * root, rel=1e-14, abs=0.0)
 
 
+# fold_mass(AcaParabolaModel(a, 1, 1)), to 20 digits, by mpmath 1.3.0 at
+# mp.dps = 30 (unchanged at 40); mpmath is not a test dependency, so the
+# values are written out. For AcaParabolaModel(a, s1, s2):
+#   root(t) = sqrt(1 + 4 a^2 t^2), arc(t) = t root / 2 + asinh(2 |a| t) / (4 |a|)
+#   g(t) = exp(-(arc / s1)^2 / 2) / (sqrt(2 pi) s1) * erfc(root / (2 |a| s2 sqrt 2)) / 2 * root
+#   2 * mp.quad(g, [0] + sorted(min(r, sqrt(r / |a|)) for r in
+#                               max(s1, 1) * (0.01, 0.1, 0.5, 1, 2, 5, 10, 20, 40)))
+FOLD_MASS_MPMATH = {
+    1e3: 0.48963884613913114487,
+    1e6: 0.49967199870127377626,
+    -1e6: 0.49967199870127377626,
+    1e9: 0.49998962766768231197,
+}
+
+
+@pytest.mark.parametrize("a", sorted(FOLD_MASS_MPMATH))
+def test_fold_mass_finds_the_fold_at_large_a(a):
+    # the integrand lives where arc(t) >= |a| t^2 is within the tail, a ridge
+    # about 1/sqrt|a| wide; quad's default relative tolerance is 1.49e-8
+    got = fold_mass(AcaParabolaModel(a, 1.0, 1.0))
+    assert got == pytest.approx(FOLD_MASS_MPMATH[a], rel=1.49e-8, abs=0.0)
+
+
 def test_fold_mass_small_when_sigma2_small():
     assert fold_mass(AcaParabolaModel(0.25, 0.25, 0.25)) < 1e-10
     assert fold_mass(AcaParabolaModel(1.0, 1.0, 1.0)) > 0.1
@@ -447,20 +470,3 @@ def test_model_validation():
         AcaParabolaModel(0.0, 1.0, 1.0)
     with pytest.raises(ValueError):
         AcaParabolaModel(1.0, -1.0, 1.0)
-
-
-def test_foot_grid_blocks_equal_one_shot_projection():
-    # 2 * 40 + 1 = 81 grid rows: two full blocks and a partial one
-    assert 81 % acagmm.FOOT_BLOCK_ROWS
-    px, py, _ = _grid(-3.0, 3.0, 80)
-    for a in (0.5, -1.0):
-        t0 = acagmm._project_t0_grid(a, px, py)
-        p = np.hypot(px - t0, py - a * t0 * t0)
-        want = (
-            acagmm._signed_arc(a, t0),
-            p,
-            acagmm._jacobian_factor(a, t0, p, py > a * px * px),
-        )
-        for got, one_shot in zip(acagmm._foot_grid(a, px, py), want):
-            assert got.shape == px.shape
-            assert np.array_equal(got, one_shot)

@@ -224,7 +224,6 @@ def test_7_parameter_count_anchors():
     per_q = count_params(mq) // mq.k
     nine = _replicate(mq, 9)
     ok &= per_q == 7 and count_params(nine) == 63
-    ok &= count_params(nine, convention="paper2d") == 63
     details.append(f"quadratic 2-d: {per_q}/cluster, 9 clusters -> {count_params(nine)}")
     # 6 per cluster for the linear (full Gaussian) reference, 84 at fourteen
     per_l = count_params(ml) // ml.k

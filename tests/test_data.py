@@ -53,7 +53,7 @@ def test_generator_kinds_and_shapes():
 
 
 def test_circle_points_near_ring():
-    ds = generate(GeneratorSpec(kind="circle", n=500, noise_sigma=0.02, seed=2, radius=1.0))
+    ds = generate(GeneratorSpec(kind="circle", n=500, noise_sigma=0.02, seed=2))
     r = np.hypot(ds.rows[:, 0], ds.rows[:, 1])
     assert abs(r.mean() - 1.0) < 0.02
     assert r.std() < 0.05
@@ -252,7 +252,7 @@ def test_schema1_model_loads_and_reserializes_unchanged():
     assert fam == builtin_family("quadratic", 2)
     assert hash(fam) == hash(builtin_family("quadratic", 2))
     curve = model.clusters[0].params.curve
-    assert curve.evaluate([1.0, 2.0]) == 0.5 - 1.0 + 4.0 + 0.1 + 0.4 - 1.2
+    assert curve.evaluate([[1.0, 2.0]]).tolist() == [0.5 - 1.0 + 4.0 + 0.1 + 0.4 - 1.2]
     assert json.dumps(model_to_json(model)) == json.dumps(SCHEMA1_MODEL)
 
 

@@ -1,10 +1,12 @@
 """Every module-level function and class in afcec has a caller outside tests:
 it is exported in afcec.__all__, or something else in src/afcec or bench/
 names it. A name counts as an identifier, an attribute or a string constant,
-since bench/spans.py wraps its layers by attribute name. And every name that
-a module of afcec imports under `# noqa: F401` is used by that module or
-wrapped under that module's name by bench/spans.py, so a stale import cannot
-hide behind the noqa."""
+since bench/spans.py wraps its layers by attribute name. Every field of a
+dataclass or NamedTuple in afcec, and every attribute afcec sets with
+object.__setattr__, is read as an attribute somewhere in src/afcec or
+bench/. And every name that a module of afcec imports under `# noqa: F401`
+is used by that module or wrapped under that module's name by
+bench/spans.py, so a stale import cannot hide behind the noqa."""
 
 import ast
 from collections import defaultdict
@@ -56,6 +58,71 @@ def unreferenced(sources, exported):
 
 def test_no_module_level_definition_lacks_a_caller():
     assert unreferenced(_sources(), set(afcec.__all__)) == []
+
+
+def _is_record(node):
+    """A class decorated with dataclass or derived from NamedTuple."""
+    decorators = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+    named = [getattr(n, "id", getattr(n, "attr", None)) for n in decorators + node.bases]
+    return "dataclass" in named or "NamedTuple" in named
+
+
+def _fields(cls):
+    """The names a class declares as record fields or sets with
+    object.__setattr__(self, "name", ...)."""
+    if _is_record(cls):
+        for node in cls.body:
+            if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                yield node.target.id
+    for node in ast.walk(cls):
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "__setattr__"
+            and getattr(node.func.value, "id", None) == "object"
+            and len(node.args) >= 2
+            and isinstance(node.args[1], ast.Constant)
+        ):
+            yield node.args[1].value
+
+
+def unread_fields(defining, reading):
+    """Fields and __setattr__ attributes of the classes in the defining files
+    that no reading file loads as an attribute, as "module.Class.field"."""
+    read = set()
+    for path in reading:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    out = []
+    for path in defining:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ClassDef):
+                fields = dict.fromkeys(_fields(node))
+                out += [f"{path.stem}.{node.name}.{f}" for f in fields if f not in read]
+    return out
+
+
+def test_every_field_is_read():
+    assert unread_fields(sorted(PACKAGE.glob("*.py")), _sources()) == []
+
+
+def test_unread_field_is_found(tmp_path):
+    module, reader = tmp_path / "mod.py", tmp_path / "reader.py"
+    module.write_text(
+        "from dataclasses import dataclass\nfrom typing import NamedTuple\n\n\n"
+        "@dataclass(frozen=True)\nclass Spec:\n    kind: str\n    unread: int = 0\n\n"
+        "    def __post_init__(self):\n"
+        "        object.__setattr__(self, \"derived\", self.kind)\n"
+        "        object.__setattr__(self, \"stale\", 1)\n\n\n"
+        "class Pair(NamedTuple):\n    first: int\n    second: int\n\n\n"
+        "class Plain:\n    size: int\n\n\n"
+        "def f(spec):\n    spec.unread = 1\n    return spec.derived\n"
+    )
+    reader.write_text("def g(pair):\n    return pair.first\n")
+    assert unread_fields([module], [module, reader]) == [
+        "mod.Spec.unread", "mod.Spec.stale", "mod.Pair.second"
+    ]
 
 
 def wrapped_attributes(spans):

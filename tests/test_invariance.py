@@ -34,9 +34,10 @@ _sign = st.sampled_from([-1.0, 1.0])
 
 
 def _curved_cloud(seed, n, d):
-    """Points around x_{d-1} = 0.5 x_0^2 + 0.3 x_0^3 with noise 0.3, so the
-    last axis is the clear argmin of every curved family and no residual
-    variance comes near the floor."""
+    """Points around x_{d-1} = 0.5 x_0^2 + 0.3 x_0^3 with noise 0.3, so no
+    residual variance comes near the floor. The last axis is usually the
+    argmin of every curved family, but not always: at seed 1915 the quadratic
+    d=2 fit prefers axis 0 by about 0.014 nats."""
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((n, d))
     x[:, -1] = 0.5 * x[:, 0] ** 2 + 0.3 * x[:, 0] ** 3 + 0.3 * x[:, -1]
@@ -50,6 +51,39 @@ def _refit(x, family):
     return axis, h
 
 
+def _assert_same_clear_argmin(x, family, axis, moved_axis, tol):
+    """Both copies chose axis, and its H is below every other axis's H by
+    more than tol, so an H that moves by at most tol keeps the choice. Each
+    axis's H comes from fit_curve and fadapted_cross_entropy, apart from the
+    refit's argmin. With the linear family every axis has the Gaussian's H, so
+    the argmin is a rounding tie and is not checked."""
+    if family.kind == "linear":
+        return
+    assert moved_axis == axis
+    hs = [fadapted_cross_entropy(x, j, fit_curve(x, j, family))[0] for j in range(x.shape[1])]
+    assert min(h for j, h in enumerate(hs) if j != axis) - hs[axis] > tol
+
+
+def _check_translation(kind, d, seed, b):
+    x = _curved_cloud(seed, 300, d)
+    family = builtin_family(kind, d - 1)
+    axis, h = _refit(x, family)
+    moved_axis, moved_h = _refit(x + b, family)
+    assert moved_h == pytest.approx(h, rel=0, abs=SHIFT_ATOL)
+    _assert_same_clear_argmin(x, family, axis, moved_axis, SHIFT_ATOL)
+
+
+def _check_scale(kind, d, seed, s):
+    x = _curved_cloud(seed, 300, d) + 2.0
+    family = builtin_family(kind, d - 1)
+    axis, h = _refit(x, family)
+    scaled_axis, scaled_h = _refit(x * s, family)
+    shift = sum(math.log(abs(si)) for si in s)
+    tol = SCALE_ATOL * (1.0 + abs(shift))
+    assert scaled_h == pytest.approx(h + shift, rel=0, abs=tol)
+    _assert_same_clear_argmin(x, family, axis, scaled_axis, tol)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     kind=st.sampled_from(BUILTIN_KINDS),
@@ -58,18 +92,9 @@ def _refit(x, family):
     data=st.data(),
 )
 def test_refit_entropy_is_translation_invariant(kind, d, seed, data):
-    x = _curved_cloud(seed, 300, d)
-    family = builtin_family(kind, d - 1)
     mags = data.draw(st.lists(_magnitude, min_size=d, max_size=d))
     signs = data.draw(st.lists(_sign, min_size=d, max_size=d))
-    b = np.array(signs) * 10.0 ** np.array(mags)
-    axis, h = _refit(x, family)
-    moved_axis, moved_h = _refit(x + b, family)
-    assert moved_h == pytest.approx(h, rel=0, abs=SHIFT_ATOL)
-    # with the linear family every axis has the Gaussian's H, so the argmin
-    # is a rounding tie
-    if kind != "linear":
-        assert moved_axis == axis == d - 1
+    _check_translation(kind, d, seed, np.array(signs) * 10.0 ** np.array(mags))
 
 
 @settings(max_examples=60, deadline=None)
@@ -80,17 +105,16 @@ def test_refit_entropy_is_translation_invariant(kind, d, seed, data):
     data=st.data(),
 )
 def test_refit_entropy_is_scale_invariant(kind, d, seed, data):
-    x = _curved_cloud(seed, 300, d) + 2.0
-    family = builtin_family(kind, d - 1)
     mags = data.draw(st.lists(_magnitude, min_size=d, max_size=d))
     signs = data.draw(st.lists(_sign, min_size=d, max_size=d))
-    s = np.array(signs) * 10.0 ** np.array(mags)
-    axis, h = _refit(x, family)
-    scaled_axis, scaled_h = _refit(x * s, family)
-    shift = sum(math.log(abs(si)) for si in s)
-    assert scaled_h == pytest.approx(h + shift, rel=0, abs=SCALE_ATOL * (1.0 + abs(shift)))
-    if kind != "linear":
-        assert scaled_axis == axis == d - 1
+    _check_scale(kind, d, seed, np.array(signs) * 10.0 ** np.array(mags))
+
+
+def test_refit_invariance_where_the_first_axis_wins():
+    # seed 1915, quadratic, d=2: both copies choose axis 0, not the last axis
+    # (an st.data() draw cannot be pinned with @example)
+    _check_translation("quadratic", 2, 1915, np.array([1e6, -1e6]))
+    _check_scale("quadratic", 2, 1915, np.array([-1.0, -1.0]))
 
 
 def _lstsq_sse(design, target):

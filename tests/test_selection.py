@@ -6,7 +6,6 @@ import pytest
 from afcec.curves import builtin_family
 from afcec.data import GeneratorSpec, generate
 from afcec.engine import DesignCache, EngineConfig, assign_step, fit
-from afcec.errors import InvalidConvention
 from afcec.selection import count_params, log_likelihood, score
 
 QUAD1 = builtin_family("quadratic", 1)
@@ -22,7 +21,6 @@ def test_count_params_quadratic_2d_is_7_per_cluster():
     # mean 1 + variance 1 + residual variance 1 + three coefficients + weight
     ds, m = _fitted(QUAD1, k=3, seed=1)
     assert count_params(m) == 7 * m.k
-    assert count_params(m, convention="paper2d") == 7 * m.k
 
 
 def test_count_params_linear_2d_is_6_per_cluster():
@@ -36,12 +34,6 @@ def test_count_params_general_3d():
     m = fit(ds3, EngineConfig(k_init=2, family=builtin_family("quadratic", 2), seed=3))
     # (d-1) mean + (d-1)d/2 cov + 1 resid + 6 coefficients + 1 weight = 13
     assert count_params(m) == 13 * m.k
-
-
-def test_paper2d_convention_rejects_other_shapes():
-    ds, m = _fitted(LIN1, k=2, seed=4)
-    with pytest.raises(InvalidConvention):
-        count_params(m, convention="paper2d")
 
 
 def test_mixture_loglik_at_least_max():
@@ -87,7 +79,6 @@ def test_score_formulas():
     p = count_params(m)
     assert sc.loglik == pytest.approx(ll, abs=1e-12)
     assert sc.n_params == p
-    assert sc.n_points == ds.n
     assert sc.bic == pytest.approx(-2.0 * ll + p * math.log(ds.n), abs=1e-10)
     assert sc.aic == pytest.approx(-2.0 * ll + 2.0 * p, abs=1e-10)
 
