@@ -371,8 +371,8 @@ FOLD_MASS_MPMATH = {
 
 @pytest.mark.parametrize("a", sorted(FOLD_MASS_MPMATH))
 def test_fold_mass_finds_the_fold_at_large_a(a):
-    # the integrand lives where arc(t) >= |a| t^2 is within the tail, a ridge
-    # about 1/sqrt|a| wide; quad's default relative tolerance is 1.49e-8
+    # the integrand lives where arc(t), at least |a| t^2, is within the tail:
+    # a ridge about 1/sqrt|a| wide. quad's default relative tolerance is 1.49e-8
     got = fold_mass(AcaParabolaModel(a, 1.0, 1.0))
     assert got == pytest.approx(FOLD_MASS_MPMATH[a], rel=1.49e-8, abs=0.0)
 
