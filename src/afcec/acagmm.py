@@ -29,6 +29,19 @@ FOOT_BLOCK_ROWS = 32
 # fold_mass integrates where the arc length is within FOLD_TAIL * max(sigma1,
 # 1) of the vertex; the along-curve Gaussian is below exp(-800) beyond
 FOLD_TAIL = 40.0
+# the positive nodes of the 20-point Gauss-Legendre rule on [-1, 1] and their
+# weights, correctly rounded (written out: importing numpy.polynomial for
+# leggauss would slow every command's start-up)
+_GL20_NODES = (
+    0.07652652113349734, 0.22778585114164507, 0.37370608871541955, 0.5108670019508271,
+    0.636053680726515, 0.7463319064601508, 0.8391169718222188, 0.912234428251326,
+    0.9639719272779138, 0.9931285991850949,
+)
+_GL20_WEIGHTS = (
+    0.15275338713072584, 0.14917298647260374, 0.14209610931838204, 0.13168863844917664,
+    0.11819453196151841, 0.10193011981724044, 0.08327674157670475, 0.06267204833410907,
+    0.04060142980038694, 0.017614007139152118,
+)
 
 
 @dataclass(frozen=True)
@@ -145,31 +158,30 @@ def fold_mass(m):
     """Mass of the base (arc, normal) Gaussian lying beyond the cut locus,
     i.e. normal offsets past c(t) = sqrt(1 + 4 a^2 t^2) / (2|a|) on the concave
     side. This is exactly what the single-nearest-foot corrected density loses,
-    so its integral comes out at 1 minus this. Computed by 1-D quadrature."""
-    # imported here: only acagmm-check needs it, and scipy.integrate is slow
-    # to import
-    from scipy import integrate
-
+    so its integral comes out at 1 minus this. Computed by 1-D quadrature: a
+    20-point Gauss-Legendre rule on each of a fixed set of panels."""
     a, s1, s2 = m.a, m.sigma1, m.sigma2
     aa = abs(a)
-    # quad calls g once per abscissa: plain math on floats, no numpy scalars
-    n1_scale = math.sqrt(2.0 * math.pi) * s1
-    erfc_scale = s2 * math.sqrt(2.0)
-
-    def g(t):
-        root = math.sqrt(1.0 + 4.0 * a * a * t * t)
-        arc = 0.5 * t * root + math.asinh(2.0 * aa * t) / (4.0 * aa)
-        n1 = math.exp(-0.5 * (arc / s1) ** 2) / n1_scale
-        q = 0.5 * math.erfc(root / (2.0 * aa) / erfc_scale)
-        return n1 * q * root
-
-    # g is even in t and peaks at t=0; integrating outward from the peak keeps
-    # the adaptive rule from missing a narrow ridge. arc(t) >= max(t, |a| t^2),
-    # so g has vanished by t = min(reach, sqrt(reach / |a|)); at large |a| a
-    # span of reach alone hides the ridge (about 1/sqrt|a| wide) from quad
+    # the integrand g is even in t and has vanished by t = top, since
+    # arc(t) >= max(t, |a| t^2)
     reach = FOLD_TAIL * max(s1, 1.0)
-    val, _ = integrate.quad(g, 0.0, min(reach, math.sqrt(reach / aa)), limit=200)
-    return 2.0 * float(val)
+    top = min(reach, math.sqrt(reach / aa))
+    # g bends where 2|a|t reaches 1 and narrows with s1, so the panels halve
+    # in width toward t = 0: [0, top 2^-levels], then [top 2^-(i+1), top 2^-i]
+    # for i = levels-1 .. 0, the first at most a thousandth of 1/|a|, s1 and top
+    levels = math.ceil(math.log2(top / (1e-3 * min(1.0 / aa, s1, top))))
+    edges = np.ldexp(top, np.arange(-levels, 1))
+    lo = np.concatenate(([0.0], edges[:-1])).reshape(-1, 1)
+    half = 0.5 * (edges.reshape(-1, 1) - lo)
+    x = np.array(_GL20_NODES)
+    t = lo + half + half * np.concatenate((-x, x))
+    w = half * np.tile(_GL20_WEIGHTS, 2)
+    root = np.sqrt(1.0 + (2.0 * aa * t) ** 2)
+    n1 = np.exp(-0.5 * (_signed_arc(a, t) / s1) ** 2) / (math.sqrt(2.0 * math.pi) * s1)
+    # numpy has no erfc: math's, once per node
+    z = (root / (2.0 * aa * s2 * math.sqrt(2.0))).ravel().tolist()
+    q = 0.5 * np.array([math.erfc(v) for v in z]).reshape(t.shape)
+    return 2.0 * float(np.sum(w * n1 * q * root))
 
 
 def normalization_table(

@@ -328,30 +328,15 @@ def test_fold_mass_matches_2d_quadrature():
     assert fold_mass(m) == pytest.approx(ref, rel=1e-6)
 
 
-def test_fold_mass_integrand_is_float_math(monkeypatch):
-    # quad evaluates the integrand once per abscissa, so it is plain math on
-    # floats; its values match the numpy/scipy.special form of the same formula
-    from scipy import integrate, special
-
-    integrands = []
-    quad = integrate.quad
-
-    def spy(g, *args, **kwargs):
-        integrands.append(g)
-        return quad(g, *args, **kwargs)
-
-    monkeypatch.setattr(integrate, "quad", spy)
-    m = AcaParabolaModel(-0.5, 0.5, 1.0)
-    fold_mass(m)
-    (g,) = integrands
-    for t in (0.0, 0.3, 2.0, 7.5):
-        root = np.sqrt(1.0 + 4.0 * m.a ** 2 * t * t)
-        n1 = np.exp(-0.5 * (acagmm._signed_arc(m.a, t) / m.sigma1) ** 2)
-        n1 /= math.sqrt(2.0 * math.pi) * m.sigma1
-        tail = 0.5 * special.erfc(root / (2.0 * abs(m.a)) / (m.sigma2 * math.sqrt(2.0)))
-        got = g(t)
-        assert type(got) is float
-        assert got == pytest.approx(n1 * tail * root, rel=1e-14, abs=0.0)
+def test_gauss_legendre_rule_integrates_degree_39_exactly():
+    # fold_mass's 20-point rule, written out in acagmm: exact on x^k over
+    # [-1, 1] up to k = 2 * 20 - 1
+    x = np.array(acagmm._GL20_NODES)
+    x = np.concatenate((-x, x))
+    w = np.tile(acagmm._GL20_WEIGHTS, 2)
+    for k in range(40):
+        want = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+        assert np.sum(w * x ** k) == pytest.approx(want, rel=1e-14, abs=1e-15), k
 
 
 # fold_mass(AcaParabolaModel(a, 1, 1)), to 20 digits, by mpmath 1.3.0 at
@@ -372,9 +357,37 @@ FOLD_MASS_MPMATH = {
 @pytest.mark.parametrize("a", sorted(FOLD_MASS_MPMATH))
 def test_fold_mass_finds_the_fold_at_large_a(a):
     # the integrand lives where arc(t), at least |a| t^2, is within the tail:
-    # a ridge about 1/sqrt|a| wide. quad's default relative tolerance is 1.49e-8
+    # a ridge about 1/sqrt|a| wide
     got = fold_mass(AcaParabolaModel(a, 1.0, 1.0))
-    assert got == pytest.approx(FOLD_MASS_MPMATH[a], rel=1.49e-8, abs=0.0)
+    assert got == pytest.approx(FOLD_MASS_MPMATH[a], rel=1e-14, abs=0.0)
+
+
+# fold_mass(AcaParabolaModel(a, s1, s2)), to 20 digits, by the recipe above
+# with more breakpoints, so that mp.quad resolves small s1 and large |a|: the
+# recipe's points, top * 2^-k for k = 0 .. 69 (top the largest recipe point),
+# and those of 1/|a|, 0.1/|a|, 10/|a|, s1, 0.1 s1 and 3 s1 below top.
+# mp.dps = 40 agrees to 3e-28.
+FOLD_MASS_MPMATH_CASES = {
+    (1e-3, 30.0, 30.0): 8.0933167680464709155e-63,
+    (-0.01, 5.0, 30.0): 0.046991373690694719172,
+    (0.1, 0.01, 5.0): 0.15865476999484734491,
+    (-0.5, 0.5, 1.0): 0.13810819769273048503,
+    (0.3, 30.0, 2.0): 0.01561587622011432667,
+    (3.0, 0.01, 0.2): 0.20190891171329841045,
+    (-40.0, 2.0, 0.05): 0.02102070814121639391,
+    (2107.0, 0.4552, 0.0121): 0.17950115917699074713,
+    (-1e5, 0.03, 0.01): 0.48205025110422474071,
+    (1e9, 10.0, 0.01): 0.49672003769747463083,
+    (-1e9, 0.01, 30.0): 0.49999996542556613046,
+}
+
+
+@pytest.mark.parametrize("case", sorted(FOLD_MASS_MPMATH_CASES), ids=str)
+def test_fold_mass_matches_mpmath(case):
+    # a from 1e-3 to 1e9 with both signs, sigmas from 0.01 to 30: the
+    # integrand's bend at t ~ 1/|a| and its s1-wide peak both need resolving
+    got = fold_mass(AcaParabolaModel(*case))
+    assert got == pytest.approx(FOLD_MASS_MPMATH_CASES[case], rel=0, abs=1e-15)
 
 
 def test_fold_mass_small_when_sigma2_small():

@@ -188,13 +188,27 @@ def test_fit_and_sweep_agree(circle_csv, capsys):
 
 
 def test_import_leaves_out_scipy_integrate():
-    # scipy.integrate is only needed by acagmm-check's fold mass
+    # fold_mass needs neither (its Gauss-Legendre rule is written out), and
+    # importing either would slow every command's start-up
     script = (
         "import sys, afcec, afcec.cli; "
-        "sys.exit('scipy.integrate' in sys.modules)"
+        "sys.exit(any(m in sys.modules for m in ('scipy.integrate', 'numpy.polynomial')))"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(afcec.__file__).parents[1]))
     assert subprocess.run([sys.executable, "-c", script], env=env).returncode == 0
+
+
+def test_acagmm_check_runs_without_scipy():
+    # the fold mass is numpy and math alone, so the command loads no scipy
+    script = (
+        "import sys, afcec.cli; "
+        "rc = afcec.cli.main(['acagmm-check', '--n', '20']); "
+        "sys.exit(rc or any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(afcec.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.count(b"\n") == 28
 
 
 def test_import_leaves_out_scipy_linalg():
@@ -267,9 +281,8 @@ def test_acagmm_check_bad_grid_is_config_error(capsys):
     ids=["tiny-a", "huge-a", "huge-box", "tiny-sigma", "huge-sigma"],
 )
 def test_acagmm_check_beyond_float64_is_config_error(capsys, caplog, argv, config):
-    # each of these overflows or divides by zero somewhere in the table, or
-    # (huge-sigma) makes fold_mass's quadrature NaN: it must fail naming its
-    # configuration, not print NaN or raise
+    # each of these overflows or divides by zero somewhere in the table: it
+    # must fail naming its configuration, not print NaN or raise
     code, out = _run(capsys, "acagmm-check", "--n", "4", "--sigma-grid", "1", *argv)
     assert code == 1
     assert out == ""

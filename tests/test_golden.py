@@ -7,7 +7,8 @@ per command), so a speed or design change that alters a result fails here.
 Counts must match exactly; costs and scores to GOLDEN_RTOL relative. The
 acagmm-check table was recorded from the full-grid Simpson walk, before the
 table folded its grid about x = 0; its excluded_mass column was re-recorded
-when fold_mass's span was cut to where its integrand lives. The `generate`
+when fold_mass's span was cut to where its integrand lives, and again when
+fold_mass moved from adaptive quadrature to a fixed Gauss-Legendre rule. The `generate`
 digests were recorded before GeneratorSpec's per-kind fields became
 constants; the benchmark's inputs come from `afcec generate`.
 """
@@ -61,33 +62,33 @@ SWEEP_GOLDEN = [
 # default `acagmm-check`: (a, sigma1, sigma2, raw_integral, corrected_integral,
 # excluded_mass), as printed
 ACA_GOLDEN = [
-    (0.25, 0.25, 0.25, 0.9999999999999994, 0.9999999999999896, 4.3908871438545407e-16),
-    (0.25, 0.25, 0.5, 1.0000011112878122, 0.9999791216885358, 2.8206775618123602e-05),
-    (0.25, 0.25, 1.0, 1.0036900220758802, 0.9797175982668875, 0.021963174489428344),
-    (0.25, 0.5, 0.25, 1.0000000000000002, 0.999999999999998, 2.779138251712686e-16),
-    (0.25, 0.5, 0.5, 1.000000555439889, 0.9999812280111157, 2.2259432793536582e-05),
-    (0.25, 0.5, 1.0, 1.002636370210291, 0.9806571028590438, 0.020093526520264582),
-    (0.25, 1.0, 0.25, 0.9999999999967126, 0.9999999999967003, 1.508469890834381e-16),
-    (0.25, 1.0, 0.5, 1.000000117560595, 0.9999875888496277, 1.4126057268266069e-05),
+    (0.25, 0.25, 0.25, 0.9999999999999994, 0.9999999999999896, 4.390892617493492e-16),
+    (0.25, 0.25, 0.5, 1.0000011112878122, 0.9999791216885358, 2.8206775618123737e-05),
+    (0.25, 0.25, 1.0, 1.0036900220758802, 0.9797175982668875, 0.021963174489428357),
+    (0.25, 0.5, 0.25, 1.0000000000000002, 0.999999999999998, 2.779144358502516e-16),
+    (0.25, 0.5, 0.5, 1.000000555439889, 0.9999812280111157, 2.225943279350523e-05),
+    (0.25, 0.5, 1.0, 1.002636370210291, 0.9806571028590438, 0.02009352652026458),
+    (0.25, 1.0, 0.25, 0.9999999999967126, 0.9999999999967003, 1.5084655995818796e-16),
+    (0.25, 1.0, 0.5, 1.000000117560595, 0.9999875888496277, 1.4126057268266154e-05),
     (0.25, 1.0, 1.0, 1.0010850749457276, 0.9845056709659241, 0.01585058518492877),
-    (0.5, 0.25, 0.25, 1.0000004548812618, 0.9999798433426984, 2.2259432793505232e-05),
-    (0.5, 0.25, 0.5, 1.0026337796125315, 0.980646712467251, 0.020093526520264582),
-    (0.5, 0.25, 1.0, 1.0663404397021328, 0.8497003102551445, 0.15201996683761362),
-    (0.5, 0.5, 0.25, 1.0000001116691448, 0.999986992671709, 1.4126057268058232e-05),
-    (0.5, 0.5, 0.5, 1.0010957505800422, 0.9844756263112975, 0.015850585184928774),
-    (0.5, 0.5, 1.0, 1.0419514622871593, 0.8626489414419783, 0.13810819769273053),
-    (0.5, 1.0, 0.25, 1.0000000045516957, 0.9999928758361797, 7.68762655105714e-06),
+    (0.5, 0.25, 0.25, 1.0000004548812618, 0.9999798433426984, 2.2259432793505222e-05),
+    (0.5, 0.25, 0.5, 1.0026337796125315, 0.980646712467251, 0.02009352652026458),
+    (0.5, 0.25, 1.0, 1.0663404397021328, 0.8497003102551445, 0.1520199668376136),
+    (0.5, 0.5, 0.25, 1.0000001116691448, 0.999986992671709, 1.4126057268266148e-05),
+    (0.5, 0.5, 0.5, 1.0010957505800422, 0.9844756263112975, 0.01585058518492877),
+    (0.5, 0.5, 1.0, 1.0419514622871593, 0.8626489414419783, 0.1381081976927305),
+    (0.5, 1.0, 0.25, 1.0000000045516957, 0.9999928758361797, 7.687626551075936e-06),
     (0.5, 1.0, 0.5, 1.0001541724996004, 0.989982110537769, 0.010175497824412032),
     (0.5, 1.0, 1.0, 1.0144716138368723, 0.8904239118662471, 0.10993532256547502),
-    (1.0, 0.25, 0.25, 1.0010957459770977, 0.9823582790747124, 0.01585058518492877),
+    (1.0, 0.25, 0.25, 1.0010957459770977, 0.9823582790747124, 0.015850585184928767),
     (1.0, 0.25, 0.5, 1.0419562563644424, 0.8581053739422423, 0.13810819769273053),
     (1.0, 0.25, 1.0, 1.2600530281109852, 0.7050499066810895, 0.2922335982722256),
-    (1.0, 0.5, 0.25, 1.0001545006001478, 0.9888866935296377, 0.010175497824412036),
+    (1.0, 0.5, 0.25, 1.0001545006001478, 0.9888866935296377, 0.010175497824412032),
     (1.0, 0.5, 0.5, 1.0144816740000644, 0.8880693565788111, 0.10993532256547502),
     (1.0, 0.5, 1.0, 1.1400028373716513, 0.7335349769026865, 0.2650318128692355),
-    (1.0, 1.0, 0.25, 0.9999417559092032, 0.9939291805413524, 0.005596500818307725),
-    (1.0, 1.0, 0.5, 0.9998050603264594, 0.9258357267488011, 0.07315359134023007),
-    (1.0, 1.0, 1.0, 1.0380984718712798, 0.7822321137350334, 0.21703789733352633),
+    (1.0, 1.0, 0.25, 0.9999417559092032, 0.9939291805413524, 0.005596500818307839),
+    (1.0, 1.0, 0.5, 0.9998050603264594, 0.9258357267488011, 0.0731535913402302),
+    (1.0, 1.0, 1.0, 1.0380984718712798, 0.7822321137350334, 0.2170378973335264),
 ]
 ACA_RTOL = 1e-12
 # excluded_mass of each ACA_GOLDEN row by a 30-digit mpmath quadrature
