@@ -61,7 +61,7 @@ def _signed_arc(a, t):
     """Arc length of y = a x^2 from the vertex to (t, a t^2), signed by sign(t);
     t may be an array."""
     aa = abs(a)
-    root = np.sqrt(1.0 + 4.0 * a * a * t * t)
+    root = np.sqrt(1.0 + (2.0 * aa * t) ** 2)
     return 0.5 * t * root + np.arcsinh(2.0 * aa * t) / (4.0 * aa)
 
 
@@ -84,7 +84,7 @@ def aca_log_density(m, point, corrected=False):
 
 
 def _jacobian_factor(a, t0, p, above):
-    kappa = 2.0 * a / (1.0 + 4.0 * a * a * t0 * t0) ** 1.5
+    kappa = 2.0 * a / (1.0 + (2.0 * a * t0) ** 2) ** 1.5
     eta = np.where(above, p, -p)
     return 1.0 - kappa * eta
 
@@ -105,6 +105,9 @@ def _project_t0_grid(a, px, py):
     px, py = np.broadcast_arrays(np.asarray(px, dtype=float), np.asarray(py, dtype=float))
     shape = px.shape
     px, py = px.ravel(), py.ravel()
+    # a numpy scalar, so an a * a beyond float64 raises under the caller's
+    # errstate instead of collapsing every foot to t0 = 0
+    a = np.float64(a)
     q = (1.0 - 2.0 * a * py) / (6.0 * a * a)
     r = px / (4.0 * a * a)
     disc = q ** 3 + r ** 2

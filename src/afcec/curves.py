@@ -3,7 +3,8 @@
 A family is a finite monomial basis of functions R^{d-1} -> R, linear in
 coefficients, stored as an integer exponent matrix. Every family contains the
 constant function and all coordinate projections, so plain Gaussians are
-always a special case of the curved model.
+always a special case of the curved model, and every divisor of each of its
+monomials, so it spans the same functions about any centre.
 
 Curves are fitted from one Gram per segment of points, formed in
 coordinates centred at the segment mean and scaled by their spread, so a
@@ -20,6 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import density
 from .errors import DegenerateCluster, RankDeficient, ZeroResidualWarning
 
 BUILTIN_KINDS = ("linear", "quadratic", "cubic")
@@ -39,8 +41,11 @@ class FunctionFamily:
     """Monomial basis over R^{input_dim}: basis function b is
     prod_i x_i ** exponents[b, i].
 
-    exponents is a (size, input_dim) integer matrix. Row 0 must be all zeros
-    (the constant 1) and every unit row (coordinate projection) must be present.
+    exponents is a (size, input_dim) integer matrix of distinct rows. Row 0
+    must be all zeros (the constant 1), every unit row (coordinate projection)
+    must be present, and so must every divisor of every row: r - e_i wherever
+    r_i > 0. Such a basis spans the same functions about any centre, so a fit
+    can be taken in centred coordinates and read back in raw ones.
     """
 
     input_dim: int
@@ -60,6 +65,14 @@ class FunctionFamily:
         for i, unit in enumerate(np.eye(self.input_dim, dtype=int)):
             if not (e == unit).all(axis=1).any():
                 raise ValueError(f"basis lacks the projection onto coordinate {i}")
+        rows = {tuple(r) for r in e.tolist()}
+        if len(rows) < len(e):
+            raise ValueError("basis lists a monomial twice")
+        for r in rows:
+            for i, k in enumerate(r):
+                divisor = r[:i] + (k - 1,) + r[i + 1 :]
+                if k and divisor not in rows:
+                    raise ValueError(f"basis holds {list(r)} but not its divisor {list(divisor)}")
         e.setflags(write=False)
         object.__setattr__(self, "exponents", e)
 
@@ -159,20 +172,17 @@ class _GramLayout(NamedTuple):
     union holds the constant, then x_0 .. x_{d-1}, then every other monomial
     of the family taken over the coordinates other than some axis j. aug[j]
     lists the union columns of axis j's basis, then x_j's column 1 + j, and
-    others[j] the coordinates other than j. When the family's exponents are
-    closed under divisors (closed), the design is formed in coordinates
-    centred at the segment mean, and a curve in them is a curve of the same
-    family in raw ones: monomial b of x - centre expands to
+    others[j] the coordinates other than j. The design is formed in
+    coordinates centred at the segment mean, and since the family holds every
+    divisor of its monomials, a curve in them is a curve of the same family
+    in raw ones: monomial b of x - centre expands to
     sum_a binom[b, a] * m_{quot[b, a]}(-centre) * m_a(x), m_t being the
-    family's monomial t. Otherwise only the linear columns are centred (the
-    constant keeps the span), the other monomials are taken about the origin,
-    and binom folds back just the linear columns' shifts.
+    family's monomial t.
     """
 
     union: FunctionFamily
     aug: np.ndarray
     others: np.ndarray
-    closed: bool
     binom: np.ndarray
     quot: np.ndarray
 
@@ -189,19 +199,14 @@ def _gram_layout(family):
         [[index[tuple(r)] for r in emb.tolist()] + [1 + j] for j, emb in enumerate(embedded)]
     )
     others = np.array([[i for i in range(d) if i != j] for j in range(d)])
-    rows = {}
-    for t, r in enumerate(e.tolist()):
-        rows.setdefault(tuple(r), t)
-    closed = all(
-        tuple(r - u) in rows for r in e for u in np.eye(e.shape[1], dtype=int) if (r >= u).all()
-    )
+    rows = {tuple(r): t for t, r in enumerate(e.tolist())}
     binom = np.zeros((len(e), len(e)))
     quot = np.zeros((len(e), len(e)), dtype=int)
-    for b, a in itertools.product(range(len(e)), rows.values()):
-        if (e[a] <= e[b]).all() and (closed or (e[a] == e[b]).all() or e[b].sum() == 1):
+    for b, a in itertools.product(range(len(e)), repeat=2):
+        if (e[a] <= e[b]).all():
             binom[b, a] = math.prod(map(math.comb, e[b].tolist(), e[a].tolist()))
             quot[b, a] = rows[tuple((e[b] - e[a]).tolist())]
-    return _GramLayout(union, aug, others, closed, binom, quot)
+    return _GramLayout(union, aug, others, binom, quot)
 
 
 class _SegmentFits(NamedTuple):
@@ -250,8 +255,6 @@ def _solve_segments(xs, bounds, family):
     EXPLICIT_SSE_BELOW of the total, the sum of the explicit residuals. The
     coefficients are folded back to the raw monomial basis.
     """
-    from .density import RESID_VAR_FLOOR, pin_constants
-
     n, d = xs.shape
     lay = family._refit_layout
     starts, sizes = bounds[:-1], bounds[1:] - bounds[:-1]
@@ -259,11 +262,7 @@ def _solve_segments(xs, bounds, family):
     # centred coordinates as contiguous rows, so the design reads contiguous columns
     u_t = np.subtract(xs.T, np.repeat(centre.T, sizes, axis=1), out=np.empty((d, n)))
     flat = np.maximum.reduceat(u_t, starts, axis=1) == np.minimum.reduceat(u_t, starts, axis=1)
-    if lay.closed:
-        phi = lay.union.design_matrix(u_t.T)
-    else:
-        phi = lay.union.design_matrix(xs)
-        phi[:, 1 : d + 1] = u_t.T
+    phi = lay.union.design_matrix(u_t.T)
     del u_t
     gram = np.empty((len(sizes), phi.shape[1], phi.shape[1]))
     for g, lo, hi in zip(gram, starts.tolist(), bounds[1:].tolist()):
@@ -274,7 +273,7 @@ def _solve_segments(xs, bounds, family):
     mean_u = gram[:, 0, 1 : d + 1] / m
     covs = gram[:, 1 : d + 1, 1 : d + 1] / m[:, :, None]
     covs -= mean_u[:, :, None] * mean_u[:, None, :]
-    covs, var = pin_constants(covs, flat.T)
+    covs, var = density.pin_constants(covs, flat.T)
     scale = np.sqrt(var)
     # 1 / prod_i scale_i ** e_i for every union column
     inv = np.exp(np.log(scale) @ -lay.union.exponents.T)
@@ -292,8 +291,7 @@ def _solve_segments(xs, bounds, family):
         c[~full] = (pinv @ rhs[~full][..., None])[..., 0]
     # products summed along the last axis: the same bits in any stack
     sse_u = np.maximum(aug[..., -1, -1] - (rhs * c).sum(axis=-1), 0.0)
-    # about the origin, a family not closed under divisors may cancel at any SSE
-    explicit = (sse_u < EXPLICIT_SSE_BELOW * m) | (not lay.closed)
+    explicit = sse_u < EXPLICIT_SSE_BELOW * m
     for s in np.flatnonzero(explicit.any(axis=1)).tolist():
         axes = np.flatnonzero(explicit[s])
         cols = lay.aug[axes]  # (t, p + 1)
@@ -305,11 +303,10 @@ def _solve_segments(xs, bounds, family):
         resid = phi[bounds[s] : bounds[s + 1]] @ w
         sse_u[s, axes] = np.einsum("ij,ij->j", resid, resid)
     del phi
-    floored = sse_u < RESID_VAR_FLOOR * m
-    resid_var = var * np.where(floored, RESID_VAR_FLOOR, sse_u / m)
+    floored = sse_u < density.RESID_VAR_FLOOR * m
+    resid_var = var * np.where(floored, density.RESID_VAR_FLOOR, sse_u / m)
 
     # fold back: x_j = centre_j + scale_j * sum_b c_b prod_i ((x_i - centre_i) / scale_i) ** e_bi
-    # (for a family not closed under divisors only the linear columns are centred)
     c *= scale[:, :, None] * inv[:, lay.aug[:, :-1]]
     # every family monomial at -centre, (k, d, p)
     mono = family.design_matrix(-centre[:, lay.others].reshape(-1, d - 1)).reshape(c.shape)
@@ -334,8 +331,6 @@ def refit_segments(xs, bounds, family):
     a fit: fewer than max(family.size, d + 1) points, or on every axis an
     explanatory covariance that density._cholesky_reg cannot regularize.
     """
-    from . import density
-
     n, d = xs.shape
     sizes = bounds[1:] - bounds[:-1]
     fits = [None] * len(sizes)
@@ -353,16 +348,13 @@ def refit_segments(xs, bounds, family):
     try:
         low = np.linalg.cholesky(cov_exp)
     except np.linalg.LinAlgError:
-        # only the failing covariances climb the regularization ladder
+        # each covariance on its own: only the failing ones climb _cholesky_reg's ladder
         low = np.broadcast_to(np.eye(d - 1), cov_exp.shape).copy()
-        for i, j in zip(*np.nonzero(ok)):
+        for i in np.ndindex(ok.shape):
             try:
-                low[i, j] = np.linalg.cholesky(cov_exp[i, j])
-            except np.linalg.LinAlgError:
-                try:
-                    low[i, j], cov_exp[i, j] = density._cholesky_reg(cov_exp[i, j])
-                except DegenerateCluster:
-                    ok[i, j] = False
+                low[i], cov_exp[i] = density._cholesky_reg(cov_exp[i])
+            except DegenerateCluster:
+                ok[i] = False
 
     for _ in range(np.count_nonzero(ok & solved.floored[pick])):
         warnings.warn("residual variance floored", ZeroResidualWarning, stacklevel=2)

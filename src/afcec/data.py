@@ -34,11 +34,9 @@ STROKES = (
 
 @dataclass(frozen=True)
 class Dataset:
-    """n points in R^d. Column access via col(); labels are optional
-    ground-truth tags from the generators."""
+    """n points in R^d, the rows of a finite (n, d) float matrix."""
 
     rows: np.ndarray = field(repr=False)
-    labels: np.ndarray = field(default=None, repr=False)
 
     def __post_init__(self):
         rows = np.asarray(self.rows, dtype=float)
@@ -49,11 +47,6 @@ class Dataset:
         if not np.all(np.isfinite(rows)):
             raise ValueError("rows must be finite")
         object.__setattr__(self, "rows", rows)
-        if self.labels is not None:
-            labels = np.asarray(self.labels, dtype=int)
-            if labels.shape != (rows.shape[0],):
-                raise ValueError("labels must have one entry per row")
-            object.__setattr__(self, "labels", labels)
 
     @property
     def n(self):
@@ -99,30 +92,28 @@ def generate(spec):
         theta = rng.uniform(0.0, 2.0 * math.pi, n)
         r = CIRCLE_RADIUS + rng.normal(0.0, spec.noise_sigma, n)
         rows = np.column_stack([r * np.cos(theta), r * np.sin(theta)])
-        labels = (theta >= math.pi).astype(int)
-        return Dataset(rows, labels)
+        return Dataset(rows)
     if spec.kind == "spiral":
         theta = rng.uniform(0.5, SPIRAL_TURNS * 2.0 * math.pi, n)
         r = SPIRAL_PITCH * theta + rng.normal(0.0, spec.noise_sigma, n)
         rows = np.column_stack([r * np.cos(theta), r * np.sin(theta)])
-        labels = (theta / (2.0 * math.pi)).astype(int)
-        return Dataset(rows, labels)
+        return Dataset(rows)
     if spec.kind == "strokes":
         # drawn with explicit probabilities: p=None draws a different stream
-        labels = rng.choice(len(STROKES), size=n, p=np.full(len(STROKES), 1.0 / len(STROKES)))
+        stroke = rng.choice(len(STROKES), size=n, p=np.full(len(STROKES), 1.0 / len(STROKES)))
         t = rng.uniform(-1.0, 1.0, n)
         rows = np.empty((n, 2))
         for i, (cx, cy) in enumerate(STROKES):
-            sel = labels == i
+            sel = stroke == i
             rows[sel, 0] = _poly(cx, t[sel])
             rows[sel, 1] = _poly(cy, t[sel])
         rows += rng.normal(0.0, spec.noise_sigma, rows.shape)
-        return Dataset(rows, labels)
+        return Dataset(rows)
     # parametric3d
     t = rng.uniform(0.0, 1.0, n)
     rows = np.column_stack([np.cos(2 * math.pi * t), np.sin(2 * math.pi * t), 1.5 * t])
     rows = rows + rng.normal(0.0, spec.noise_sigma, rows.shape)
-    return Dataset(rows, np.zeros(n, dtype=int))
+    return Dataset(rows)
 
 
 def load_csv(path):

@@ -109,9 +109,8 @@ def _score_weights(params):
     at = np.arange(k)[:, None]
     w[at[:, :, None], np.arange(d - 1)[:, None], 1 + lay.others[axes][:, None, :]] = inv
     w[:, :-1, 0] = -(inv @ np.array([q.mean_exp for q in params])[:, :, None])[:, :, 0]
-    # added, so a family listing one monomial twice scores its summed coefficient
     coeffs = np.array([q.curve.coeffs for q in params])
-    np.add.at(w, (at, d - 1, lay.aug[axes, :-1]), coeffs / -sigma[:, None])
+    w[at, d - 1, lay.aug[axes, :-1]] = coeffs / -sigma[:, None]
     w[at[:, 0], d - 1, 1 + axes] = 1.0 / sigma
     consts = 0.5 * (d * LOG_2PI + _logdet(low) + np.log(resid_var))
     return w.reshape(k * d, -1), consts[:, None]
@@ -233,9 +232,8 @@ def fadapted_cross_entropy(x, j, curve):
     RESID_VAR_FLOOR * var(x_j) (var 1 where x_j is constant, see
     pin_constants) is floored there and flagged ZeroResidualWarning, as in
     the batched refit (curves.refit_segments). Unlike the refit, which reads
-    most SSEs from its Gram, this evaluates the curve's residuals on the
-    union design's columns for axis j (curves._GramLayout), so it checks the
-    refit independently.
+    most SSEs from its Gram, this evaluates the curve at the raw explanatory
+    coordinates, so it checks the refit independently of its layout.
     """
     x = np.asarray(x, dtype=float)
     n, d = x.shape
@@ -245,9 +243,7 @@ def fadapted_cross_entropy(x, j, curve):
     cov, var = pin_constants(covs[0], x.max(axis=0) == x.min(axis=0))
     others = [i for i in range(d) if i != j]
     low, cov_used = _cholesky_reg(cov[np.ix_(others, others)])
-    lay = curve.family._refit_layout
-    design = lay.union.design_matrix(x)
-    resid = design[:, 1 + j] - design[:, lay.aug[j, :-1]] @ curve.coeffs
+    resid = x[:, j] - curve.evaluate(x[:, others])
     resid_var = float(resid @ resid) / n
     var = float(var[j])
     if resid_var < RESID_VAR_FLOOR * var:

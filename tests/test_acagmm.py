@@ -351,6 +351,9 @@ FOLD_MASS_MPMATH = {
     1e6: 0.49967199870127377626,
     -1e6: 0.49967199870127377626,
     1e9: 0.49998962766768231197,
+    # a * a overflows float64 here, (2 |a| t)^2 does not
+    1e155: 0.50000000000000000000,
+    -1e155: 0.50000000000000000000,
 }
 
 

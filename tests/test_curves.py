@@ -41,6 +41,13 @@ def test_family_requires_constant_and_projections():
         FunctionFamily(input_dim=2, exponents=[[0, 0], [1, 0]])
     with pytest.raises(ValueError):
         FunctionFamily(input_dim=2, exponents=[[0, 0], [1, 0], [1, 1]])
+    # every divisor of every monomial, and no monomial twice
+    with pytest.raises(ValueError, match="divisor"):
+        FunctionFamily(input_dim=2, exponents=[[0, 0], [1, 0], [0, 1], [2, 1]])
+    with pytest.raises(ValueError, match="divisor"):
+        FunctionFamily(input_dim=1, exponents=[[0], [1], [3]])
+    with pytest.raises(ValueError, match="twice"):
+        FunctionFamily(input_dim=1, exponents=[[0], [1], [2], [2]])
     fam = FunctionFamily(input_dim=2, exponents=[[0, 0], [0, 1], [1, 0], [1, 1]])
     assert fam.size == 4
 
@@ -66,6 +73,23 @@ def test_builtin_family_rows():
     assert quad3[4:] == [[2, 0, 0], [1, 1, 0], [1, 0, 1], [0, 2, 0], [0, 1, 1], [0, 0, 2]]
 
 
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(BUILTIN_KINDS), p=st.integers(min_value=1, max_value=6))
+def test_every_builtin_family_is_closed_under_divisors(kind, p):
+    # construction checks the contract, for the family and for the refit's
+    # union family alike; the fold-back then finds every quotient
+    fam = builtin_family(kind, p)
+    lay = fam._refit_layout
+    assert lay.union.input_dim == p + 1
+    e = fam.exponents
+    for b, a in np.ndindex(len(e), len(e)):
+        if (e[a] <= e[b]).all():
+            assert lay.binom[b, a] >= 1
+            assert e[lay.quot[b, a]].tolist() == (e[b] - e[a]).tolist()
+        else:
+            assert lay.binom[b, a] == 0
+
+
 def test_design_matrix_shapes():
     fam = builtin_family("quadratic", 2)
     xe = np.arange(10.0).reshape(5, 2)
@@ -78,9 +102,11 @@ def test_design_matrix_shapes():
 
 
 def test_monomial_basis_values():
-    fam = FunctionFamily(input_dim=2, exponents=[[0, 0], [1, 0], [0, 1], [2, 1]])
+    fam = FunctionFamily(
+        input_dim=2, exponents=[[0, 0], [1, 0], [0, 1], [2, 0], [1, 1], [2, 1]]
+    )
     pts = np.array([[2.0, 3.0], [1.0, -1.0]])
-    assert fam.design_matrix(pts)[:, 3].tolist() == [12.0, -1.0]
+    assert fam.design_matrix(pts)[:, 5].tolist() == [12.0, -1.0]
 
 
 def _pow_reference(e, xe):

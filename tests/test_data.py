@@ -32,8 +32,6 @@ def test_dataset_validation():
         Dataset(np.zeros((5, 1)))  # too thin
     with pytest.raises(ValueError):
         Dataset(np.array([[0.0, np.inf]]))
-    with pytest.raises(ValueError):
-        Dataset(np.zeros((5, 2)), labels=np.zeros(4, dtype=int))
 
 
 def test_generator_determinism():
@@ -41,7 +39,6 @@ def test_generator_determinism():
     a = generate(spec)
     b = generate(spec)
     assert np.array_equal(a.rows, b.rows)
-    assert np.array_equal(a.labels, b.labels)
 
 
 def test_generator_kinds_and_shapes():
@@ -49,7 +46,6 @@ def test_generator_kinds_and_shapes():
         ds = generate(GeneratorSpec(kind=kind, n=120, noise_sigma=0.05, seed=1))
         assert ds.n == 120
         assert ds.d == d
-        assert ds.labels is not None and len(ds.labels) == 120
 
 
 def test_circle_points_near_ring():
@@ -312,6 +308,7 @@ def _adding_cluster(kind, input_dim):
         _without_curve,
         lambda blob: [blob],
         _setting("curve", "coeffs", value=[0.5]),
+        _setting("curve", "family", "basis", 3, "exponents", value=[3, 0]),
         _setting("dependent_axis", value=-1),
         _setting("dependent_axis", value=3),
         _setting("mean_exp", value=[0.25]),
@@ -333,8 +330,8 @@ def _adding_cluster(kind, input_dim):
     ],
     ids=[
         "schema-only", "no-clusters-no-costs", "no-costs", "cluster-without-curve",
-        "not-an-object", "short-coeffs", "axis-below-0", "axis-above-d-1", "short-mean-exp",
-        "2d-mean-exp", "small-cov-exp", "second-family", "second-dimension",
+        "not-an-object", "short-coeffs", "cube-without-square", "axis-below-0", "axis-above-d-1",
+        "short-mean-exp", "2d-mean-exp", "small-cov-exp", "second-family", "second-dimension",
         "inf-mean-exp", "nan-cov-exp", "inf-coeff", "nan-resid-var", "inf-resid-var",
         "zero-resid-var", "negative-resid-var", "nan-weight", "zero-weight", "negative-weight",
         "weight-above-1",

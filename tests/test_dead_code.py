@@ -86,20 +86,34 @@ def _fields(cls):
             yield node.args[1].value
 
 
+def _attribute_loads(node, owner=None):
+    """(attribute, owner) for every attribute loaded under node, owner being
+    the name of the innermost class whose body holds the load, or None."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Attribute) and isinstance(child.ctx, ast.Load):
+            yield child.attr, owner
+        yield from _attribute_loads(child, child.name if isinstance(child, ast.ClassDef) else owner)
+
+
 def unread_fields(defining, reading):
     """Fields and __setattr__ attributes of the classes in the defining files
-    that no reading file loads as an attribute, as "module.Class.field"."""
-    read = set()
+    that no reading file loads as an attribute outside the defining class's
+    own body (so a field that only its own __post_init__ validates counts as
+    unread), as "module.Class.field"."""
+    read = defaultdict(set)  # read[attr]: {(file, owning class)}
     for path in reading:
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                read.add(node.attr)
+        for attr, owner in _attribute_loads(ast.parse(path.read_text(), filename=str(path))):
+            read[attr].add((path, owner))
     out = []
     for path in defining:
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             if isinstance(node, ast.ClassDef):
                 fields = dict.fromkeys(_fields(node))
-                out += [f"{path.stem}.{node.name}.{f}" for f in fields if f not in read]
+                out += [
+                    f"{path.stem}.{node.name}.{f}"
+                    for f in fields
+                    if not read[f] - {(path, node.name)}
+                ]
     return out
 
 
@@ -111,17 +125,19 @@ def test_unread_field_is_found(tmp_path):
     module, reader = tmp_path / "mod.py", tmp_path / "reader.py"
     module.write_text(
         "from dataclasses import dataclass\nfrom typing import NamedTuple\n\n\n"
-        "@dataclass(frozen=True)\nclass Spec:\n    kind: str\n    unread: int = 0\n\n"
+        "@dataclass(frozen=True)\nclass Spec:\n    kind: str\n    unread: int = 0\n"
+        "    checked: int = 0\n\n"
         "    def __post_init__(self):\n"
         "        object.__setattr__(self, \"derived\", self.kind)\n"
-        "        object.__setattr__(self, \"stale\", 1)\n\n\n"
+        "        object.__setattr__(self, \"stale\", 1)\n"
+        "        if self.checked < 0:\n            raise ValueError\n\n\n"
         "class Pair(NamedTuple):\n    first: int\n    second: int\n\n\n"
         "class Plain:\n    size: int\n\n\n"
-        "def f(spec):\n    spec.unread = 1\n    return spec.derived\n"
+        "def f(spec):\n    spec.unread = 1\n    return spec.kind, spec.derived\n"
     )
     reader.write_text("def g(pair):\n    return pair.first\n")
     assert unread_fields([module], [module, reader]) == [
-        "mod.Spec.unread", "mod.Spec.stale", "mod.Pair.second"
+        "mod.Spec.unread", "mod.Spec.checked", "mod.Spec.stale", "mod.Pair.second"
     ]
 
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from afcec.curves import CurveFit, FunctionFamily, builtin_family, fit_curve, select_orientation
+from afcec.curves import CurveFit, builtin_family, fit_curve, select_orientation
 from afcec.density import (
     RESID_VAR_FLOOR,
     FAdaptedParams,
@@ -109,18 +109,6 @@ def test_fadapted_matches_factored_form():
     )
     assert np.allclose(got, expect, atol=1e-12)
     assert fadapted_log_density(p, pts[7]) == pytest.approx(got[7], rel=1e-15)
-
-
-def test_family_repeating_a_monomial_scores_its_summed_coefficient():
-    # both copies of x^2 share one column of the scoring design
-    fam = FunctionFamily(1, [[0], [1], [2], [2]])
-    curve = CurveFit(fam, np.array([0.1, -0.2, 0.5, 0.25]))
-    p = FAdaptedParams(1, [0.3], [[1.5]], 0.2, curve)
-    pts = np.random.default_rng(9).standard_normal((30, 2))
-    expect = stats.norm(0.3, np.sqrt(1.5)).logpdf(pts[:, 0]) + stats.norm(
-        0.1 - 0.2 * pts[:, 0] + 0.75 * pts[:, 0] ** 2, np.sqrt(0.2)
-    ).logpdf(pts[:, 1])
-    assert np.allclose(fadapted_log_density(p, pts), expect, atol=1e-12)
 
 
 def test_non_positive_definite_covariance_raises():

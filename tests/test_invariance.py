@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 from afcec.curves import (
     BUILTIN_KINDS,
-    FunctionFamily,
     builtin_family,
     fit_curve,
     select_orientation,
@@ -140,39 +139,6 @@ def test_refit_sse_is_least_squares_optimal(kind, d, seed, data):
         others = [i for i in range(d) if i != j]
         want = _lstsq_sse(family.design_matrix(xc[:, others]), xc[:, j])
         assert fit_curve(x, j, family).sse <= (1.0 + SSE_RTOL) * want
-
-
-def test_refit_sse_is_optimal_for_a_family_not_closed_under_divisors():
-    # {1, x, y, x^2 y}: centring would leave the span, so only the linear
-    # columns are centred and the fit is the raw basis's least squares
-    family = FunctionFamily(2, [[0, 0], [1, 0], [0, 1], [2, 1]])
-    rng = np.random.default_rng(21)
-    for scale in (1e-6, 1.0, 1e6):
-        x = rng.standard_normal((150, 3))
-        x[:, 2] = 0.4 * x[:, 0] ** 2 * x[:, 1] - x[:, 1] + 0.2 * x[:, 2]
-        x = x * scale
-        for j in range(3):
-            others = [i for i in range(3) if i != j]
-            want = _lstsq_sse(family.design_matrix(x[:, others]), x[:, j])
-            assert fit_curve(x, j, family).sse <= (1.0 + SSE_RTOL) * want
-
-
-@pytest.mark.parametrize("offset", [0.0, 1e2, 1e6])
-def test_family_not_closed_under_divisors_keeps_accurate_moments(offset):
-    # the moments are taken about the segment mean for every family, so far
-    # from the origin the explanatory mean and covariance match a two-pass
-    # computation, and H a fresh evaluation of the returned curve
-    family = FunctionFamily(2, [[0, 0], [1, 0], [0, 1], [2, 1]])
-    rng = np.random.default_rng(21)
-    x = rng.standard_normal((150, 3))
-    x[:, 2] = 0.4 * x[:, 0] ** 2 * x[:, 1] - x[:, 1] + 0.2 * x[:, 2]
-    x += offset
-    axis, curve, h, params = select_orientation(x, family)
-    others = [i for i in range(3) if i != axis]
-    xc = x[:, others] - x[:, others].mean(axis=0)
-    np.testing.assert_allclose(params.mean_exp, x[:, others].mean(axis=0), rtol=1e-15, atol=1e-14)
-    np.testing.assert_allclose(params.cov_exp, xc.T @ xc / len(x), rtol=1e-12)
-    assert h == pytest.approx(fadapted_cross_entropy(x, axis, curve)[0], rel=0, abs=1e-12)
 
 
 def test_fit_on_a_moved_or_rescaled_copy_keeps_the_partition():
