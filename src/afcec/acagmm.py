@@ -92,12 +92,23 @@ def _jacobian_factor(a, t0, p, above):
 def _project_t0_grid(a, px, py):
     """Nearest-foot parameter for points given as scalars or arrays.
 
-    The foot is a real root of 2 a^2 t^3 + (1 - 2 a py) t - px = 0. With a
-    negative discriminant the three roots are compared by squared distance
-    (ties to the smaller t). Otherwise the Cardano root is taken; at a zero
-    discriminant that is the simple root, since the double root is an
-    inflection of the squared distance, never its minimum. Each node is
-    solved by its own branch only; the values equal evaluating both branches
+    The feet of (px, py) are the real roots of 2 a^2 t^3 + (1 - 2 a py) t - px
+    = 0, and the nearest one is sign(px) times the one non-negative root of
+    2 a^2 t^3 + (1 - 2 a py) t - |px| = 0; a point on the axis takes its
+    negative. Why:
+    - The mirror of the foot at t is the foot at -t, at the same height, so
+      for px > 0 a foot with t < 0 always has a strictly nearer mirror.
+    - For px > 0 the |px| cubic is negative at t = 0. Where 1 - 2 a py >= 0 it
+      only increases, and otherwise it falls and then rises, so either way it
+      has exactly one positive root. With a negative discriminant that is the
+      largest trigonometric root, 2 sqrt(-q) cos(phi / 3).
+    - At px = 0 with 1 - 2 a py < 0, t = 0 is a local maximum of the distance,
+      and the two feet +-sqrt((2 a py - 1) / (2 a^2)) tie; the negative one
+      keeps ties at the smaller t.
+    - At a zero discriminant Cardano gives the simple root 2 cbrt(r) > 0; the
+      double root is negative.
+    Each node is solved by its own branch only, since each branch's formula
+    is invalid on the other's nodes; the values equal evaluating both branches
     everywhere and selecting, since every step is elementwise. Scalars are
     solved as one-node arrays: numpy's scalar power rounds differently from
     its array loop, and a point must get the same foot as the grid node.
@@ -109,7 +120,7 @@ def _project_t0_grid(a, px, py):
     # errstate instead of collapsing every foot to t0 = 0
     a = np.float64(a)
     q = (1.0 - 2.0 * a * py) / (6.0 * a * a)
-    r = px / (4.0 * a * a)
+    r = np.abs(px) / (4.0 * a * a)
     disc = q ** 3 + r ** 2
     t0 = np.empty(disc.shape)
     single = disc >= 0.0
@@ -117,17 +128,10 @@ def _project_t0_grid(a, px, py):
     t0[single] = np.cbrt(rs + s) + np.cbrt(rs - s)
 
     three = ~single
-    x, y, mq = px[three], py[three], -q[three]
+    mq = -q[three]
     phi = np.arccos(np.clip(r[three] / np.sqrt(mq ** 3), -1.0, 1.0))
-    ts = 2.0 * np.sqrt(mq) * np.cos((phi + 2.0 * np.pi * np.arange(3.0)[:, None]) / 3.0)
-    d2s = (ts - x) ** 2 + (a * ts * ts - y) ** 2
-    best_t, best_d2 = ts[0], d2s[0]
-    for t, d2 in zip(ts[1:], d2s[1:]):
-        closer = (d2 < best_d2 - 1e-15) | ((np.abs(d2 - best_d2) <= 1e-15) & (t < best_t))
-        best_t = np.where(closer, t, best_t)
-        best_d2 = np.where(closer, d2, best_d2)
-    t0[three] = best_t
-    return t0.reshape(shape)
+    t0[three] = 2.0 * np.sqrt(mq) * np.cos(phi / 3.0)
+    return np.where(px > 0.0, t0, -t0).reshape(shape)
 
 
 def _foot_grid(a, px, py):
