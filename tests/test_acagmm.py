@@ -51,7 +51,8 @@ def _all_branch_t0(a, px, py):
     disc = q ** 3 + r ** 2
     nonneg = disc >= 0.0
     s = np.sqrt(np.where(nonneg, disc, 0.0))
-    t_single = np.cbrt(r + s) + np.cbrt(r - s)
+    u = np.cbrt(np.maximum(r + s, np.finfo(float).tiny))
+    t_single = 2.0 * r / (u * u + q + (q / u) ** 2)
     mq = np.where(nonneg, 1.0, -q)
     phi = np.arccos(np.clip(np.where(nonneg, 0.0, r) / np.sqrt(mq ** 3), -1.0, 1.0))
     t_three = 2.0 * np.sqrt(mq) * np.cos(phi / 3.0)
@@ -129,6 +130,20 @@ def test_projection_of_on_curve_point_is_identity():
     t0, p, _ = _project(0.7, 1.3, 0.7 * 1.3 * 1.3)
     assert t0 == pytest.approx(1.3, abs=1e-9)
     assert p == pytest.approx(0.0, abs=1e-9)
+
+
+def test_projection_keeps_its_digits_at_small_a():
+    # at small |a| both of Cardano's terms are near 1/(sqrt(6) |a|) and their
+    # sum cancels; each foot must match a root of the foot cubic polished by
+    # Newton's method in long double
+    a = 1e-10
+    px, py = (v.ravel() for v in np.meshgrid(np.linspace(-5.0, 5.0, 21), np.linspace(-5.0, 5.0, 21)))
+    t0 = acagmm._project_t0_grid(a, px, py)
+    la, lx, ly = np.longdouble(a), px.astype(np.longdouble), py.astype(np.longdouble)
+    t = t0.astype(np.longdouble)
+    for _ in range(3):
+        t -= (2 * la * la * t ** 3 + (1 - 2 * la * ly) * t - lx) / (6 * la * la * t * t + 1 - 2 * la * ly)
+    assert np.all(np.abs(t0 - t) <= 1e-15 * np.abs(t))
 
 
 def _zero_disc_py(a, px):
