@@ -51,10 +51,12 @@ class AcaParabolaModel:
     sigma2: float  # normal axis
 
     def __post_init__(self):
-        if self.a == 0:
-            raise ValueError("a must be nonzero")
-        if self.sigma1 <= 0 or self.sigma2 <= 0:
-            raise ValueError("sigmas must be positive")
+        if not (math.isfinite(self.a) and self.a != 0):
+            raise ValueError(f"a must be finite and nonzero, got {self.a!r}")
+        if not all(0 < s < math.inf for s in (self.sigma1, self.sigma2)):
+            raise ValueError(
+                f"sigmas must be finite and positive, got {self.sigma1!r}, {self.sigma2!r}"
+            )
 
 
 def _signed_arc(a, t):
@@ -210,9 +212,11 @@ def normalization_table(
     sigma_grid) order. Grid nodes where the Jacobian factor has collapsed
     (<= FOLD_EPS, the cut-locus cusp) contribute nothing to the corrected
     integral; excluded_mass is the fold mass the correction cannot recover
-    (see fold_mass). Raises ValueError naming the configuration when a step
-    overflows or divides by zero in float64 (an extreme a, box or sigma), so
-    no integral is NaN or infinite.
+    (see fold_mass). Raises ValueError before any work for an a that is zero
+    or not finite, a sigma or box that is not finite and positive, or an odd
+    n; and naming the configuration when a step overflows or divides by zero
+    in float64 (an extreme a, box or sigma), so no integral is NaN or
+    infinite.
 
     Every integrand is even in x: the parabola, its arc-length/normal map and
     the grid are symmetric under x -> -x, which negates the foot parameter
@@ -227,12 +231,17 @@ def normalization_table(
     factors exp(-(arc/s)^2/2) and exp(-(p/s)^2/2); the 1/(2 pi s1 s2)
     normalization is applied to the finished sums.
     """
+    if not 0 < box < math.inf:
+        raise ValueError(f"box must be finite and positive, got {box!r}")
+    # every model is built before anything is projected, so a bad value
+    # anywhere in the grids (a = 0, which the projection divides by, among
+    # them) is rejected before any work is done
+    grid_models = [
+        [AcaParabolaModel(a, s1, s2) for s1 in sigma_grid for s2 in sigma_grid] for a in a_grid
+    ]
     sig = np.asarray(sigma_grid, dtype=float).reshape(-1, 1)
     rows = []
-    for a in a_grid:
-        # built before the projection, which divides by a, so a = 0 is
-        # rejected first
-        models = [AcaParabolaModel(a, s1, s2) for s1 in sigma_grid for s2 in sigma_grid]
+    for a, models in zip(a_grid, grid_models):
         config = f"a={a!r}, sigma grid {tuple(sigma_grid)!r}, box={box!r}, n={n}"
         try:
             with np.errstate(over="raise", invalid="raise", divide="raise"):

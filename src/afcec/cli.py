@@ -8,7 +8,6 @@ import argparse
 import csv
 import json
 import logging
-import math
 import sys
 from dataclasses import replace
 
@@ -174,22 +173,12 @@ def _parse_grid(text, name):
         raise InvalidConfig(f"--{name} must be comma-separated numbers, got {text!r}") from None
     if not vals:
         raise InvalidConfig(f"--{name} is empty")
-    if not all(math.isfinite(v) for v in vals):
-        raise InvalidConfig(f"--{name} entries must be finite, got {text!r}")
     return vals
 
 
 def cmd_acagmm_check(args):
     a_grid = _parse_grid(args.a_grid, "a-grid")
     sigma_grid = _parse_grid(args.sigma_grid, "sigma-grid")
-    if any(a == 0 for a in a_grid):
-        raise InvalidConfig("--a-grid entries must be nonzero")
-    if any(s <= 0 for s in sigma_grid):
-        raise InvalidConfig("--sigma-grid entries must be positive")
-    if not (math.isfinite(args.box) and args.box > 0):
-        raise InvalidConfig("--box must be finite and positive")
-    if args.n < 2 or args.n % 2:
-        raise InvalidConfig("--n must be even and >= 2")
     rows = acagmm.normalization_table(a_grid, sigma_grid, args.box, args.n)
     writer = csv.writer(sys.stdout)
     writer.writerow(["a", "sigma1", "sigma2", "raw_integral", "corrected_integral", "excluded_mass"])

@@ -511,8 +511,31 @@ def test_normalization_table_rejects_odd_n():
         normalization_table(n=301)
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"box": 0.0},
+        {"box": -5.0},
+        {"box": math.inf},
+        {"box": math.nan},
+        # the bad value comes after a good one: nothing may be projected first
+        {"a_grid": (1.0, 0.0)},
+        {"a_grid": (1.0, math.nan)},
+        {"sigma_grid": (1.0, math.inf)},
+    ],
+    ids=str,
+)
+def test_normalization_table_rejects_bad_input_before_projecting(monkeypatch, kwargs):
+    def project(a, px, py):
+        raise AssertionError("projected before rejecting the input")
+
+    monkeypatch.setattr(acagmm, "_project_t0_grid", project)
+    with pytest.raises(ValueError):
+        normalization_table(**{"n": 20, **kwargs})
+
+
 def test_model_validation():
-    with pytest.raises(ValueError):
-        AcaParabolaModel(0.0, 1.0, 1.0)
-    with pytest.raises(ValueError):
-        AcaParabolaModel(1.0, -1.0, 1.0)
+    for args in [(0.0, 1.0, 1.0), (1.0, -1.0, 1.0), (math.nan, 1.0, 1.0), (-math.inf, 1.0, 1.0),
+                 (1.0, math.inf, 1.0), (1.0, 1.0, math.nan), (1.0, 1.0, 0.0)]:
+        with pytest.raises(ValueError):
+            AcaParabolaModel(*args)
