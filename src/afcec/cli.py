@@ -46,16 +46,18 @@ def build_parser():
     parser = _Parser(prog="afcec", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    # flags shared by fit and sweep; _engine_setup turns them into a config
+    # flags shared by fit and sweep; _engine_setup turns them into a config,
+    # and the dataclass fields' defaults are the flags' defaults
+    cfg = engine.EngineConfig
     engine_flags = argparse.ArgumentParser(add_help=False)
     engine_flags.add_argument("--input", required=True)
     engine_flags.add_argument("--family", choices=BUILTIN_KINDS, default="quadratic")
-    engine_flags.add_argument("--epsilon", type=float, default=1e-4)
-    engine_flags.add_argument("--deletion-fraction", type=float, default=0.01)
+    engine_flags.add_argument("--epsilon", type=float, default=cfg.epsilon)
+    engine_flags.add_argument("--deletion-fraction", type=float, default=cfg.deletion_fraction)
     engine_flags.add_argument("--restarts", type=int, default=1)
-    engine_flags.add_argument("--seed", type=int, default=0)
-    engine_flags.add_argument("--init", choices=engine.INITS, default="random_partition")
-    engine_flags.add_argument("--max-iters", type=int, default=200)
+    engine_flags.add_argument("--seed", type=int, default=cfg.seed)
+    engine_flags.add_argument("--init", choices=engine.INITS, default=cfg.init)
+    engine_flags.add_argument("--max-iters", type=int, default=cfg.max_iters)
     engine_flags.add_argument("--ll-mode", choices=selection.LL_MODES, default="mixture")
 
     p_fit = sub.add_parser("fit", parents=[engine_flags], help="cluster a CSV dataset")
@@ -65,9 +67,9 @@ def build_parser():
 
     p_gen = sub.add_parser("generate", help="write a synthetic dataset CSV")
     p_gen.add_argument("--kind", choices=data.GENERATOR_KINDS, required=True)
-    p_gen.add_argument("--n", type=int, default=500)
-    p_gen.add_argument("--noise", type=float, default=0.1)
-    p_gen.add_argument("--seed", type=int, default=0)
+    p_gen.add_argument("--n", type=int, default=data.GeneratorSpec.n)
+    p_gen.add_argument("--noise", type=float, default=data.GeneratorSpec.noise_sigma)
+    p_gen.add_argument("--seed", type=int, default=data.GeneratorSpec.seed)
     p_gen.add_argument("--out", required=True)
 
     p_sweep = sub.add_parser(
@@ -85,12 +87,10 @@ def build_parser():
     return parser
 
 
-def _engine_setup(args, k, k_flag):
+def _engine_setup(args, k):
     """Load --input and build the validated EngineConfig for k clusters from
     the shared fit/sweep flags; raises before anything is written to stdout."""
     ds = data.load_csv(args.input)
-    if k < 1:
-        raise InvalidConfig(f"{k_flag} must be >= 1")
     if args.restarts < 1:
         raise InvalidConfig("--restarts must be >= 1")
     cfg = engine.EngineConfig(
@@ -107,7 +107,7 @@ def _engine_setup(args, k, k_flag):
 
 
 def cmd_fit(args):
-    ds, cfg = _engine_setup(args, args.k, "--k")
+    ds, cfg = _engine_setup(args, args.k)
     # one cache serves the fit and the scoring, so its design is built once
     cache = engine.DesignCache(ds.rows)
     best, all_costs = engine.fit_restarts(cache, cfg, args.restarts)
@@ -143,7 +143,7 @@ def cmd_generate(args):
 
 
 def cmd_sweep(args):
-    ds, cfg = _engine_setup(args, args.k_max, "--k-max")
+    ds, cfg = _engine_setup(args, args.k_max)
     # one cache serves every k's fits and scoring, so its design is built once
     cache = engine.DesignCache(ds.rows)
     other_mode = "max" if args.ll_mode == "mixture" else "mixture"

@@ -196,11 +196,11 @@ def _parse_records(text):
     return rows
 
 
-def save_csv(ds, path, header=True):
+def save_csv(ds, path):
     """The bytes csv.writer writes for the rows as repr strings (shortest
-    round-trip decimals, which it never quotes) under an optional x0,x1,...
-    header, built as one string and written at once."""
-    lines = [",".join(f"x{i}" for i in range(ds.d))] if header else []
+    round-trip decimals, which it never quotes) under an x0,x1,... header,
+    built as one string and written at once."""
+    lines = [",".join(f"x{i}" for i in range(ds.d))]
     lines += [",".join(map(repr, row)) for row in ds.rows.tolist()]
     try:
         with open(path, "w", newline="") as fh:
