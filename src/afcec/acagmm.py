@@ -54,9 +54,7 @@ class AcaParabolaModel:
         if not (math.isfinite(self.a) and self.a != 0):
             raise ValueError(f"a must be finite and nonzero, got {self.a!r}")
         if not all(0 < s < math.inf for s in (self.sigma1, self.sigma2)):
-            raise ValueError(
-                f"sigmas must be finite and positive, got {self.sigma1!r}, {self.sigma2!r}"
-            )
+            raise ValueError("sigmas must be finite and positive")
 
 
 def _signed_arc(a, t):
@@ -94,23 +92,20 @@ def _jacobian_factor(a, t0, p, above):
 def _project_t0_grid(a, px, py):
     """Nearest-foot parameter for points given as scalars or arrays.
 
-    The feet of (px, py) are the real roots of 2 a^2 t^3 + (1 - 2 a py) t - px
-    = 0, and the nearest one is sign(px) times the one non-negative root of
-    2 a^2 t^3 + (1 - 2 a py) t - |px| = 0; a point on the axis takes its
-    negative. Why:
-    - The mirror of the foot at t is the foot at -t, at the same height, so
-      for px > 0 a foot with t < 0 always has a strictly nearer mirror.
-    - For px > 0 the |px| cubic is negative at t = 0. Where 1 - 2 a py >= 0 it
-      only increases, and otherwise it falls and then rises, so either way it
-      has exactly one positive root. With a negative discriminant that is the
-      largest trigonometric root, 2 sqrt(-q) cos(phi / 3).
-    - At px = 0 with 1 - 2 a py < 0, t = 0 is a local maximum of the distance,
-      and the two feet +-sqrt((2 a py - 1) / (2 a^2)) tie; the negative one
-      keeps ties at the smaller t.
-    - At a zero discriminant Cardano gives the simple root 2 cbrt(r) > 0; the
+    The feet are the real roots of 2 a^2 t^3 + (1 - 2 a py) t - px = 0. The
+    nearest is sign(px) times the one non-negative root of the cubic with
+    |px| in place of px, or its negative on the axis, because:
+    - the mirror of the foot at t is the foot at -t, at the same height, so
+      for px > 0 a foot with t < 0 always has a strictly nearer mirror;
+    - for px > 0 the |px| cubic is negative at t = 0 and either only rises
+      (1 - 2 a py >= 0) or falls and then rises, so it has one positive root:
+      Cardano's, or the largest trigonometric root 2 sqrt(-q) cos(phi / 3);
+    - at px = 0 with 1 - 2 a py < 0, t = 0 is a local maximum of the distance
+      and the feet +-sqrt((2 a py - 1) / (2 a^2)) tie; the negative wins;
+    - at a zero discriminant Cardano gives the simple root 2 cbrt(r) > 0; the
       double root is negative.
-    Each node is solved by its own branch only, since each branch's formula
-    is invalid on the other's nodes; the values equal evaluating both branches
+    Each node is solved by its own branch only, as each branch's formula is
+    invalid on the other's nodes; the values equal evaluating both branches
     everywhere and selecting, since every step is elementwise. Scalars are
     solved as one-node arrays: numpy's scalar power rounds differently from
     its array loop, and a point must get the same foot as the grid node.
@@ -212,11 +207,9 @@ def normalization_table(
     sigma_grid) order. Grid nodes where the Jacobian factor has collapsed
     (<= FOLD_EPS, the cut-locus cusp) contribute nothing to the corrected
     integral; excluded_mass is the fold mass the correction cannot recover
-    (see fold_mass). Raises ValueError before any work for an a that is zero
-    or not finite, a sigma or box that is not finite and positive, or an odd
-    n; and naming the configuration when a step overflows or divides by zero
-    in float64 (an extreme a, box or sigma), so no integral is NaN or
-    infinite.
+    (see fold_mass). Raises ValueError before any work on a bad a, sigma, box
+    or n; and, naming the configuration, when a float64 step overflows or
+    divides by zero (extreme a, box or sigma), so no integral is NaN or inf.
 
     Every integrand is even in x: the parabola, its arc-length/normal map and
     the grid are symmetric under x -> -x, which negates the foot parameter
@@ -233,12 +226,10 @@ def normalization_table(
     """
     if not 0 < box < math.inf:
         raise ValueError(f"box must be finite and positive, got {box!r}")
-    # every model is built before anything is projected, so a bad value
-    # anywhere in the grids (a = 0, which the projection divides by, among
-    # them) is rejected before any work is done
-    grid_models = [
-        [AcaParabolaModel(a, s1, s2) for s1 in sigma_grid for s2 in sigma_grid] for a in a_grid
-    ]
+    # built before any projection (which divides by a), so a bad value late
+    # in a grid fails before any work
+    grid_models = [[AcaParabolaModel(a, s1, s2) for s1 in sigma_grid for s2 in sigma_grid]
+                   for a in a_grid]
     sig = np.asarray(sigma_grid, dtype=float).reshape(-1, 1)
     rows = []
     for a, models in zip(a_grid, grid_models):
