@@ -121,12 +121,12 @@ def _project_t0_grid(a, px, py):
     disc = q ** 3 + r ** 2
     t0 = np.empty(disc.shape)
     single = disc >= 0.0
-    s, rs, qs = np.sqrt(disc[single]), r[single], q[single]
+    rs, qs = r[single], q[single]
     # Cardano's root u - q/u (u = cbrt(r + s)) as 2r / (u^2 + q + (q/u)^2),
     # whose terms do not cancel when |a| is small. r + s is raised to the
     # smallest normal float, so the root is 0 where r = s = 0 and q/u stays
     # finite; below that, r has already lost its digits to underflow
-    u = np.cbrt(np.maximum(rs + s, np.finfo(float).tiny))
+    u = np.cbrt(np.maximum(rs + np.sqrt(disc[single]), np.finfo(float).tiny))
     t0[single] = 2.0 * rs / (u * u + qs + (qs / u) ** 2)
 
     three = ~single
