@@ -47,7 +47,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     # flags shared by fit and sweep; _engine_setup turns them into a config,
-    # and the dataclass fields' defaults are the flags' defaults
+    # and EngineConfig's field defaults are the flags' defaults
     cfg = engine.EngineConfig
     engine_flags = argparse.ArgumentParser(add_help=False)
     engine_flags.add_argument("--input", required=True)
