@@ -122,10 +122,10 @@ def _project_t0_grid(a, px, py):
     t0 = np.empty(disc.shape)
     single = disc >= 0.0
     rs, qs = r[single], q[single]
-    # Cardano's root u - q/u (u = cbrt(r + s)) as 2r / (u^2 + q + (q/u)^2),
-    # whose terms do not cancel when |a| is small. r + s is raised to the
-    # smallest normal float, so the root is 0 where r = s = 0 and q/u stays
-    # finite; below that, r has already lost its digits to underflow
+    # Cardano's root u - q/u, u = cbrt(r + sqrt(disc)), as 2r / (u^2 + q +
+    # (q/u)^2), whose terms do not cancel at small |a|. Raising r + sqrt(disc)
+    # to the smallest normal float keeps q/u finite and the root 0 where both
+    # are 0; below it, r has already lost its digits to underflow
     u = np.cbrt(np.maximum(rs + np.sqrt(disc[single]), np.finfo(float).tiny))
     t0[single] = 2.0 * rs / (u * u + qs + (qs / u) ** 2)
 
