@@ -93,32 +93,60 @@ class FunctionFamily:
         """The refit's _GramLayout over input_dim + 1 coordinates."""
         return _gram_layout(self)
 
+    @functools.cached_property
+    def _design_plan(self):
+        """(units, steps) for building a design in place: units[i] is the
+        column of x_i, and each step (column, factors) sets a column to the
+        product of the factor columns, taken left to right.
+
+        A power x_i ** k is x_i ** (k - 1) times x_i, and any other monomial
+        the product of its coordinates' powers in coordinate order; every
+        such factor is a divisor, so the family holds it. Powers come first,
+        by degree, so each factor is built before it is read.
+        """
+        rows = self.exponents.tolist()
+        cols = {tuple(r): b for b, r in enumerate(rows)}
+
+        def power(i, k):  # the column of x_i ** k
+            return cols[tuple(k if c == i else 0 for c in range(self.input_dim))]
+
+        units = [power(i, 1) for i in range(self.input_dim)]
+        steps = []
+        for b, row in enumerate(rows[1:], start=1):
+            used = [(i, k) for i, k in enumerate(row) if k]
+            if len(used) > 1:
+                steps.append((True, sum(row), b, [power(i, k) for i, k in used]))
+            elif used[0][1] > 1:
+                ((i, k),) = used
+                steps.append((False, k, b, [power(i, k - 1), units[i]]))
+        steps.sort()
+        return units, [(b, factors) for *_, b, factors in steps]
+
+    def _fill_design(self, out):
+        """Build the (n, size) design out in place around its coordinate
+        columns (_design_plan's units), which the caller has written."""
+        out[:, 0] = 1.0
+        for b, factors in self._design_plan[1]:
+            col = np.multiply(out[:, factors[0]], out[:, factors[1]], out=out[:, b])
+            for f in factors[2:]:
+                col *= out[:, f]
+
     def design_matrix(self, xe):
         """(n, size) design: column b is prod_i xe[:, i] ** exponents[b, i].
 
-        Each coordinate's powers are formed once by repeated multiplication
-        (x, x*x, x*x*x, ...) and every column is a product of them, so columns
-        of degree <= 2 are the correctly rounded monomials and cubes round
-        twice.
+        Each power is formed by repeated multiplication (x, x*x, x*x*x, ...)
+        and every other column is a product of powers in coordinate order
+        (_design_plan), so columns of degree <= 2 are the correctly rounded
+        monomials and cubes round twice.
         """
         xe = np.asarray(xe, dtype=float)
         if xe.ndim != 2:
             xe = xe.reshape(-1, self.input_dim)
         if xe.shape[1] != self.input_dim:
             raise ValueError(f"expected {self.input_dim} columns, got {xe.shape[1]}")
-        # powers[i][k] = xe[:, i] ** k for k >= 1
-        powers = []
-        for i, top in enumerate(self.exponents.max(axis=0).tolist()):
-            pw = [None, xe[:, i]]
-            for _ in range(2, top + 1):
-                pw.append(pw[-1] * xe[:, i])
-            powers.append(pw)
         out = np.empty((xe.shape[0], self.size))
-        for col, row in zip(out.T, self.exponents.tolist()):
-            factors = [powers[i][k] for i, k in enumerate(row) if k]
-            col[...] = factors[0] if factors else 1.0
-            for f in factors[1:]:
-                col *= f
+        out[:, self._design_plan[0]] = xe
+        self._fill_design(out)
         return out
 
 
@@ -259,11 +287,15 @@ def _solve_segments(xs, bounds, family):
     lay = family._refit_layout
     starts, sizes = bounds[:-1], bounds[1:] - bounds[:-1]
     centre = np.add.reduceat(xs, starts, axis=0) / sizes[:, None]
-    # centred coordinates as contiguous rows, so the design reads contiguous columns
-    u_t = np.subtract(xs.T, np.repeat(centre.T, sizes, axis=1), out=np.empty((d, n)))
-    flat = np.maximum.reduceat(u_t, starts, axis=1) == np.minimum.reduceat(u_t, starts, axis=1)
-    phi = lay.union.design_matrix(u_t.T)
-    del u_t
+    # the centred coordinates go straight into the design's columns 1..d (one
+    # coordinate at a time, so the repeated centres take one column) and the
+    # other columns are filled from them
+    phi = np.empty((n, lay.union.size))
+    u = phi[:, 1 : d + 1]
+    for i in range(d):
+        np.subtract(xs[:, i], np.repeat(centre[:, i], sizes), out=u[:, i])
+    flat = np.maximum.reduceat(u, starts) == np.minimum.reduceat(u, starts)
+    lay.union._fill_design(phi)
     gram = np.empty((len(sizes), phi.shape[1], phi.shape[1]))
     for g, lo, hi in zip(gram, starts.tolist(), bounds[1:].tolist()):
         # a copy of the rows, since BLAS's GEMM beats its SYRK on these shapes
@@ -273,7 +305,7 @@ def _solve_segments(xs, bounds, family):
     mean_u = gram[:, 0, 1 : d + 1] / m
     covs = gram[:, 1 : d + 1, 1 : d + 1] / m[:, :, None]
     covs -= mean_u[:, :, None] * mean_u[:, None, :]
-    covs, var = density.pin_constants(covs, flat.T)
+    covs, var = density.pin_constants(covs, flat)
     scale = np.sqrt(var)
     # 1 / prod_i scale_i ** e_i for every union column
     inv = np.exp(np.log(scale) @ -lay.union.exponents.T)

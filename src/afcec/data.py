@@ -118,15 +118,23 @@ def generate(spec):
 
 def load_csv(path):
     """Numeric CSV with an optional single header line (the first line, when
-    one of its cells is not a number). Blank lines are skipped."""
+    one of its cells is not a number). Blank lines are skipped. The file is
+    read as UTF-8, a leading byte order mark dropped; other bytes raise
+    ParseError.
+
+    The rows are parsed from the open file (_parse_numeric), so no copy of
+    its text is held; only a file that np.loadtxt rejects is read whole and
+    parsed cell by cell (_parse_records)."""
     try:
-        with open(path, newline="") as fh:
-            text = fh.read()
+        with open(path, encoding="utf-8-sig", newline="") as fh:
+            rows = _parse_numeric(fh)
+            if rows is None:
+                fh.seek(0)
+                rows = _parse_records(fh.read())
     except OSError as e:
         raise IoError(str(e)) from e
-    rows = _parse_numeric(text)
-    if rows is None:
-        rows = _parse_records(text)
+    except UnicodeDecodeError as e:
+        raise ParseError(f"not UTF-8 text: {e}") from e
     try:
         return Dataset(rows)
     except ValueError as e:
@@ -146,21 +154,25 @@ def _numeric(rec):
     return True
 
 
-def _parse_numeric(text):
-    """Every row past the header in one np.loadtxt call.
+def _parse_numeric(fh):
+    """Every row past the header in one np.loadtxt call, read from the text
+    file fh (opened with newline="").
 
     None when there is no row or loadtxt fails (a non-numeric cell, a quote,
     ragged or whitespace-only rows); _parse_records then decides. loadtxt
     parses a subset of what float() accepts, to the same values.
     """
-    stream = io.StringIO(text, newline="")
-    first = next(csv.reader(stream), [])
+    lines = iter(fh.readline, "")
+    first = next(csv.reader(lines), [])
     if _blank(first) or _numeric(first):
-        stream.seek(0)
-    if not text[stream.tell():].strip():
+        fh.seek(0)
+    start = fh.tell()
+    # loadtxt warns on a stream with no row, so look for one first
+    if not any(line.strip() for line in lines):
         return None
+    fh.seek(start)
     try:
-        return np.loadtxt(stream, delimiter=",", comments=None, ndmin=2)
+        return np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
     except ValueError:
         return None
 
@@ -252,7 +264,7 @@ def model_to_json(model):
     return {
         "schema": MODEL_SCHEMA,
         "clusters": clusters,
-        "assignment": [int(a) for a in model.assignment],
+        "assignment": model.assignment.tolist(),
         "cost_trace": list(model.cost_trace),
         "iterations": int(model.iterations),
         "deleted_count": int(model.deleted_count),

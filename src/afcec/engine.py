@@ -334,7 +334,7 @@ def _init_partition(x, cfg, seeds):
         return out
     # k-means++-style seeding on the sorted rows; each point keeps the first
     # centre at its smallest squared distance (ties to the lowest index)
-    xs_t = x[order].T.copy()
+    xs_t = np.take(x.T, order, axis=1)  # one copy, (d, n) and C-contiguous
     out = np.empty((len(seeds), n), dtype=int)
     for row, seed in zip(out, seeds):
         rng = np.random.default_rng(seed & 0xFFFFFFFFFFFFFFFF)

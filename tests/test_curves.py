@@ -150,6 +150,63 @@ def test_design_matrix_matches_pow_reference(kind, data, input_dim):
     assert np.allclose(dm, _pow_reference(fam.exponents, xe), rtol=1e-15, atol=0)
 
 
+def _powers_reference(e, xe):
+    """The design from each coordinate's powers x, x*x, x*x*x, ..., every
+    column the product of its powers in coordinate order."""
+    powers = []
+    for i, top in enumerate(e.max(axis=0).tolist()):
+        pw = [None, xe[:, i]]
+        for _ in range(2, top + 1):
+            pw.append(pw[-1] * xe[:, i])
+        powers.append(pw)
+    out = np.empty((len(xe), len(e)))
+    for col, row in zip(out.T, e.tolist()):
+        factors = [powers[i][k] for i, k in enumerate(row) if k]
+        col[...] = factors[0] if factors else 1.0
+        for f in factors[1:]:
+            col *= f
+    return out
+
+
+_MIXED_CUBIC = FunctionFamily(2, [[0, 0], [1, 0], [0, 1], [2, 0], [1, 1], [2, 1]])
+_UNIONS = [
+    builtin_family(kind, d - 1)._refit_layout.union for kind in BUILTIN_KINDS for d in (2, 3, 4, 5)
+] + [_MIXED_CUBIC._refit_layout.union]
+
+
+def _spread_points(fam):
+    rng = np.random.default_rng(fam.size)
+    # magnitudes over 1e-4 .. 1e4, so a change of multiplication order shows
+    return rng.normal(size=(300, fam.input_dim)) * 10.0 ** rng.uniform(-4, 4, (300, fam.input_dim))
+
+
+@pytest.mark.parametrize(
+    "fam",
+    _UNIONS
+    + [
+        _MIXED_CUBIC,  # x0 ** 2 * x1 is (x0 * x0) * x1, not x0 * (x0 * x1)
+        # coordinates away from columns 1..d, and a product of three coordinates
+        FunctionFamily(3, [[0, 0, 0], [1, 1, 1], [0, 0, 1], [1, 1, 0], [1, 0, 1], [0, 1, 1],
+                           [0, 1, 0], [1, 0, 0]]),
+    ],
+)
+def test_design_matrix_equals_the_powers_design_bit_for_bit(fam):
+    xe = _spread_points(fam)
+    assert np.array_equal(fam.design_matrix(xe), _powers_reference(fam.exponents, xe))
+
+
+@pytest.mark.parametrize("union", _UNIONS)
+def test_refit_design_fill_equals_the_powers_design_bit_for_bit(union):
+    # the refit writes its centred coordinates into columns 1..d and fills the
+    # other columns around them
+    d = union.input_dim
+    xe = _spread_points(union)
+    phi = np.full((len(xe), union.size), np.nan)
+    phi[:, 1 : d + 1] = xe
+    union._fill_design(phi)
+    assert np.array_equal(phi, _powers_reference(union.exponents, xe))
+
+
 def test_fit_curve_recovers_polynomial():
     rng = np.random.default_rng(7)
     x0 = rng.uniform(-2.0, 2.0, 60)

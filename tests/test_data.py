@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -132,12 +133,17 @@ def test_load_csv_missing_file(tmp_path):
         '"x0","x1"\n1,2\n',
         "1_0,2\n3,4\n",  # float() takes underscores, loadtxt does not
         "\n1,2\n3,4\n",
+        '"x\n0",x1\n1,2\n3,4\n',  # a quoted header cell holding a newline
+        "x0,x1\r1.5,2\r\r3,-4\r",
+        "\ufeff1.0,2.0\n3.0,4.0\n5.0,6.0\n",  # byte order marks
+        "\ufeffx0,x1\n1,2\n",
     ],
 )
 def test_load_csv_equals_cell_by_cell_parse(tmp_path, text):
     path = tmp_path / "t.csv"
     path.write_bytes(text.encode())
-    want = np.asarray(data._parse_records(text), dtype=float)
+    # the file is decoded as utf-8-sig, which drops a leading byte order mark
+    want = np.asarray(data._parse_records(text.removeprefix("\ufeff")), dtype=float)
     got = load_csv(path).rows
     assert got.dtype == want.dtype
     assert np.array_equal(got, want)
@@ -152,6 +158,9 @@ def test_load_csv_equals_cell_by_cell_parse(tmp_path, text):
         ("1,2\n3,4,\n", 2, 3),
         ("x0,x1\n", None, None),  # no data rows
         ("1,2\n3\n", 2, None),  # ragged: row among the data rows
+        ("x0,x1\n\n\r\n", None, None),  # a header and blank lines only
+        ("x0,x1\n \n\t\n", None, None),
+        ("\ufeffx0,x1\n1,oops\n", 2, 2),
     ],
 )
 def test_load_csv_errors(tmp_path, text, row, col):
@@ -162,6 +171,34 @@ def test_load_csv_errors(tmp_path, text, row, col):
         with pytest.raises(ParseError) as err:
             load_csv(path)
     assert (err.value.row, err.value.col) == (row, col)
+
+
+@pytest.mark.parametrize("header", ["", "x0,x1\n"])
+def test_load_csv_drops_a_byte_order_mark(tmp_path, header):
+    path = tmp_path / "t.csv"
+    path.write_bytes(("\ufeff" + header + "1.0,2.0\n3.0,4.0\n5.0,6.0\n").encode())
+    assert load_csv(path).rows.tolist() == [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]
+
+
+@pytest.mark.parametrize("raw", [b"x\xb0,y\n1,2\n", b"1,2\n3,\xff\n"])
+def test_load_csv_rejects_bytes_that_are_not_utf8(tmp_path, raw):
+    path = tmp_path / "t.csv"
+    path.write_bytes(raw)
+    with pytest.raises(ParseError, match="not UTF-8"):
+        load_csv(path)
+
+
+def test_load_csv_holds_no_copy_of_the_text(tmp_path):
+    path = tmp_path / "strokes.csv"
+    save_csv(generate(GeneratorSpec(kind="strokes", n=20000, seed=0)), path)
+    tracemalloc.start()
+    try:
+        rows = load_csv(path).rows
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the file's text alone is over twice the array's size
+    assert peak <= 3 * rows.nbytes
 
 
 def _small_model():
@@ -190,6 +227,7 @@ def test_save_model_writes_compact_json(tmp_path):
     save_model(m, path)
     text = path.read_text()
     assert "\n" not in text and ", " not in text
+    assert path.read_bytes() == json.dumps(model_to_json(m), separators=(",", ":")).encode()
     assert json.loads(text) == model_to_json(m)
 
 
