@@ -162,13 +162,12 @@ def _parse_numeric(fh):
     ragged or whitespace-only rows); _parse_records then decides. loadtxt
     parses a subset of what float() accepts, to the same values.
     """
-    lines = iter(fh.readline, "")
-    first = next(csv.reader(lines), [])
+    first = next(csv.reader(iter(fh.readline, "")), [])
     if _blank(first) or _numeric(first):
         fh.seek(0)
     start = fh.tell()
     # loadtxt warns on a stream with no row, so look for one first
-    if not any(line.strip() for line in lines):
+    if not any(line.strip() for line in iter(fh.readline, "")):
         return None
     fh.seek(start)
     try:
