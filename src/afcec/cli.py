@@ -9,7 +9,6 @@ import csv
 import json
 import logging
 import sys
-from dataclasses import replace
 
 from . import acagmm, data, engine, selection
 from .curves import BUILTIN_KINDS, builtin_family
@@ -151,8 +150,10 @@ def cmd_sweep(args):
     writer.writerow(
         ["k", "k_final", "cost", "loglik_mixture", "loglik_max", "n_params", "bic", "aic"]
     )
-    for k in range(1, args.k_max + 1):
-        best, _ = engine.fit_restarts(cache, replace(cfg, k_init=k), args.restarts)
+    # row k is fit --k k's model; the k values run in lockstep batches, and a k
+    # whose restarts all fail raises once the rows before it are written
+    ks = range(1, args.k_max + 1)
+    for k, (best, _) in zip(ks, engine._best_per_k(cache, cfg, ks, args.restarts)):
         sc = selection.score(cache, best, args.ll_mode)
         ll = {
             args.ll_mode: sc.loglik,

@@ -158,9 +158,10 @@ def _parse_numeric(fh):
     """Every row past the header in one np.loadtxt call, read from the text
     file fh (opened with newline="").
 
-    None when there is no row or loadtxt fails (a non-numeric cell, a quote,
-    ragged or whitespace-only rows); _parse_records then decides. loadtxt
-    parses a subset of what float() accepts, to the same values.
+    None when there is no row or loadtxt fails (a non-numeric or empty cell,
+    a quote that does not open a cell, ragged or whitespace-only rows);
+    _parse_records then decides. loadtxt reads quoted cells as csv.reader
+    does and parses a subset of what float() accepts, to the same values.
     """
     first = next(csv.reader(iter(fh.readline, "")), [])
     if _blank(first) or _numeric(first):
@@ -171,7 +172,7 @@ def _parse_numeric(fh):
         return None
     fh.seek(start)
     try:
-        return np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+        return np.loadtxt(fh, delimiter=",", comments=None, ndmin=2, quotechar='"')
     except ValueError:
         return None
 
@@ -371,27 +372,28 @@ def export_plot_data(x, model, path):
 
     Columns: kind,cluster,c0,...,c{d-1}. Point rows carry the data coordinates;
     curve rows walk the straight segment between the cluster's explanatory
-    min and max corners and place coordinate j on the fitted curve.
+    min and max corners and place coordinate j on the fitted curve. The bytes
+    are those csv.writer writes for repr cells (which it never quotes), built
+    as one string as in save_csv.
     """
-    rows_arr = getattr(x, "rows", x)
-    rows_arr = np.asarray(rows_arr, dtype=float)
+    rows_arr = np.asarray(getattr(x, "rows", x), dtype=float)
     d = rows_arr.shape[1]
+    assignment = np.asarray(model.assignment)
+    lines = [",".join(["kind", "cluster"] + [f"c{i}" for i in range(d)])]
+    lines += [
+        f"point,{a},{','.join(map(repr, row))}"
+        for row, a in zip(rows_arr.tolist(), assignment.tolist())
+    ]
+    frac = np.linspace(0.0, 1.0, CURVE_SAMPLES)[:, None]
+    for i, cl in enumerate(model.clusters):
+        j = cl.params.dependent_axis
+        xe = np.delete(rows_arr[assignment == i], j, axis=1)
+        lo, hi = xe.min(axis=0), xe.max(axis=0)
+        path_pts = lo + frac * (hi - lo)
+        coords = np.insert(path_pts, j, cl.params.curve.evaluate(path_pts), axis=1)
+        lines += [f"curve,{i},{','.join(map(repr, row))}" for row in coords.tolist()]
     try:
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["kind", "cluster"] + [f"c{i}" for i in range(d)])
-            for row, a in zip(rows_arr, model.assignment):
-                writer.writerow(["point", int(a)] + [repr(float(v)) for v in row])
-            for i, cl in enumerate(model.clusters):
-                j = cl.params.dependent_axis
-                members = rows_arr[np.asarray(model.assignment) == i]
-                xe = np.delete(members, j, axis=1)
-                lo, hi = xe.min(axis=0), xe.max(axis=0)
-                frac = np.linspace(0.0, 1.0, CURVE_SAMPLES)[:, None]
-                path_pts = lo + frac * (hi - lo)
-                vals = cl.params.curve.evaluate(path_pts)
-                for pt, v in zip(path_pts, vals):
-                    coords = list(pt[:j]) + [v] + list(pt[j:])
-                    writer.writerow(["curve", i] + [repr(float(c)) for c in coords])
+            fh.write("".join(line + "\r\n" for line in lines))
     except OSError as e:
         raise IoError(str(e)) from e

@@ -8,7 +8,7 @@ decreases on every iteration that performs no deletion.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -152,16 +152,17 @@ def cluster_score_blocks(cache, clusters):
 
 
 def _argmin_rows(scores):
-    """np.argmin(scores, axis=0) of a (k, n) block, ties to the lowest row.
+    """np.argmin(scores, axis=-2) of a (..., k, n) stack of blocks, ties to
+    the lowest row.
 
     Marks the rows attaining each column's minimum, weights row i by k - i and
     takes each column's largest weight, so the lowest marked row wins; this
     avoids the transposed (n, k) copy that numpy's argmin along axis 0 makes.
     A column holding NaN marks no row and goes to row 0.
     """
-    k = scores.shape[0]
+    k = scores.shape[-2]
     rank = np.arange(k, 0, -1, dtype=np.min_scalar_type(k))[:, None]
-    top = np.multiply(scores == scores.min(axis=0), rank).max(axis=0)
+    top = np.multiply(scores == scores.min(axis=-2, keepdims=True), rank).max(axis=-2)
     labels = k - top.astype(np.intp)
     labels[top == 0] = 0
     return labels
@@ -173,15 +174,25 @@ def _nearest(cache, batch):
     the lowest index.
 
     One score_blocks walk scores the clusters of every list, and each block
-    is reduced list by list; a score has the same bits in any set of clusters,
-    so each row equals the labels of its list scored alone.
+    is reduced once per stretch of consecutive lists of one length; a score
+    has the same bits in any set of clusters, so each row equals the labels
+    of its list scored alone.
     """
-    bounds = np.cumsum([0] + [len(clusters) for clusters in batch]).tolist()
+    # (first row, rows, clusters per row) of each stretch of equal lengths
+    groups = []
+    for r, clusters in enumerate(batch):
+        if groups and groups[-1][2] == len(clusters):
+            groups[-1][1] += 1
+        else:
+            groups.append([r, 1, len(clusters)])
     labels = np.empty((len(batch), cache.rows.shape[0]), dtype=np.intp)
     flat = [cl for clusters in batch for cl in clusters]
     for cols, block in cluster_score_blocks(cache, flat):
-        for row, lo, hi in zip(labels, bounds, bounds[1:]):
-            row[cols] = _argmin_rows(block[lo:hi])
+        lo = 0
+        for r, m, k in groups:
+            stack = block[lo : lo + m * k].reshape(m, k, -1)
+            labels[r : r + m, cols] = _argmin_rows(stack)
+            lo += m * k
     return labels
 
 
@@ -293,7 +304,7 @@ def delete_small(cache, clusters, assignment, threshold_fraction):
     count)."""
     assignment = np.asarray(assignment)
     n = cache.rows.shape[0]
-    sizes = np.bincount(assignment, minlength=len(clusters))
+    sizes = np.bincount(assignment, minlength=len(clusters)).tolist()
     keep = [i for i, s in enumerate(sizes) if s > 0 and s >= threshold_fraction * n]
     if not keep:
         raise AllClustersDegenerate("no cluster meets the size threshold")
@@ -315,32 +326,32 @@ def _sq_dist(xs_t, c):
     return out
 
 
-def _init_partition(x, cfg, seeds):
-    """Initial balanced partitions, one row per seed (cfg.seed is not read),
-    each deterministic over (data multiset, seed).
+def _init_partition(x, init, runs):
+    """Initial balanced partitions, one row per (k, seed) run, each
+    deterministic over (data multiset, k, seed).
 
-    The rows of x are sorted lexicographically once; per seed they are
-    shuffled by the seeded generator and dealt round-robin (random_partition)
-    or assigned to their nearest k-means++ seed (kmeanspp).
+    The rows of x are sorted lexicographically once for all runs; per run
+    they are shuffled by the seeded generator and dealt round-robin into k
+    clusters (random_partition) or assigned to their nearest of k k-means++
+    seeds (kmeanspp).
     """
     n = x.shape[0]
     order = np.lexsort(x.T[::-1])  # sort by column 0, then 1, ...
-    if cfg.init == "random_partition":
-        out = np.empty((len(seeds), n), dtype=int)
-        deal = np.arange(n) % cfg.k_init
-        for row, seed in zip(out, seeds):
+    out = np.empty((len(runs), n), dtype=int)
+    if init == "random_partition":
+        deal = np.arange(n)
+        for row, (k, seed) in zip(out, runs):
             rng = np.random.default_rng(seed & 0xFFFFFFFFFFFFFFFF)
-            row[order[rng.permutation(n)]] = deal
+            row[order[rng.permutation(n)]] = deal % k
         return out
     # k-means++-style seeding on the sorted rows; each point keeps the first
     # centre at its smallest squared distance (ties to the lowest index)
     xs_t = np.take(x.T, order, axis=1)  # one copy, (d, n) and C-contiguous
-    out = np.empty((len(seeds), n), dtype=int)
-    for row, seed in zip(out, seeds):
+    for row, (k, seed) in zip(out, runs):
         rng = np.random.default_rng(seed & 0xFFFFFFFFFFFFFFFF)
         d2 = _sq_dist(xs_t, xs_t[:, rng.integers(n)])
         nearest = np.zeros(n, dtype=int)
-        for t in range(1, cfg.k_init):
+        for t in range(1, k):
             total = d2.sum()
             if total <= 0:
                 # every point sits on a centre already: the new one wins nowhere
@@ -358,34 +369,38 @@ def _total_cost(clusters):
     return sum(cl.weight * (-math.log(cl.weight) + cl.cross_entropy) for cl in clusters)
 
 
-def _lloyd(cache, cfg, seeds):
-    """The clustering loop from one initial partition per seed, all seeds run
-    in lockstep over one DesignCache. Returns, per seed, its AfcecModel or the
-    AllClustersDegenerate that ended its run.
+def _lloyd(cache, cfg, runs):
+    """The clustering loop from one initial partition per (k, seed) run, all
+    runs in lockstep over one DesignCache (cfg.k_init and cfg.seed are not
+    read). Returns, per run, its AfcecModel or the AllClustersDegenerate that
+    ended it.
 
-    Each iteration scores every running seed's clusters in one assign_step,
-    runs delete_small per seed and refits every running seed in one
-    _reestimate. A seed stops when h_n >= h_{n-1} - epsilon, at max_iters, or
-    when it fails. The stop condition is only consulted on iterations that
-    deleted nothing (a deletion can bump the cost, and stopping there would
-    freeze a partial model); every deletion lowers k, so this cannot loop
-    forever. Every step treats each seed as a lone run would, so each result
-    is bit for bit the one a batch of that seed alone gives.
+    Each iteration scores the clusters of every live run in one assign_step,
+    runs delete_small per run and refits every live run in one _reestimate;
+    runs of different k share each pass, since every step reads each run's
+    own cluster count. A run stops when h_n >= h_{n-1} - epsilon, at
+    max_iters, or when it fails. The stop condition is only consulted on
+    iterations that deleted nothing (a deletion can bump the cost, and
+    stopping there would freeze a partial model); every deletion lowers k, so
+    this cannot loop forever. Every step treats each run as a lone run would,
+    so each result is bit for bit the one a batch of that run alone gives.
     """
-    cfg.validate_for(cache.rows.shape)
-    results = [AfcecModel([], None, [], 0, 0) for _ in seeds]
-    running = list(range(len(seeds)))
-    ks = [cfg.k_init] * len(seeds)
-    deleted = [0] * len(seeds)
-    labels = _init_partition(cache.rows, cfg, seeds)
+    ks = [k for k, _ in runs]
+    # k >= 1 binds at the smallest k, and the data shape's bound at the largest
+    for k in (min(ks), max(ks)):
+        replace(cfg, k_init=k).validate_for(cache.rows.shape)
+    results = [AfcecModel([], None, [], 0, 0) for _ in runs]
+    running = list(range(len(runs)))
+    deleted = [0] * len(runs)
+    labels = _init_partition(cache.rows, cfg.init, runs)
     # iteration 0 refits the initial partitions
     for it in range(cfg.max_iters + 1):
         if it:
-            batch = [None] * len(seeds)
+            batch = [None] * len(runs)
             for r in running:
                 batch[r] = results[r].clusters
             labels = assign_step(cache, batch, labels)
-            ks = [None] * len(seeds)
+            ks = [None] * len(runs)
             for r in running:
                 try:
                     ks[r], labels[r], deleted[r] = delete_small(
@@ -423,31 +438,56 @@ def _lloyd(cache, cfg, seeds):
 
 def fit(x, cfg):
     """Run the clustering loop from cfg.seed's initial partition until
-    h_n >= h_{n-1} - epsilon or max_iters: _lloyd on one seed.
+    h_n >= h_{n-1} - epsilon or max_iters: _lloyd on one run.
 
     x is a Dataset, an (n, d) array, or a DesignCache over the data.
     """
-    (model,) = _lloyd(design_cache(x), cfg, [cfg.seed])
+    (model,) = _lloyd(design_cache(x), cfg, [(cfg.k_init, cfg.seed)])
     if isinstance(model, AllClustersDegenerate):
         raise model
     return model
 
 
+# run-points (runs x points) that _best_per_k puts in one lockstep batch, unless
+# one k alone holds more
+LOCKSTEP_POINTS = 1 << 15
+
+
+def _best_per_k(cache, cfg, ks, restarts):
+    """Yields fit_restarts(cache, replace(cfg, k_init=k), restarts) for each k
+    of ks in order; at a k where every restart failed, raises that k's first
+    failure instead.
+
+    The runs (k, cfg.seed + s) for s < restarts go through _lloyd in batches
+    of consecutive k values: a batch holds as many whole k values as fit in
+    LOCKSTEP_POINTS run-points (restarts x n per k), and always at least one,
+    so once restarts x n reaches LOCKSTEP_POINTS each batch is one k. A batch
+    is run when its first k is asked for.
+    """
+    if restarts < 1:
+        raise InvalidConfig("restarts must be >= 1")
+    ks = list(ks)
+    per_batch = max(1, LOCKSTEP_POINTS // (restarts * cache.rows.shape[0]))
+    for lo in range(0, len(ks), per_batch):
+        group = ks[lo : lo + per_batch]
+        runs = [(k, cfg.seed + s) for k in group for s in range(restarts)]
+        results = _lloyd(cache, cfg, runs)
+        for at in range(0, len(runs), restarts):
+            models = [m for m in results[at : at + restarts] if isinstance(m, AfcecModel)]
+            if not models:
+                raise results[at]
+            # min keeps the first of equal costs, i.e. the smallest seed
+            best = min(models, key=lambda m: m.final_cost)
+            yield best, [m.final_cost for m in models]
+
+
 def fit_restarts(x, cfg, restarts):
     """fit() with seeds cfg.seed .. cfg.seed+restarts-1, run in lockstep
-    (_lloyd); returns the lowest-cost model and the final costs of the
-    successful restarts in seed order. Each restart's model is the one fit()
-    gives for its seed.
+    (_best_per_k on one k); returns the lowest-cost model and the final costs
+    of the successful restarts in seed order. Each restart's model is the one
+    fit() gives for its seed.
 
     Ties between restarts break toward the smaller seed. A restart failure
     propagates only if every restart fails.
     """
-    if restarts < 1:
-        raise InvalidConfig("restarts must be >= 1")
-    results = _lloyd(design_cache(x), cfg, range(cfg.seed, cfg.seed + restarts))
-    models = [m for m in results if isinstance(m, AfcecModel)]
-    if not models:
-        raise results[0]
-    # min keeps the first of equal costs, i.e. the smallest seed
-    best = min(models, key=lambda m: m.final_cost)
-    return best, [m.final_cost for m in models]
+    return next(_best_per_k(design_cache(x), cfg, [cfg.k_init], restarts))

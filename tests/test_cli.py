@@ -5,16 +5,18 @@ import os
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import afcec
-from afcec import engine
+from afcec import engine, selection
 from afcec.cli import main
-from afcec.data import GeneratorSpec, generate, load_model, save_csv
-from afcec.errors import ZeroResidualWarning
+from afcec.curves import builtin_family
+from afcec.data import GeneratorSpec, generate, load_csv, load_model, save_csv
+from afcec.errors import AllClustersDegenerate, ZeroResidualWarning
 
 
 @pytest.fixture()
@@ -185,6 +187,118 @@ def test_fit_and_sweep_agree(circle_csv, capsys):
     assert float(row["cost"]) == fitted["cost"]
     assert float(row["loglik_mixture"]) == fitted["loglik"]
     assert float(row["bic"]) == fitted["bic"]
+
+
+SWEEP_HEADER = ["k", "k_final", "cost", "loglik_mixture", "loglik_max", "n_params", "bic", "aic"]
+
+
+def _per_k_sweep(path, k_max, restarts, family, ll_mode="mixture", **cfg_kw):
+    """(stdout, exit code) of the sweep as one fit_restarts call per k, each
+    scored on its own: the loop cmd_sweep ran before its k values shared
+    lockstep batches."""
+    ds = load_csv(path)
+    cache = engine.DesignCache(ds.rows)
+    cfg = engine.EngineConfig(k_init=1, family=builtin_family(family, ds.d - 1), **cfg_kw)
+    other = "max" if ll_mode == "mixture" else "mixture"
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(SWEEP_HEADER)
+    for k in range(1, k_max + 1):
+        try:
+            best, _ = engine.fit_restarts(cache, replace(cfg, k_init=k), restarts)
+        except AllClustersDegenerate:
+            return buf.getvalue(), 3
+        sc = selection.score(cache, best, ll_mode)
+        ll = {ll_mode: sc.loglik, other: selection.log_likelihood(cache, best, other)}
+        writer.writerow([
+            k, best.k, repr(best.final_cost), repr(ll["mixture"]), repr(ll["max"]),
+            sc.n_params, repr(sc.bic), repr(sc.aic),
+        ])
+    return buf.getvalue(), 0
+
+
+SWEEP_CASES = {
+    # name: (generator spec, sweep flags, the oracle's keywords)
+    "deletions": (
+        GeneratorSpec("circle", n=300, seed=3),
+        ["--k-max", "6", "--restarts", "3", "--deletion-fraction", "0.1", "--seed", "4"],
+        dict(k_max=6, restarts=3, family="quadratic", deletion_fraction=0.1, seed=4),
+    ),
+    "kmeanspp": (
+        GeneratorSpec("strokes", n=500, seed=1),
+        ["--k-max", "6", "--restarts", "2", "--init", "kmeanspp", "--ll-mode", "max"],
+        dict(k_max=6, restarts=2, family="quadratic", init="kmeanspp", ll_mode="max"),
+    ),
+    "cubic-3d": (
+        GeneratorSpec("parametric3d", n=400, seed=2),
+        ["--k-max", "5", "--restarts", "2", "--family", "cubic", "--max-iters", "15"],
+        dict(k_max=5, restarts=2, family="cubic", max_iters=15),
+    ),
+    # every restart at k=2 leaves no cluster above the threshold: exit 3 after row 1
+    "k-fails": (
+        GeneratorSpec("circle", n=300, seed=0),
+        ["--k-max", "4", "--restarts", "2", "--deletion-fraction", "0.6"],
+        dict(k_max=4, restarts=2, family="quadratic", deletion_fraction=0.6),
+    ),
+}
+
+
+@pytest.mark.filterwarnings("ignore::afcec.errors.ZeroResidualWarning")
+@pytest.mark.parametrize("case", sorted(SWEEP_CASES))
+def test_sweep_equals_the_per_k_loop(tmp_path, capsys, monkeypatch, case):
+    spec, flags, oracle = SWEEP_CASES[case]
+    path = tmp_path / "in.csv"
+    save_csv(generate(spec), path)
+    want = _per_k_sweep(path, **oracle)
+    if case == "k-fails":
+        assert want[1] == 3 and want[0].count("\n") == 2
+    run_points = oracle["restarts"] * spec.n
+    # the default cap, one k per batch, two k per batch, and every k in one batch
+    for cap in (engine.LOCKSTEP_POINTS, 1, 2 * run_points, 1 << 40):
+        monkeypatch.setattr(engine, "LOCKSTEP_POINTS", cap)
+        code, out = _run(capsys, "sweep", "--input", str(path), *flags)
+        assert (out, code) == want, cap
+
+
+@pytest.mark.filterwarnings("ignore::afcec.errors.ZeroResidualWarning")
+def test_sweep_batches_hold_whole_k_values_under_the_cap(tmp_path, capsys, monkeypatch):
+    calls = {"init": [], "refit": []}
+    init, reestimate = engine._init_partition, engine._reestimate
+
+    def record_init(x, how, runs):
+        calls["init"].append([k for k, _ in runs])
+        return init(x, how, runs)
+
+    def record_refit(cache, labels, ks, family):
+        calls["refit"].append(labels.shape)
+        return reestimate(cache, labels, ks, family)
+
+    monkeypatch.setattr(engine, "_init_partition", record_init)
+    monkeypatch.setattr(engine, "_reestimate", record_refit)
+    for n, restarts, cap, batches in [
+        # the benchmark's ring sweep: restarts x n = 8000 run-points per k
+        (2000, 4, None, [[1, 2, 3, 4], [5, 6, 7, 8], [9, 10]]),
+        (300, 2, 1000, [[k] for k in range(1, 11)]),  # under the cap, but two k are over
+        (300, 4, 1000, [[k] for k in range(1, 11)]),  # one k alone is over the cap
+        (300, 3, 1800, [[1, 2], [3, 4], [5, 6], [7, 8], [9, 10]]),
+    ]:
+        if cap is not None:
+            monkeypatch.setattr(engine, "LOCKSTEP_POINTS", cap)
+        cap = engine.LOCKSTEP_POINTS
+        path = tmp_path / f"ring{n}.csv"
+        save_csv(generate(GeneratorSpec("circle", n=n, seed=1)), path)
+        calls["init"].clear()
+        calls["refit"].clear()
+        code, _ = _run(capsys, "sweep", "--input", str(path), "--k-max", "10",
+                       "--restarts", str(restarts), "--max-iters", "3")
+        assert code == 0
+        assert calls["init"] == [[k for k in ks for _ in range(restarts)] for ks in batches]
+        assert calls["refit"]
+        for runs, points in calls["refit"]:
+            assert points == n
+            assert runs * n <= max(restarts * n, cap)
+            if restarts * n >= cap:
+                assert runs == restarts
 
 
 def test_import_leaves_out_scipy_integrate():

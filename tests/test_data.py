@@ -137,6 +137,12 @@ def test_load_csv_missing_file(tmp_path):
         "x0,x1\r1.5,2\r\r3,-4\r",
         "\ufeff1.0,2.0\n3.0,4.0\n5.0,6.0\n",  # byte order marks
         "\ufeffx0,x1\n1,2\n",
+        '"1","2"\n"3","4"\n',  # every cell quoted
+        '"x0","x1"\r\n"1.5",2\r\n3,"-4e-3"\r\n',  # quoted and plain cells mixed
+        '"1\n",2\n3,"4\n"\n',  # a quoted cell holding a newline
+        '"1"2,3\n4,5\n',  # text after the closing quote joins the cell
+        '" 1 ",2\n3,4\n',
+        '1,2\n""\n3,4\n',  # a quoted empty row, which loadtxt rejects
     ],
 )
 def test_load_csv_equals_cell_by_cell_parse(tmp_path, text):
@@ -161,6 +167,13 @@ def test_load_csv_equals_cell_by_cell_parse(tmp_path, text):
         ("x0,x1\n\n\r\n", None, None),  # a header and blank lines only
         ("x0,x1\n \n\t\n", None, None),
         ("\ufeffx0,x1\n1,oops\n", 2, 2),
+        ('1,2\n"3""4",5\n', 2, 1),  # a doubled quote
+        ('1,2\n3,"4,5"\n', 2, 2),  # a quoted comma
+        ('1,2\n"3\nx",4\n', 2, 1),  # a quoted newline inside a bad cell
+        ('1,2\n3, "4"\n', 2, 2),  # a space before the quote
+        ('1,2\n"",4\n', 2, 1),  # an empty quoted cell
+        ('1,2\n"3"x,4\n', 2, 1),  # text after the closing quote
+        ('1,2\n3,4"5\n', 2, 2),  # a quote inside a cell
     ],
 )
 def test_load_csv_errors(tmp_path, text, row, col):
@@ -198,6 +211,21 @@ def test_load_csv_holds_no_copy_of_the_text(tmp_path):
     finally:
         tracemalloc.stop()
     # the file's text alone is over twice the array's size
+    assert peak <= 3 * rows.nbytes
+
+
+def test_load_csv_holds_no_copy_of_quoted_text(tmp_path):
+    ds = generate(GeneratorSpec(kind="strokes", n=20000, seed=0))
+    path = tmp_path / "quoted.csv"
+    lines = ['"x0","x1"'] + [",".join(f'"{v!r}"' for v in row) for row in ds.rows.tolist()]
+    path.write_text("".join(line + "\r\n" for line in lines), newline="")
+    tracemalloc.start()
+    try:
+        rows = load_csv(path).rows
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(rows, ds.rows)
     assert peak <= 3 * rows.nbytes
 
 
@@ -388,6 +416,33 @@ def test_load_model_bad_file(tmp_path):
         load_model(path)
     with pytest.raises(IoError):
         load_model(tmp_path / "absent.json")
+
+
+def _csv_writer_plot_data(x, model, path):
+    """export_plot_data's rows written one csv.writer row at a time."""
+    rows = np.asarray(x.rows)
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["kind", "cluster"] + [f"c{i}" for i in range(rows.shape[1])])
+        for row, a in zip(rows, model.assignment):
+            writer.writerow(["point", int(a)] + [repr(float(v)) for v in row])
+        for i, cl in enumerate(model.clusters):
+            j = cl.params.dependent_axis
+            xe = np.delete(rows[np.asarray(model.assignment) == i], j, axis=1)
+            lo, hi = xe.min(axis=0), xe.max(axis=0)
+            path_pts = lo + np.linspace(0.0, 1.0, data.CURVE_SAMPLES)[:, None] * (hi - lo)
+            for pt, v in zip(path_pts, cl.params.curve.evaluate(path_pts)):
+                coords = list(pt[:j]) + [v] + list(pt[j:])
+                writer.writerow(["curve", i] + [repr(float(c)) for c in coords])
+
+
+@pytest.mark.parametrize("kind, family", [("circle", "quadratic"), ("parametric3d", "cubic")])
+def test_export_plot_data_writes_the_csv_writer_bytes(tmp_path, kind, family):
+    ds = generate(GeneratorSpec(kind=kind, n=300, seed=5))
+    m = fit(ds, EngineConfig(k_init=3, family=builtin_family(family, ds.d - 1), seed=1))
+    export_plot_data(ds, m, tmp_path / "plot.csv")
+    _csv_writer_plot_data(ds, m, tmp_path / "want.csv")
+    assert (tmp_path / "plot.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
 def test_export_plot_data(tmp_path):

@@ -181,7 +181,7 @@ def test_fit_restarts_equals_separate_fits(monkeypatch):
     fake = {s: engine.AfcecModel([], None, [c], 0, 0) for s, c in
             zip(range(3, 8), [2.0, 1.0, 3.0, 1.0, 1.5])}
     fake[5] = AllClustersDegenerate("every cluster failed estimation")
-    monkeypatch.setattr(engine, "_lloyd", lambda cache, c, seeds: [fake[s] for s in seeds])
+    monkeypatch.setattr(engine, "_lloyd", lambda cache, c, runs: [fake[s] for _, s in runs])
     best, costs = fit_restarts(ds, replace(cfg, seed=3), restarts=5)
     assert best is fake[4]
     assert costs == [2.0, 1.0, 1.0, 1.5]

@@ -223,14 +223,14 @@ def test_kmeanspp_labels_equal_broadcast_argmin(x, k, scale, seed):
     x = x * scale
     cfg = EngineConfig(k_init=k, family=builtin_family("linear", x.shape[1] - 1),
                        seed=seed, init="kmeanspp")
-    (labels,) = engine._init_partition(x, cfg, [seed])
+    (labels,) = engine._init_partition(x, cfg.init, [(k, seed)])
     assert np.array_equal(labels, _reference_kmeanspp(x, k, seed))
 
 
 def test_kmeanspp_constant_data_takes_the_random_branch():
     x = np.full((12, 3), 1.5)
     cfg = EngineConfig(k_init=4, family=builtin_family("linear", 2), seed=3, init="kmeanspp")
-    (labels,) = engine._init_partition(x, cfg, [3])
+    (labels,) = engine._init_partition(x, cfg.init, [(4, 3)])
     assert np.array_equal(labels, _reference_kmeanspp(x, 4, 3))
     assert not labels.any()
 
@@ -240,8 +240,9 @@ def test_first_traced_cost_equals_recomputed_cost():
     family = builtin_family("quadratic", 1)
     for init in engine.INITS:
         cfg = EngineConfig(k_init=5, family=family, seed=2, init=init)
+        labels = engine._init_partition(x, init, [(cfg.k_init, cfg.seed)])
         (clusters,), (assignment,), _ = engine._reestimate(
-            DesignCache(x), engine._init_partition(x, cfg, [cfg.seed]), [cfg.k_init], family
+            DesignCache(x), labels, [cfg.k_init], family
         )
         first = engine.fit(x, cfg).cost_trace[0]
         # the refit's H reads the SSE from the Gram, engine.cost from explicit
@@ -252,3 +253,6 @@ def test_first_traced_cost_equals_recomputed_cost():
 def test_argmin_rows_sends_nan_columns_to_row_zero():
     scores = np.array([[1.0, np.nan, 3.0, 2.0], [0.5, 0.0, np.nan, 2.0], [0.5, 1.0, 1.0, 1.0]])
     assert engine._argmin_rows(scores).tolist() == [1, 0, 0, 2]
+    # a stack of blocks is reduced block by block
+    stack = np.stack([scores, scores - [[0.0], [0.0], [1.0]]])
+    assert engine._argmin_rows(stack).tolist() == [[1, 0, 0, 2], [2, 0, 0, 2]]
