@@ -5,10 +5,11 @@ Exit codes: 0 ok, 1 configuration error, 2 data error, 3 degenerate fit.
 """
 
 import argparse
-import csv
 import json
 import logging
 import sys
+
+from numpy.linalg import LinAlgError
 
 from . import acagmm, data, engine, selection
 from .curves import BUILTIN_KINDS, builtin_family
@@ -146,10 +147,9 @@ def cmd_sweep(args):
     # one cache serves every k's fits and scoring, so its design is built once
     cache = engine.DesignCache(ds.rows)
     other_mode = "max" if args.ll_mode == "mixture" else "mixture"
-    writer = csv.writer(sys.stdout)
-    writer.writerow(
-        ["k", "k_final", "cost", "loglik_mixture", "loglik_max", "n_params", "bic", "aic"]
-    )
+    sys.stdout.write(data.csv_lines(
+        [["k", "k_final", "cost", "loglik_mixture", "loglik_max", "n_params", "bic", "aic"]]
+    ))
     # row k is fit --k k's model; the k values run in lockstep batches, and a k
     # whose restarts all fail raises once the rows before it are written
     ks = range(1, args.k_max + 1)
@@ -159,10 +159,9 @@ def cmd_sweep(args):
             args.ll_mode: sc.loglik,
             other_mode: selection.log_likelihood(cache, best, other_mode),
         }
-        writer.writerow([
-            k, best.k, repr(best.final_cost), repr(ll["mixture"]), repr(ll["max"]),
-            sc.n_params, repr(sc.bic), repr(sc.aic),
-        ])
+        sys.stdout.write(data.csv_lines([[
+            k, best.k, best.final_cost, ll["mixture"], ll["max"], sc.n_params, sc.bic, sc.aic,
+        ]]))
         log.info("k=%d -> k_final=%d", k, best.k)
     return 0
 
@@ -181,13 +180,8 @@ def cmd_acagmm_check(args):
     a_grid = _parse_grid(args.a_grid, "a-grid")
     sigma_grid = _parse_grid(args.sigma_grid, "sigma-grid")
     rows = acagmm.normalization_table(a_grid, sigma_grid, args.box, args.n)
-    writer = csv.writer(sys.stdout)
-    writer.writerow(["a", "sigma1", "sigma2", "raw_integral", "corrected_integral", "excluded_mass"])
-    for r in rows:
-        writer.writerow([
-            repr(r["a"]), repr(r["sigma1"]), repr(r["sigma2"]),
-            repr(r["raw_integral"]), repr(r["corrected_integral"]), repr(r["excluded_mass"]),
-        ])
+    columns = ["a", "sigma1", "sigma2", "raw_integral", "corrected_integral", "excluded_mass"]
+    sys.stdout.write(data.csv_lines([columns] + [[r[c] for c in columns] for r in rows]))
     return 0
 
 
@@ -205,15 +199,16 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return COMMANDS[args.command](args)
+    # LinAlgError is a ValueError, but no flag is at fault: the numbers broke down
+    except (DegenerateCluster, AllClustersDegenerate, RankDeficient, LinAlgError) as e:
+        log.error("degenerate fit: %s", e)
+        return EXIT_DEGENERATE
     except (InvalidConfig, InvalidSpec, ValueError) as e:
         log.error("configuration error: %s", e)
         return EXIT_CONFIG
     except (ParseError, IoError, FileNotFoundError, OSError) as e:
         log.error("data error: %s", e)
         return EXIT_DATA
-    except (DegenerateCluster, AllClustersDegenerate, RankDeficient) as e:
-        log.error("degenerate fit: %s", e)
-        return EXIT_DEGENERATE
     except AfcecError as e:
         log.error("error: %s", e)
         return EXIT_CONFIG

@@ -1,7 +1,6 @@
 """Dataset container, CSV I/O, synthetic generators, model serialization."""
 
 import csv
-import io
 import json
 import math
 from dataclasses import dataclass, field
@@ -117,20 +116,23 @@ def generate(spec):
 
 
 def load_csv(path):
-    """Numeric CSV with an optional single header line (the first line, when
-    one of its cells is not a number). Blank lines are skipped. The file is
-    read as UTF-8, a leading byte order mark dropped; other bytes raise
+    """Numeric CSV with an optional single header line (the first record,
+    when one of its cells is not a number). Blank lines are skipped. The file
+    is read as UTF-8, a leading byte order mark dropped; other bytes raise
     ParseError.
 
-    The rows are parsed from the open file (_parse_numeric), so no copy of
-    its text is held; only a file that np.loadtxt rejects is read whole and
-    parsed cell by cell (_parse_records)."""
+    Past the header (_skip_header), the rows are parsed from the open file in
+    one np.loadtxt call (_parse_numeric), so no copy of its text is held; only
+    a file that np.loadtxt rejects is parsed again, cell by cell, from the
+    same position (_parse_records)."""
     try:
         with open(path, encoding="utf-8-sig", newline="") as fh:
-            rows = _parse_numeric(fh)
+            first = _skip_header(fh)
+            start = fh.tell()
+            rows = _parse_numeric(fh, start)
             if rows is None:
-                fh.seek(0)
-                rows = _parse_records(fh.read())
+                fh.seek(start)
+                rows = _parse_records(fh, first)
     except OSError as e:
         raise IoError(str(e)) from e
     except UnicodeDecodeError as e:
@@ -145,28 +147,30 @@ def _blank(rec):
     return not rec or (len(rec) == 1 and not rec[0].strip())
 
 
-def _numeric(rec):
-    try:
-        for cell in rec:
-            float(cell)
-    except ValueError:
-        return False
-    return True
+def _skip_header(fh):
+    """Leaves the text file fh (opened with newline="") past its first record
+    when that record is a header, one of whose cells is not a number, and at
+    its start otherwise; returns the file record number of the next record,
+    2 or 1."""
+    rec = next(csv.reader(iter(fh.readline, "")), [])
+    if not _blank(rec):
+        try:
+            for cell in rec:
+                float(cell)
+        except ValueError:
+            return 2
+    fh.seek(0)
+    return 1
 
 
-def _parse_numeric(fh):
-    """Every row past the header in one np.loadtxt call, read from the text
-    file fh (opened with newline="").
+def _parse_numeric(fh, start):
+    """Every row from position start of fh in one np.loadtxt call.
 
     None when there is no row or loadtxt fails (a non-numeric or empty cell,
     a quote that does not open a cell, ragged or whitespace-only rows);
     _parse_records then decides. loadtxt reads quoted cells as csv.reader
     does and parses a subset of what float() accepts, to the same values.
     """
-    first = next(csv.reader(iter(fh.readline, "")), [])
-    if _blank(first) or _numeric(first):
-        fh.seek(0)
-    start = fh.tell()
     # loadtxt warns on a stream with no row, so look for one first
     if not any(line.strip() for line in iter(fh.readline, "")):
         return None
@@ -177,11 +181,13 @@ def _parse_numeric(fh):
         return None
 
 
-def _parse_records(text):
-    """Row lists from csv.reader, one cell at a time; raises ParseError at the
-    first non-numeric cell past the header, or at the first ragged row."""
+def _parse_records(fh, first):
+    """Row lists from csv.reader over the rest of fh, one cell at a time,
+    numbering file records (blank ones too) from first; raises ParseError at
+    the first non-numeric cell or row whose width differs from the first
+    row's, whichever comes first in the file."""
     rows = []
-    for rix, rec in enumerate(csv.reader(io.StringIO(text, newline="")), start=1):
+    for rix, rec in enumerate(csv.reader(fh), start=first):
         if _blank(rec):
             continue
         vals = []
@@ -189,36 +195,39 @@ def _parse_records(text):
             try:
                 vals.append(float(cell))
             except ValueError:
-                if rix == 1 and not rows:
-                    vals = None  # header line
-                    break
                 raise ParseError(
                     f"non-numeric cell {cell!r} at row {rix}, column {cix}",
                     row=rix,
                     col=cix,
                 ) from None
-        if vals is not None:
-            rows.append(vals)
+        if rows and len(vals) != len(rows[0]):
+            raise ParseError(f"row {rix} has {len(vals)} cells, expected {len(rows[0])}", row=rix)
+        rows.append(vals)
     if not rows:
         raise ParseError("no data rows")
-    width = len(rows[0])
-    for rix, r in enumerate(rows, start=1):
-        if len(r) != width:
-            raise ParseError(f"row {rix} has {len(r)} cells, expected {width}", row=rix)
     return rows
 
 
-def save_csv(ds, path):
-    """The bytes csv.writer writes for the rows as repr strings (shortest
-    round-trip decimals, which it never quotes) under an x0,x1,... header,
-    built as one string and written at once."""
-    lines = [",".join(f"x{i}" for i in range(ds.d))]
-    lines += [",".join(map(repr, row)) for row in ds.rows.tolist()]
+def csv_lines(records):
+    """The bytes csv.writer writes for records of cells: str() of each cell (a
+    Python float's str is its shortest round-trip repr), joined by commas,
+    each record ended by CRLF. The cells are numbers and plain names, which
+    csv.writer never quotes."""
+    return "".join([",".join(map(str, rec)) + "\r\n" for rec in records])
+
+
+def _write_text(path, text):
+    """text written to path at once, with no newline translation."""
     try:
         with open(path, "w", newline="") as fh:
-            fh.write("".join(line + "\r\n" for line in lines))
+            fh.write(text)
     except OSError as e:
         raise IoError(str(e)) from e
+
+
+def save_csv(ds, path):
+    """The rows as csv_lines under an x0,x1,... header, written at once."""
+    _write_text(path, csv_lines([[f"x{i}" for i in range(ds.d)]] + ds.rows.tolist()))
 
 
 def _basis_tag(row):
@@ -344,12 +353,7 @@ def save_model(model, path):
     """Compact JSON round-trip; floats use shortest round-trip decimals, so
     every numeric field reloads bit-identical."""
     # json.dumps, unlike json.dump, encodes in one pass of the C encoder
-    text = json.dumps(model_to_json(model), separators=(",", ":"))
-    try:
-        with open(path, "w") as fh:
-            fh.write(text)
-    except OSError as e:
-        raise IoError(str(e)) from e
+    _write_text(path, json.dumps(model_to_json(model), separators=(",", ":")))
 
 
 def load_model(path):
@@ -372,17 +376,15 @@ def export_plot_data(x, model, path):
 
     Columns: kind,cluster,c0,...,c{d-1}. Point rows carry the data coordinates;
     curve rows walk the straight segment between the cluster's explanatory
-    min and max corners and place coordinate j on the fitted curve. The bytes
-    are those csv.writer writes for repr cells (which it never quotes), built
-    as one string as in save_csv.
+    min and max corners and place coordinate j on the fitted curve. The rows
+    are csv_lines, written at once.
     """
     rows_arr = np.asarray(getattr(x, "rows", x), dtype=float)
     d = rows_arr.shape[1]
     assignment = np.asarray(model.assignment)
-    lines = [",".join(["kind", "cluster"] + [f"c{i}" for i in range(d)])]
-    lines += [
-        f"point,{a},{','.join(map(repr, row))}"
-        for row, a in zip(rows_arr.tolist(), assignment.tolist())
+    parts = [
+        csv_lines([["kind", "cluster"] + [f"c{i}" for i in range(d)]]),
+        csv_lines(["point", a, *row] for row, a in zip(rows_arr.tolist(), assignment.tolist())),
     ]
     frac = np.linspace(0.0, 1.0, CURVE_SAMPLES)[:, None]
     for i, cl in enumerate(model.clusters):
@@ -391,9 +393,5 @@ def export_plot_data(x, model, path):
         lo, hi = xe.min(axis=0), xe.max(axis=0)
         path_pts = lo + frac * (hi - lo)
         coords = np.insert(path_pts, j, cl.params.curve.evaluate(path_pts), axis=1)
-        lines += [f"curve,{i},{','.join(map(repr, row))}" for row in coords.tolist()]
-    try:
-        with open(path, "w", newline="") as fh:
-            fh.write("".join(line + "\r\n" for line in lines))
-    except OSError as e:
-        raise IoError(str(e)) from e
+        parts.append(csv_lines(["curve", i, *row] for row in coords.tolist()))
+    _write_text(path, "".join(parts))

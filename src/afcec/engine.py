@@ -84,11 +84,13 @@ class EngineConfig:
 
 
 def as_array(x):
-    """Accept a Dataset or a plain (n, d) array."""
+    """Accept a Dataset or a plain finite (n, d) array."""
     rows = getattr(x, "rows", x)
     a = np.asarray(rows, dtype=float)
     if a.ndim != 2:
         raise InvalidConfig("data must be 2-D (n points x d coordinates)")
+    if not np.isfinite(a).all():
+        raise InvalidConfig("data must be finite")
     return a
 
 
@@ -386,9 +388,6 @@ def _lloyd(cache, cfg, runs):
     so each result is bit for bit the one a batch of that run alone gives.
     """
     ks = [k for k, _ in runs]
-    # k >= 1 binds at the smallest k, and the data shape's bound at the largest
-    for k in (min(ks), max(ks)):
-        replace(cfg, k_init=k).validate_for(cache.rows.shape)
     results = [AfcecModel([], None, [], 0, 0) for _ in runs]
     running = list(range(len(runs)))
     deleted = [0] * len(runs)
@@ -438,14 +437,11 @@ def _lloyd(cache, cfg, runs):
 
 def fit(x, cfg):
     """Run the clustering loop from cfg.seed's initial partition until
-    h_n >= h_{n-1} - epsilon or max_iters: _lloyd on one run.
+    h_n >= h_{n-1} - epsilon or max_iters: fit_restarts on one seed.
 
     x is a Dataset, an (n, d) array, or a DesignCache over the data.
     """
-    (model,) = _lloyd(design_cache(x), cfg, [(cfg.k_init, cfg.seed)])
-    if isinstance(model, AllClustersDegenerate):
-        raise model
-    return model
+    return fit_restarts(x, cfg, 1)[0]
 
 
 # run-points (runs x points) that _best_per_k puts in one lockstep batch, unless
@@ -467,6 +463,9 @@ def _best_per_k(cache, cfg, ks, restarts):
     if restarts < 1:
         raise InvalidConfig("restarts must be >= 1")
     ks = list(ks)
+    # k >= 1 binds at the smallest k, and the data shape's bound at the largest
+    for k in (min(ks), max(ks)):
+        replace(cfg, k_init=k).validate_for(cache.rows.shape)
     per_batch = max(1, LOCKSTEP_POINTS // (restarts * cache.rows.shape[0]))
     for lo in range(0, len(ks), per_batch):
         group = ks[lo : lo + per_batch]

@@ -77,6 +77,7 @@ def test_fit_missing_file_is_data_error(capsys):
 
 _T = np.random.default_rng(0).uniform(-1.0, 1.0, 60)
 _XY = np.random.default_rng(2).standard_normal((60, 2))
+_STROKES = generate(GeneratorSpec(kind="strokes", n=600, seed=2)).rows
 # input rows, then the documented outcome of `fit --k 2 --seed 0`: its exit
 # code and whether a residual variance is floored (ZeroResidualWarning)
 DEGENERATE_INPUTS = {
@@ -99,6 +100,10 @@ DEGENERATE_INPUTS = {
         0,
         False,
     ),
+    # the covariance eigendecomposition breaks down (np.linalg.LinAlgError)
+    # this far from unit scale: exit 3 with no output
+    "strokes-scaled-by-1e100": (_STROKES * 1e100, 3, False),
+    "strokes-scaled-by-1e-100": (_STROKES * 1e-100, 3, False),
 }
 # inputs whose fit must cost what the named case's fit costs
 SAME_COST = {
@@ -357,6 +362,30 @@ def test_sweep_emits_csv_table(circle_csv, capsys):
         assert float(r[3]) >= float(r[4]) - 1e-9  # mixture >= max
         ll, npar, n = float(r[3]), float(r[5]), 200
         assert float(r[6]) == pytest.approx(-2 * ll + npar * np.log(n), abs=1e-8)
+
+
+def _csv_writer_text(text):
+    """text's records parsed by csv.reader and written again by csv.writer."""
+    buf = io.StringIO(newline="")
+    csv.writer(buf).writerows(csv.reader(io.StringIO(text, newline="")))
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--k-max", "3", "--restarts", "2"],
+        ["acagmm-check", "--a-grid", "1,-2.5", "--sigma-grid", "0.1,3", "--n", "40"],
+    ],
+    ids=["sweep", "acagmm-check"],
+)
+def test_csv_tables_are_the_csv_writer_bytes(circle_csv, capsys, argv):
+    if argv[0] == "sweep":
+        argv = [*argv, "--input", circle_csv]
+    code, out = _run(capsys, *argv)
+    assert code == 0
+    assert out.endswith("\r\n") and out.count("\n") > 2
+    assert out == _csv_writer_text(out)
 
 
 def test_acagmm_check_table(capsys):

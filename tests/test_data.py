@@ -7,6 +7,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from afcec import data
 from afcec.curves import builtin_family
@@ -92,6 +94,25 @@ def test_save_csv_writes_the_csv_writer_bytes(tmp_path, d):
     assert np.array_equal(np.signbit(load_csv(path).rows), np.signbit(rows))
 
 
+# every kind of cell the CSV outputs write: counts and cluster indices, header
+# and row names, and floats, which csv.writer writes as their repr
+CSV_CELLS = [0, 7, 12345, "x0", "k_final", "point", "curve", 0.1, -0.0, 1e-05, 5e-324,
+             1.7976931348623157e308, math.inf, -math.inf, math.nan]
+
+
+@pytest.mark.parametrize(
+    "records", [[[c]] for c in CSV_CELLS] + [[CSV_CELLS], [CSV_CELLS[:7], CSV_CELLS[7:]]], ids=repr
+)
+def test_csv_lines_writes_the_csv_writer_bytes(records):
+    want = io.StringIO(newline="")
+    csv.writer(want).writerows(records)
+    reprs = io.StringIO(newline="")
+    csv.writer(reprs).writerows(
+        [repr(c) if isinstance(c, float) else c for c in rec] for rec in records
+    )
+    assert data.csv_lines(records) == want.getvalue() == reprs.getvalue()
+
+
 def test_load_csv_without_header(tmp_path):
     path = tmp_path / "raw.csv"
     path.write_text("1.0,2.0\n3.0,4.0\n")
@@ -148,8 +169,9 @@ def test_load_csv_missing_file(tmp_path):
 def test_load_csv_equals_cell_by_cell_parse(tmp_path, text):
     path = tmp_path / "t.csv"
     path.write_bytes(text.encode())
-    # the file is decoded as utf-8-sig, which drops a leading byte order mark
-    want = np.asarray(data._parse_records(text.removeprefix("\ufeff")), dtype=float)
+    # the cell-by-cell parse from the same position as load_csv's, past any header
+    with open(path, encoding="utf-8-sig", newline="") as fh:
+        want = np.asarray(data._parse_records(fh, data._skip_header(fh)), dtype=float)
     got = load_csv(path).rows
     assert got.dtype == want.dtype
     assert np.array_equal(got, want)
@@ -163,7 +185,7 @@ def test_load_csv_equals_cell_by_cell_parse(tmp_path, text):
         ("1,2\nx0,x1\n", 2, 1),
         ("1,2\n3,4,\n", 2, 3),
         ("x0,x1\n", None, None),  # no data rows
-        ("1,2\n3\n", 2, None),  # ragged: row among the data rows
+        ("1,2\n3\n", 2, None),  # ragged: the file record
         ("x0,x1\n\n\r\n", None, None),  # a header and blank lines only
         ("x0,x1\n \n\t\n", None, None),
         ("\ufeffx0,x1\n1,oops\n", 2, 2),
@@ -184,6 +206,91 @@ def test_load_csv_errors(tmp_path, text, row, col):
         with pytest.raises(ParseError) as err:
             load_csv(path)
     assert (err.value.row, err.value.col) == (row, col)
+
+
+# records that load_csv skips as blank, a quoted empty cell among them
+BLANK_RECORDS = ("", " ", "\t", '""')
+BAD_CELLS = ("a", "", " ", "1.2.3", "x0", "0x10")
+
+
+@st.composite
+def _csv_files(draw):
+    """(records, values, data_at): a random numeric CSV as lists of cells,
+    its finite values, and the index among the records of each values row.
+    An optional header comes first; blank records may come anywhere else, and
+    any cell may be quoted."""
+    width = draw(st.integers(2, 4))
+    values = draw(st.lists(
+        st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=width,
+                 max_size=width),
+        min_size=1, max_size=6,
+    ))
+
+    def cell(text):
+        return f'"{text}"' if draw(st.booleans()) else text
+
+    records = []
+    if draw(st.booleans()):
+        # a header: one of its names is not a number, the others may be
+        names = [draw(st.sampled_from([f"x{i}", str(i)])) for i in range(width)]
+        names[draw(st.integers(0, width - 1))] = "x"
+        records.append([cell(name) for name in names])
+    data_at = []
+    for row in values:
+        records += [[b] for b in draw(st.lists(st.sampled_from(BLANK_RECORDS), max_size=2))]
+        data_at.append(len(records))
+        records.append([cell(repr(v)) for v in row])
+    records += [[b] for b in draw(st.lists(st.sampled_from(BLANK_RECORDS), max_size=2))]
+    return records, values, data_at
+
+
+def _write_records(path, records, draw):
+    """records written with one drawn line ending (LF, CR or CRLF), the last
+    one's optional, and an optional byte order mark."""
+    end = draw(st.sampled_from(["\n", "\r", "\r\n"]))
+    text = end.join(",".join(rec) for rec in records) + draw(st.sampled_from(["", end]))
+    bom = draw(st.sampled_from(["", "\ufeff"]))
+    path.write_bytes((bom + text).encode())
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_load_csv_reads_any_table_under_one_header_rule(tmp_path, source):
+    records, values, _ = source.draw(_csv_files())
+    path = tmp_path / "t.csv"
+    _write_records(path, records, source.draw)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = load_csv(path).rows
+    assert rows.tolist() == values
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_load_csv_names_the_file_record_of_a_defect(tmp_path, source):
+    records, _, data_at = source.draw(_csv_files())
+    if source.draw(st.booleans(), label="short row"):
+        # the first values row sets the width
+        assume(len(data_at) > 1)
+        at = data_at[source.draw(st.integers(1, len(data_at) - 1))]
+        records[at] = records[at][:-1]
+        col = None
+    else:
+        # a first record with a bad cell is the header
+        at = source.draw(st.sampled_from(data_at))
+        assume(at > 0)
+        col = source.draw(st.integers(1, len(records[at])))
+        records[at][col - 1] = source.draw(st.sampled_from(BAD_CELLS))
+    path = tmp_path / "t.csv"
+    _write_records(path, records, source.draw)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParseError) as err:
+            load_csv(path)
+    # file records count from 1, header and blank records included
+    assert (err.value.row, err.value.col) == (at + 1, col)
 
 
 @pytest.mark.parametrize("header", ["", "x0,x1\n"])

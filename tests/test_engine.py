@@ -1,6 +1,7 @@
 import contextlib
 import io
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from afcec import engine
+from afcec import engine, selection
 from afcec.cli import main
 from afcec.curves import BUILTIN_KINDS, builtin_family, select_orientation
 from afcec.data import Dataset, GeneratorSpec, generate, save_csv
@@ -125,6 +126,27 @@ def test_fit_rejects_small_or_thin_data():
     with pytest.raises(InvalidConfig):
         fit(np.random.default_rng(0).standard_normal((5, 2)),
             EngineConfig(k_init=2, family=QUAD1))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_library_calls_reject_non_finite_data(bad):
+    ds = generate(GeneratorSpec(kind="strokes", n=600, seed=2))
+    cfg = EngineConfig(k_init=3, family=QUAD1, seed=0)
+    model = fit(ds, cfg)
+    x = ds.rows.copy()
+    x[17, 1] = bad
+    calls = [
+        lambda: fit(x, cfg),
+        lambda: fit_restarts(x, cfg, 2),
+        lambda: selection.score(x, model),
+        lambda: selection.log_likelihood(x, model),
+        lambda: selection.log_likelihood(x, model, "max"),
+    ]
+    for call in calls:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidConfig, match="data must be finite"):
+                call()
 
 
 def test_fit_degenerate_data_raises():
