@@ -26,6 +26,14 @@ DEFAULT_BOX = 5.0
 DEFAULT_N = 500
 # grid rows _table_rows projects at once
 FOOT_BLOCK_ROWS = 32
+# normalization_table refuses a narrowest sigma under MIN_SIGMA_SPACINGS grid
+# spacings (2 box / n) and a box under MIN_BOX_SIGMAS widest sigmas. Measured
+# on near-linear and curved parabolas (a = 1e-3, 0.25, 1, -2.5, sigma 1): one
+# spacing misses raw_integral by about 1% (0.9-1.5%, against a 100 times
+# finer grid), half a spacing by 42-52%; a box of 1.5 sigmas holds 74-77% of
+# the mass, one sigma 46-47%
+MIN_SIGMA_SPACINGS = 1.0
+MIN_BOX_SIGMAS = 1.5
 # fold_mass integrates where the arc length is within FOLD_TAIL * max(sigma1,
 # 1) of the vertex; the along-curve Gaussian is below exp(-800) beyond
 FOLD_TAIL = 40.0
@@ -106,9 +114,18 @@ def _project_t0_grid(a, px, py):
       double root is negative.
     Each node is solved by its own branch only, as each branch's formula is
     invalid on the other's nodes; the values equal evaluating both branches
-    everywhere and selecting, since every step is elementwise. Scalars are
-    solved as one-node arrays: numpy's scalar power rounds differently from
-    its array loop, and a point must get the same foot as the grid node.
+    everywhere and selecting, since every step is elementwise.
+
+    The cubic is solved at its root's own scale: with 2^e the power of two
+    just above m = max(sqrt|q|, cbrt r), q / 2^(2e) and r / 2^(3e) give the
+    root t0 / 2^e, and the larger of their |q|^3 and r^2 lies in [1/64, 1),
+    so the discriminant neither under- nor overflows at any a whose a * a is
+    finite. A power of two scales exactly, so wherever the unscaled solve
+    neither under- nor overflows the two give the same bits. Every cube is a
+    product, which rounds the same in scalar and array code (numpy's power
+    does not, and is far slower for a negative base). Scalars are solved as
+    one-node arrays all the same, so a point takes the grid node's code path
+    and gets its foot.
     """
     px, py = np.broadcast_arrays(np.asarray(px, dtype=float), np.asarray(py, dtype=float))
     shape = px.shape
@@ -118,7 +135,10 @@ def _project_t0_grid(a, px, py):
     a = np.float64(a)
     q = (1.0 - 2.0 * a * py) / (6.0 * a * a)
     r = np.abs(px) / (4.0 * a * a)
-    disc = q ** 3 + r ** 2
+    # frexp's exponent is 0 where q and r are both 0
+    e = np.frexp(np.maximum(np.sqrt(np.abs(q)), np.cbrt(r)))[1]
+    q, r = np.ldexp(q, -2 * e), np.ldexp(r, -3 * e)
+    disc = q * q * q + r * r
     t0 = np.empty(disc.shape)
     single = disc >= 0.0
     rs, qs = r[single], q[single]
@@ -131,8 +151,9 @@ def _project_t0_grid(a, px, py):
 
     three = ~single
     mq = -q[three]
-    phi = np.arccos(np.clip(r[three] / np.sqrt(mq ** 3), -1.0, 1.0))
+    phi = np.arccos(np.clip(r[three] / np.sqrt(mq * mq * mq), -1.0, 1.0))
     t0[three] = 2.0 * np.sqrt(mq) * np.cos(phi / 3.0)
+    t0 = np.ldexp(t0, e)
     return np.where(px > 0.0, t0, -t0).reshape(shape)
 
 
@@ -208,8 +229,10 @@ def normalization_table(
     (<= FOLD_EPS, the cut-locus cusp) contribute nothing to the corrected
     integral; excluded_mass is the fold mass the correction cannot recover
     (see fold_mass). Raises ValueError before any work on a bad a, sigma, box
-    or n; and, naming the configuration, when a float64 step overflows or
-    divides by zero (extreme a, box or sigma), so no integral is NaN or inf.
+    or n, and, naming the configuration, on a grid too coarse for the
+    narrowest sigma or a box too small for the widest (MIN_SIGMA_SPACINGS,
+    MIN_BOX_SIGMAS); and, naming it, when a float64 step overflows or divides
+    by zero (extreme a, box or sigma), so no integral is NaN or inf.
 
     Every integrand is even in x: the parabola, its arc-length/normal map and
     the grid are symmetric under x -> -x, which negates the foot parameter
@@ -230,10 +253,18 @@ def normalization_table(
     # in a grid fails before any work
     grid_models = [[AcaParabolaModel(a, s1, s2) for s1 in sigma_grid for s2 in sigma_grid]
                    for a in a_grid]
+    grid = f"sigma grid {tuple(sigma_grid)!r}, box={box!r}, n={n}"
+    # as a product, so that n <= 0 is refused too
+    if n * min(sigma_grid, default=math.inf) < MIN_SIGMA_SPACINGS * 2.0 * box:
+        raise ValueError(f"{grid}: the narrowest sigma is under {MIN_SIGMA_SPACINGS:g} "
+                         "grid spacing (2 box / n), which the Simpson rule cannot resolve")
+    if box < MIN_BOX_SIGMAS * max(sigma_grid, default=0.0):
+        raise ValueError(f"{grid}: the box is under {MIN_BOX_SIGMAS:g} widest sigmas "
+                         "and holds too little of the mass")
     sig = np.asarray(sigma_grid, dtype=float).reshape(-1, 1)
     rows = []
     for a, models in zip(a_grid, grid_models):
-        config = f"a={a!r}, sigma grid {tuple(sigma_grid)!r}, box={box!r}, n={n}"
+        config = f"a={a!r}, {grid}"
         try:
             with np.errstate(over="raise", invalid="raise", divide="raise"):
                 a_rows = _table_rows(a, models, sig, box, n)

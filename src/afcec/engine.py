@@ -118,11 +118,12 @@ class DesignCache:
     first scored, and again only for another family. fit, fit_restarts and
     selection.score take a DesignCache wherever they take data (it holds the
     points as `rows`, like a Dataset), so a command that passes one cache to
-    all of them builds its design once.
+    all of them builds its design once. It is made over a Dataset or an
+    (n, d) array, checked as as_array checks it.
     """
 
-    def __init__(self, rows):
-        self.rows = rows
+    def __init__(self, x):
+        self.rows = as_array(x)
         self._family = self._design = None
 
     def design(self, family):
@@ -133,16 +134,17 @@ class DesignCache:
         return self._design
 
     def take(self, idx):
-        """A cache over rows[idx] holding this one's design restricted to idx."""
-        sub = DesignCache(self.rows[idx])
-        if self._design is not None:
-            sub._family, sub._design = self._family, np.take(self._design, idx, axis=0)
+        """A cache over rows[idx] holding this one's design restricted to idx.
+        The rows were checked when this cache was made, so not again."""
+        sub = object.__new__(DesignCache)
+        sub.rows, sub._family = self.rows[idx], self._family
+        sub._design = None if self._design is None else np.take(self._design, idx, axis=0)
         return sub
 
 
 def design_cache(x):
-    """x itself when it is a DesignCache, else a new one over as_array(x)."""
-    return x if isinstance(x, DesignCache) else DesignCache(as_array(x))
+    """x itself when it is a DesignCache, else a new one over x."""
+    return x if isinstance(x, DesignCache) else DesignCache(x)
 
 
 def cluster_score_blocks(cache, clusters):

@@ -42,21 +42,24 @@ def _grid(lo, hi, n):
     return next(simpson_blocks_2d(lo, hi, lo, hi, n, n + 1))
 
 
-def _all_branch_t0(a, px, py):
+def _all_branch_t0(a, px, py, scaled=True):
     # reference: both root formulas are evaluated on every node, then each
     # node takes its branch's root, signed by its side of the axis (the
-    # negative root on the axis, where two feet may tie)
+    # negative root on the axis, where two feet may tie). Scaled, the cubic is
+    # solved at the power of two just above max(sqrt|q|, cbrt r)
     q = (1.0 - 2.0 * a * py) / (6.0 * a * a)
     r = np.abs(px) / (4.0 * a * a)
-    disc = q ** 3 + r ** 2
+    e = np.frexp(np.maximum(np.sqrt(np.abs(q)), np.cbrt(r)))[1] if scaled else 0
+    q, r = np.ldexp(q, -2 * e), np.ldexp(r, -3 * e)
+    disc = q * q * q + r * r
     nonneg = disc >= 0.0
     s = np.sqrt(np.where(nonneg, disc, 0.0))
     u = np.cbrt(np.maximum(r + s, np.finfo(float).tiny))
     t_single = 2.0 * r / (u * u + q + (q / u) ** 2)
     mq = np.where(nonneg, 1.0, -q)
-    phi = np.arccos(np.clip(np.where(nonneg, 0.0, r) / np.sqrt(mq ** 3), -1.0, 1.0))
+    phi = np.arccos(np.clip(np.where(nonneg, 0.0, r) / np.sqrt(mq * mq * mq), -1.0, 1.0))
     t_three = 2.0 * np.sqrt(mq) * np.cos(phi / 3.0)
-    t = np.where(nonneg, t_single, t_three)
+    t = np.ldexp(np.where(nonneg, t_single, t_three), e)
     return np.where(px > 0.0, t, -t)
 
 
@@ -170,7 +173,8 @@ def _assert_matches_all_branch_solver(a, px, py):
     ),
     st.lists(st.floats(min_value=-6.0, max_value=6.0), min_size=1, max_size=6),
 )
-# numpy's scalar power rounds this point's q**3 differently from its array loop
+# numpy's scalar power rounded this point's q**3 differently from its array
+# loop, before every cube became a product
 @example(2.7529598128987467, 1.0, [(3.5, -4.978778433940518)], [0.0])
 @settings(max_examples=150, deadline=None)
 def test_masked_projection_matches_all_branch_solver(mag, sign, points, edge):
@@ -203,6 +207,63 @@ def test_masked_projection_single_branch_blocks_and_scalar():
         _assert_matches_all_branch_solver(a, near, inside)
     t0 = acagmm._project_t0_grid(1.0, 0.0, 2.0)
     assert t0.shape == () and t0 == _all_branch_t0(1.0, 0.0, 2.0)
+
+
+# below about 1e-300, r = |px| / (4 a^2) or the foot it gives is subnormal, and
+# the unscaled solve rounds it where the scaled one does not
+_NORMAL_COORD = st.floats(min_value=-6.0, max_value=6.0).filter(
+    lambda v: v == 0.0 or abs(v) > 1e-290
+)
+
+
+@given(
+    st.floats(min_value=1e-3, max_value=1e3),
+    st.sampled_from((-1.0, 1.0)),
+    st.lists(st.tuples(_NORMAL_COORD, _NORMAL_COORD), min_size=1, max_size=30),
+)
+@settings(max_examples=300, deadline=None)
+def test_scaled_solve_equals_unscaled_solve(mag, sign, points):
+    # a power of two scales exactly, so where the unscaled cubes neither
+    # under- nor overflow the scaled solve gives the same bits
+    a = sign * mag
+    px, py = np.array(points).T
+    unscaled = _all_branch_t0(a, px, py, scaled=False)
+    assert np.array_equal(acagmm._project_t0_grid(a, px, py), unscaled)
+
+
+def _long_double_t0(a, px, py):
+    """_project_t0_grid's unscaled formulas in np.longdouble, whose exponent
+    range holds q^3 and r^2 at any float64 a, plus one Newton step on the
+    |px| cubic; rounded to float64."""
+    ld = np.longdouble
+    a, x, y = ld(a), np.asarray(px, dtype=ld), np.asarray(py, dtype=ld)
+    q = (1 - 2 * a * y) / (6 * a * a)
+    r = np.abs(x) / (4 * a * a)
+    disc = q ** 3 + r ** 2
+    nonneg = disc >= 0
+    u = np.cbrt(np.maximum(r + np.sqrt(np.where(nonneg, disc, 0)), np.finfo(ld).tiny))
+    mq = np.where(nonneg, 1, -q)
+    phi = np.arccos(np.clip(np.where(nonneg, 0, r) / np.sqrt(mq ** 3), -1, 1))
+    t = np.where(nonneg, 2 * r / (u * u + q + (q / u) ** 2), 2 * np.sqrt(mq) * np.cos(phi / 3))
+    b = 1 - 2 * a * y
+    t -= (2 * a * a * t ** 3 + b * t - np.abs(x)) / (6 * a * a * t * t + b)
+    return np.where(x > 0, t, -t).astype(float)
+
+
+@pytest.mark.parametrize("a", [1e20, 1e100, 1e150])
+def test_corrected_integral_at_large_a_matches_long_double_feet(monkeypatch, a):
+    # as |a| grows the parabola tends to a ray and corrected_integral settles
+    # (0.50227471769 at sigma 1); the float64 table must be within 2 ulp of
+    # the same table on long-double feet, where the unscaled cubic's q^3 and
+    # r^2 once under- and overflowed (1e100 read 0.50519, 1e150 0.01184)
+    def table():
+        (row,) = normalization_table(a_grid=(a,), sigma_grid=(1.0,), n=200)
+        return row["corrected_integral"]
+
+    got = table()
+    monkeypatch.setattr(acagmm, "_project_t0_grid", _long_double_t0)
+    want = table()
+    assert abs(got - want) <= 2 * math.ulp(want)
 
 
 def test_arc_length_matches_quadrature():
@@ -522,16 +583,44 @@ def test_normalization_table_rejects_odd_n():
         {"a_grid": (1.0, 0.0)},
         {"a_grid": (1.0, math.nan)},
         {"sigma_grid": (1.0, math.inf)},
+        # a grid too coarse for the narrowest sigma, a box too small for the
+        # widest
+        {"sigma_grid": (0.01, 1.0), "n": 500},
+        {"sigma_grid": (0.5, 100.0)},
+        {"n": 0},
     ],
     ids=str,
 )
 def test_normalization_table_rejects_bad_input_before_projecting(monkeypatch, kwargs):
+    # n = 60 resolves the default sigmas, so only the bad value is at fault
     def project(a, px, py):
         raise AssertionError("projected before rejecting the input")
 
     monkeypatch.setattr(acagmm, "_project_t0_grid", project)
     with pytest.raises(ValueError):
-        normalization_table(**{"n": 20, **kwargs})
+        normalization_table(**{"n": 60, **kwargs})
+
+
+@pytest.mark.parametrize(
+    "sigma_grid, box, n, refused",
+    [
+        # exactly one grid spacing (2 box / n) and exactly 1.5 sigmas pass
+        ((1.0,), 2.0, 4, False),
+        ((1.0,), 1.5, 4, False),
+        ((0.1, 3.0), 5.0, 100, False),
+        ((np.nextafter(1.0, 0.0),), 2.0, 4, True),
+        ((np.nextafter(1.0, 2.0),), 1.5, 4, True),
+    ],
+)
+def test_normalization_table_resolution_thresholds(sigma_grid, box, n, refused):
+    def table():
+        return normalization_table(a_grid=(1.0,), sigma_grid=sigma_grid, box=box, n=n)
+
+    if refused:
+        with pytest.raises(ValueError, match=f"box={box!r}, n={n}: the"):
+            table()
+    else:
+        assert len(table()) == len(sigma_grid) ** 2
 
 
 def test_model_validation():

@@ -321,7 +321,7 @@ def test_acagmm_check_runs_without_scipy():
     # the fold mass is numpy and math alone, so the command loads no scipy
     script = (
         "import sys, afcec.cli; "
-        "rc = afcec.cli.main(['acagmm-check', '--n', '20']); "
+        "rc = afcec.cli.main(['acagmm-check', '--n', '60']); "
         "sys.exit(rc or any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules))"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(afcec.__file__).parents[1]))
@@ -375,7 +375,7 @@ def _csv_writer_text(text):
     "argv",
     [
         ["sweep", "--k-max", "3", "--restarts", "2"],
-        ["acagmm-check", "--a-grid", "1,-2.5", "--sigma-grid", "0.1,3", "--n", "40"],
+        ["acagmm-check", "--a-grid", "1,-2.5", "--sigma-grid", "0.1,3", "--n", "100"],
     ],
     ids=["sweep", "acagmm-check"],
 )
@@ -417,20 +417,42 @@ def test_acagmm_check_bad_grid_is_config_error(capsys):
     [
         (["--a-grid", "1e-300"], "a=1e-300"),
         (["--a-grid", "1e300"], "a=1e+300"),
-        (["--box", "1e160", "--n", "10"], "box=1e+160"),
-        (["--a-grid", "1", "--sigma-grid", "1e-300"], "sigma grid (1e-300,)"),
-        (["--sigma-grid", "1e200"], "sigma grid (1e+200,)"),
+        (["--box", "1e160", "--sigma-grid", "2e159"], "box=1e+160"),
+        (["--a-grid", "1", "--sigma-grid", "1e-300", "--box", "1e-299", "--n", "40"],
+         "sigma grid (1e-300,)"),
+        (["--sigma-grid", "1e200", "--box", "2e200"], "sigma grid (1e+200,)"),
     ],
     ids=["tiny-a", "huge-a", "huge-box", "tiny-sigma", "huge-sigma"],
 )
 def test_acagmm_check_beyond_float64_is_config_error(capsys, caplog, argv, config):
     # each of these overflows or divides by zero somewhere in the table: it
-    # must fail naming its configuration, not print NaN or raise
-    code, out = _run(capsys, "acagmm-check", "--n", "4", "--sigma-grid", "1", *argv)
+    # must fail naming its configuration, not print NaN or raise. Each grid
+    # resolves its sigmas (at least one grid spacing, a box of at least 1.5
+    # sigmas), so float64's range is what fails
+    code, out = _run(capsys, "acagmm-check", "--n", "20", "--sigma-grid", "1", *argv)
     assert code == 1
     assert out == ""
     assert "out of float64 range" in caplog.text
     assert config in caplog.text
+
+
+@pytest.mark.parametrize(
+    "argv, reason",
+    [
+        (["--sigma-grid", "0.001"], "under 1 grid spacing"),
+        (["--sigma-grid", "0.01"], "under 1 grid spacing"),
+        (["--sigma-grid", "100", "--n", "20"], "under 1.5 widest sigmas"),
+    ],
+    ids=["sigma-0.001", "sigma-0.01", "sigma-100"],
+)
+def test_acagmm_check_refuses_what_the_grid_cannot_resolve(capsys, caplog, argv, reason):
+    # a sigma under the grid spacing (0.02 at the defaults) or a box holding
+    # little of the mass once printed meaningless integrals with exit 0
+    code, out = _run(capsys, "acagmm-check", "--a-grid", "1", *argv)
+    assert code == 1
+    assert out == ""
+    assert reason in caplog.text
+    assert f"sigma grid ({argv[1]}" in caplog.text
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])

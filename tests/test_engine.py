@@ -141,6 +141,9 @@ def test_library_calls_reject_non_finite_data(bad):
         lambda: selection.score(x, model),
         lambda: selection.log_likelihood(x, model),
         lambda: selection.log_likelihood(x, model, "max"),
+        # a DesignCache is checked when it is made
+        lambda: fit(DesignCache(x), cfg),
+        lambda: selection.score(DesignCache(x), model),
     ]
     for call in calls:
         with warnings.catch_warnings():

@@ -123,6 +123,9 @@ BENCH_INPUT_SHA256 = {
     ("parametric3d", 10000): "452f867577636a6c9e7c32ffdab1aab845ede4055c4954ce499da8896fbaf9f1",
     ("circle", 2000): "acad06722af741ddd1a90eb736809f3bf5da16da5b8e33e71f368dcadbe3e832",
 }
+# sha256 of the default `acagmm-check` stdout, recorded before the foot cubic
+# was solved with product cubes at a power-of-two scale
+ACA_STDOUT_SHA256 = "c7d729c173297bfc07beb7ce292ed6a5d45e5634728aa08c2ced5ce167c293c4"
 
 
 def _run(*argv):
@@ -172,7 +175,8 @@ def test_sweep_matches_golden(tmp_path):
 
 
 def test_acagmm_check_matches_golden():
-    rows = list(csv.reader(io.StringIO(_run("acagmm-check"))))
+    out = _run("acagmm-check")
+    rows = list(csv.reader(io.StringIO(out)))
     assert rows[0] == ["a", "sigma1", "sigma2", "raw_integral",
                        "corrected_integral", "excluded_mass"]
     assert len(rows) == 1 + len(ACA_GOLDEN)
@@ -184,6 +188,8 @@ def test_acagmm_check_matches_golden():
         # the fold mass is 1-D quadrature, untouched by the grid
         assert got[5] == want[5]
         assert got[5] == pytest.approx(fold_ref, rel=0, abs=ACA_FOLD_ATOL)
+    # and the whole table to the bit
+    assert hashlib.sha256(out.encode()).hexdigest() == ACA_STDOUT_SHA256
 
 
 def _sha256(path):
