@@ -347,6 +347,40 @@ def _solve_segments(xs, bounds, family):
     return _SegmentFits(centre + mean_u, covs, coeffs, var * sse_u, resid_var, floored)
 
 
+class ClusterFits(NamedTuple):
+    """Clusters stacked as arrays, one row each: the chosen dependent axis of
+    each, its curved Gaussian there and that Gaussian's score weights
+    (density.score_weights). refit_segments returns one row per segment,
+    rows where ok is False holding zeros; the engine's tables hold fitted
+    rows only."""
+
+    family: FunctionFamily
+    axis: np.ndarray  # (k,) int
+    mean_exp: np.ndarray  # (k, d - 1)
+    cov_exp: np.ndarray  # (k, d - 1, d - 1), as regularized
+    resid_var: np.ndarray  # (k,), floored
+    coeffs: np.ndarray  # (k, p): the curve's raw monomial coefficients
+    sse: np.ndarray  # (k,)
+    h: np.ndarray  # (k,): the cross-entropy
+    ok: np.ndarray  # (k,) bool: some axis admits a fit
+    w: np.ndarray  # (k, d, q): score weights over the family's union design
+    consts: np.ndarray  # (k,): score constants
+
+    def take(self, rows):
+        """The rows `rows` (a slice or index array) of every field."""
+        return ClusterFits(self.family, *[f[rows] for f in self[1:]])
+
+
+def _no_fits(family, k, d):
+    """k all-zero rows, none ok."""
+    m, q = d - 1, family._refit_layout.union.size
+    return ClusterFits(
+        family, np.zeros(k, dtype=np.intp), np.zeros((k, m)), np.zeros((k, m, m)), np.zeros(k),
+        np.zeros((k, family.size)), np.zeros(k), np.zeros(k), np.zeros(k, dtype=bool),
+        np.zeros((k, d, q)), np.zeros(k),
+    )
+
+
 def refit_segments(xs, bounds, family):
     """Fit every segment of label-sorted points on every dependent axis at once
     and keep each segment's cross-entropy argmin.
@@ -358,24 +392,25 @@ def refit_segments(xs, bounds, family):
     x_j, as in density.pin_constants), with one ZeroResidualWarning per
     floored (segment, axis).
 
-    Returns one entry per segment: select_orientation's (axis, CurveFit, H,
-    FAdaptedParams), ties to the smallest axis, or None where no axis admits
-    a fit: fewer than max(family.size, d + 1) points, or on every axis an
-    explanatory covariance that density._cholesky_reg cannot regularize.
+    Returns ClusterFits with one row per segment: its lowest cross-entropy
+    axis, ties to the smallest, and the score weights built from the Cholesky
+    factor of that axis's explanatory covariance. A row is not ok where no
+    axis admits a fit: fewer than max(family.size, d + 1) points, or on every
+    axis an explanatory covariance that density._cholesky_reg cannot
+    regularize.
     """
     n, d = xs.shape
     sizes = bounds[1:] - bounds[:-1]
-    fits = [None] * len(sizes)
     live = np.flatnonzero(sizes >= max(family.size, d + 1))
     if not live.size:
-        return fits
+        return _no_fits(family, len(sizes), d)
     nonempty = np.flatnonzero(sizes)
     solved = _solve_segments(xs, np.concatenate([bounds[nonempty], [n]]), family)
     pick = np.searchsorted(nonempty, live)
     ok = np.ones((len(live), d), dtype=bool)
-    others = family._refit_layout.others  # (d, d-1)
-    mean_exp = solved.means[pick][:, others]  # (k, d, d-1)
-    cov_exp = solved.covs[pick][:, others[:, :, None], others[:, None, :]]
+    lay = family._refit_layout
+    mean_exp = solved.means[pick][:, lay.others]  # (k, d, d-1)
+    cov_exp = solved.covs[pick][:, lay.others[:, :, None], lay.others[:, None, :]]
 
     try:
         low = np.linalg.cholesky(cov_exp)
@@ -393,13 +428,21 @@ def refit_segments(xs, bounds, family):
     resid_var = solved.resid_var[pick]
     h = np.full(ok.shape, np.inf)
     h[ok] = density._fadapted_entropy(d, density._logdet(low[ok]), resid_var[ok])
-    for i, (s, j) in enumerate(zip(live.tolist(), np.argmin(h, axis=1).tolist())):
-        if ok[i, j]:
-            curve = CurveFit(family, solved.coeffs[pick[i], j], float(solved.sse[pick[i], j]))
-            rv = float(resid_var[i, j])
-            params = density.FAdaptedParams(j, mean_exp[i, j], cov_exp[i, j], rv, curve)
-            fits[s] = (j, curve, float(h[i, j]), params)
-    return fits
+    axis = np.argmin(h, axis=1)
+    i = np.flatnonzero(ok[np.arange(len(live)), axis])  # the live segments fitted
+    j = axis[i]
+    mean, rv, coeffs = mean_exp[i, j], resid_var[i, j], solved.coeffs[pick[i], j]
+    w, consts = density.score_weights(lay, j, low[i, j], mean, rv, coeffs)
+    fits = ClusterFits(
+        family, j, mean, cov_exp[i, j], rv, coeffs, solved.sse[pick[i], j], h[i, j],
+        np.ones(len(i), dtype=bool), w, consts,
+    )
+    if len(i) == len(sizes):
+        return fits
+    out = _no_fits(family, len(sizes), d)
+    for full, part in zip(out[1:], fits[1:]):
+        full[live[i]] = part
+    return out
 
 
 def select_orientation(x, family):
@@ -408,10 +451,13 @@ def select_orientation(x, family):
     Returns (axis, CurveFit, H, FAdaptedParams); ties go to the smallest axis
     index. Axes whose fit or covariance is degenerate are skipped; if every
     axis fails, DegenerateCluster is raised. This is refit_segments on one
-    segment.
+    segment, its row 0 built into objects.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    (best,) = refit_segments(x, np.array([0, x.shape[0]]), family)
-    if best is None:
+    f = refit_segments(x, np.array([0, x.shape[0]]), family)
+    if not f.ok[0]:
         raise DegenerateCluster("no orientation admits a non-degenerate fit")
-    return best
+    j = int(f.axis[0])
+    curve = CurveFit(family, f.coeffs[0], float(f.sse[0]))
+    params = density.FAdaptedParams(j, f.mean_exp[0], f.cov_exp[0], float(f.resid_var[0]), curve)
+    return j, curve, float(f.h[0]), params

@@ -49,10 +49,20 @@ class FAdaptedParams:
     curve: object = None
 
     def __post_init__(self):
-        object.__setattr__(self, "mean_exp", np.asarray(self.mean_exp, dtype=float).reshape(-1))
-        object.__setattr__(self, "cov_exp", np.asarray(self.cov_exp, dtype=float))
-        if self.resid_var <= 0:
-            raise ValueError("resid_var must be positive")
+        mean = np.asarray(self.mean_exp, dtype=float)
+        cov = np.asarray(self.cov_exp, dtype=float)
+        object.__setattr__(self, "mean_exp", mean)
+        object.__setattr__(self, "cov_exp", cov)
+        if mean.ndim != 1 or cov.shape != (mean.size, mean.size):
+            raise ValueError(
+                f"mean_exp and cov_exp must be shaped (m,) and (m, m), got {mean.shape} and "
+                f"{cov.shape}"
+            )
+        if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
+            raise ValueError("mean_exp and cov_exp must be finite")
+        # written so that NaN fails too
+        if not (0 < self.resid_var < math.inf):
+            raise ValueError(f"resid_var must be positive and finite, got {self.resid_var!r}")
 
     @property
     def dim(self):
@@ -82,60 +92,80 @@ def _cholesky_reg(cov):
     raise DegenerateCluster("covariance not positive definite after regularization")
 
 
-def _score_weights(params):
-    """Weights W (k*d, q) and constants c (k, 1) with -log f_i(x) = c_i +
-    0.5 * ||W_i @ phi(x)||^2: W_i is cluster i's d rows, phi(x) the point's
-    row of the union design (curves._GramLayout) of the clusters' family.
+def score_weights(layout, axes, low, mean_exp, resid_var, coeffs):
+    """Weights W (k, d, q) and constants c (k,) with -log f_i(x) = c_i +
+    0.5 * ||W_i @ phi(x)||^2 for k stacked clusters: phi(x) is the point's
+    row of the union design (curves._GramLayout layout) of their family.
 
-    For a cluster on axis j, rows 0..d-2 give L^-1 (x_e - mean_exp) with
-    cov_exp = L L^T: L^-1 in the projection columns 1 + others[j], -L^-1
-    mean_exp in the constant column 0. Row d-1 gives the residual
-    (x_j - curve) / sigma: -coeffs / sigma in the columns aug[j][:-1] and
-    1 / sigma in x_j's column 1 + j. Both rows sum raw-basis terms, which
-    cancel far from the origin. Raises NotPositiveDefinite when a cov_exp has
-    no Cholesky factor.
+    Cluster i has dependent axis axes[i], explanatory mean mean_exp[i] and
+    covariance low[i] @ low[i].T, residual variance resid_var[i] and curve
+    coefficients coeffs[i]. Rows 0..d-2 of W_i give L^-1 (x_e - mean_exp):
+    L^-1 in the projection columns 1 + others[j], -L^-1 mean_exp in the
+    constant column 0. Row d-1 gives the residual (x_j - curve) / sigma:
+    -coeffs / sigma in the columns aug[j][:-1] and 1 / sigma in x_j's column
+    1 + j. Both rows sum raw-basis terms, which cancel far from the origin.
+
+    The one weight builder: the refit calls it with the Cholesky factors it
+    has just formed, param_weights with those of FAdaptedParams objects.
+    Both factor each covariance by the same LAPACK call, so a cluster's
+    weights have the same bits either way.
     """
-    lay = params[0].curve.family._refit_layout
-    k, d = len(params), params[0].dim
+    k, d = len(axes), mean_exp.shape[1] + 1
+    inv = np.linalg.inv(low)
+    sigma = np.sqrt(resid_var)
+    w = np.zeros((k, d, layout.union.size))
+    at = np.arange(k)[:, None]
+    w[at[:, :, None], np.arange(d - 1)[:, None], 1 + layout.others[axes][:, None, :]] = inv
+    w[:, :-1, 0] = -(inv @ mean_exp[:, :, None])[:, :, 0]
+    w[at, d - 1, layout.aug[axes, :-1]] = coeffs / -sigma[:, None]
+    w[at[:, 0], d - 1, 1 + axes] = 1.0 / sigma
+    consts = 0.5 * (d * LOG_2PI + _logdet(low) + np.log(resid_var))
+    return w, consts
+
+
+def param_weights(params):
+    """score_weights of a list of FAdaptedParams of one family: the path for
+    clusters given as objects (a loaded model, fadapted_log_density). Raises
+    ValueError for mixed families and NotPositiveDefinite when a cov_exp has
+    no Cholesky factor."""
+    family = params[0].curve.family
+    if any(q.curve.family is not family and q.curve.family != family for q in params):
+        raise ValueError("scoring needs clusters of one family")
     try:
         low = np.linalg.cholesky(np.array([q.cov_exp for q in params]))
     except np.linalg.LinAlgError as e:
         raise NotPositiveDefinite(str(e)) from e
-    inv = np.linalg.inv(low)
-    resid_var = np.array([q.resid_var for q in params])
-    sigma = np.sqrt(resid_var)
-    axes = np.array([q.dependent_axis for q in params])
-    w = np.zeros((k, d, lay.union.size))
-    at = np.arange(k)[:, None]
-    w[at[:, :, None], np.arange(d - 1)[:, None], 1 + lay.others[axes][:, None, :]] = inv
-    w[:, :-1, 0] = -(inv @ np.array([q.mean_exp for q in params])[:, :, None])[:, :, 0]
-    coeffs = np.array([q.curve.coeffs for q in params])
-    w[at, d - 1, lay.aug[axes, :-1]] = coeffs / -sigma[:, None]
-    w[at[:, 0], d - 1, 1 + axes] = 1.0 / sigma
-    consts = 0.5 * (d * LOG_2PI + _logdet(low) + np.log(resid_var))
-    return w.reshape(k * d, -1), consts[:, None]
+    return score_weights(
+        family._refit_layout,
+        np.array([q.dependent_axis for q in params]),
+        low,
+        np.array([q.mean_exp for q in params]),
+        np.array([q.resid_var for q in params]),
+        np.array([q.curve.coeffs for q in params]),
+    )
 
 
-def score_blocks(params, design, shift=None):
+def score_blocks(w, consts, design, shift=None):
     """Walk the points in fixed column blocks and yield (cols, scores): scores
-    is (k, width) with scores[i] = shift[i] - log f_i(x) at the points cols.
+    is (k, width) with scores[i] = shift[i] + consts[i] + 0.5 *
+    ||w[i] @ phi(x)||^2 = shift[i] - log f_i(x) at the points cols.
 
-    Every cluster must use one family, and design is the points' union
-    design under it (curves._GramLayout.union, as the refit forms it), so
-    clusters on any dependent axis share each block's matrix products, one
-    per SCORE_GEMM_CLUSTERS clusters. The blocks start at multiples of
+    w (k, d, q) and consts (k,) are score_weights' output for clusters of one
+    family, and design is the points' union design under it
+    (curves._GramLayout.union, as the refit forms it), so clusters on any
+    dependent axis share each block's matrix products, one per
+    SCORE_GEMM_CLUSTERS clusters. The blocks start at multiples of
     SCORE_BLOCK whatever the caller, and a short last block is zero-padded to
     a multiple of SCORE_ALIGN points, so one (cluster, point) score has the
     same bits alone, inside any set of clusters, and through
     fadapted_log_density. scores is reused by the next block: reduce it
     before asking for the next one.
     """
-    family = params[0].curve.family
-    if any(q.curve.family is not family and q.curve.family != family for q in params):
-        raise ValueError("score_blocks needs clusters of one family")
-    k, n, d = len(params), design.shape[0], params[0].dim
+    k, d = w.shape[:2]
+    n = design.shape[0]
     span = min(SCORE_BLOCK, -(-n // SCORE_ALIGN) * SCORE_ALIGN)
-    w, consts = _score_weights(params)
+    w = w.reshape(k * d, -1)
+    consts = consts[:, None]
     if shift is not None:
         shift = np.asarray(shift, dtype=float)[:, None]
     # working arrays, allocated once per call and reused by every block
@@ -175,7 +205,7 @@ def fadapted_log_density(p, x):
     x = np.asarray(x, dtype=float)
     design = p.curve.family._refit_layout.union.design_matrix(x.reshape(-1, p.dim))
     out = np.empty(design.shape[0])
-    for cols, scores in score_blocks([p], design):
+    for cols, scores in score_blocks(*param_weights([p]), design):
         np.negative(scores[0], out=out[cols])
     return float(out[0]) if x.ndim == 1 else out
 

@@ -9,15 +9,22 @@ decreases on every iteration that performs no deletion.
 
 import math
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
 # select_orientation is not called here; bench/spans.py wraps it under this
 # module's name as well
-from .curves import refit_segments, select_orientation  # noqa: F401
+from .curves import ClusterFits, CurveFit, refit_segments, select_orientation  # noqa: F401
 # fadapted_log_density is not called here; bench/spans.py wraps it under this
 # module's name as well
-from .density import fadapted_cross_entropy, fadapted_log_density, score_blocks  # noqa: F401
+from .density import (  # noqa: F401
+    FAdaptedParams,
+    fadapted_cross_entropy,
+    fadapted_log_density,
+    param_weights,
+    score_blocks,
+)
 from .errors import AllClustersDegenerate, DegenerateCluster, InvalidConfig
 
 INITS = ("random_partition", "kmeanspp")
@@ -29,6 +36,58 @@ class ClusterModel:
     weight: float
     size: int
     cross_entropy: float
+
+
+class ClusterTable(NamedTuple):
+    """One run's clusters as stacked arrays, one row per cluster in label
+    order: the chosen-axis fit and score weights of each (curves.ClusterFits),
+    its weight p and its point count. The Lloyd loop carries clusters in this
+    form; cluster_models builds the objects of a model it returns, and
+    cluster_table is the way back for clusters given as objects."""
+
+    fits: ClusterFits
+    weight: np.ndarray  # (k,)
+    size: np.ndarray  # (k,) int
+
+    def take(self, rows):
+        """The clusters `rows` (a slice or index array)."""
+        return ClusterTable(self.fits.take(rows), self.weight[rows], self.size[rows])
+
+
+def cluster_models(table):
+    """One ClusterModel per row of table."""
+    f = table.fits
+    return [
+        ClusterModel(FAdaptedParams(j, mean, cov, rv, CurveFit(f.family, coeffs, sse)), p, size, h)
+        for j, mean, cov, rv, coeffs, sse, h, p, size in zip(
+            f.axis.tolist(), f.mean_exp, f.cov_exp, f.resid_var.tolist(), f.coeffs,
+            f.sse.tolist(), f.h.tolist(), table.weight.tolist(), table.size.tolist(),
+        )
+    ]
+
+
+def cluster_table(clusters):
+    """The ClusterTable of a list of ClusterModel objects of one family, its
+    score weights from density.param_weights (ValueError for mixed families,
+    NotPositiveDefinite for a covariance with no Cholesky factor)."""
+    params = [cl.params for cl in clusters]
+    w, consts = param_weights(params)
+    fits = ClusterFits(
+        params[0].curve.family,
+        np.array([q.dependent_axis for q in params]),
+        np.array([q.mean_exp for q in params]),
+        np.array([q.cov_exp for q in params]),
+        np.array([q.resid_var for q in params]),
+        np.array([q.curve.coeffs for q in params]),
+        np.array([q.curve.sse for q in params]),
+        np.array([cl.cross_entropy for cl in clusters]),
+        np.ones(len(params), dtype=bool),
+        w,
+        consts,
+    )
+    return ClusterTable(
+        fits, np.array([cl.weight for cl in clusters]), np.array([cl.size for cl in clusters])
+    )
 
 
 @dataclass
@@ -147,12 +206,15 @@ def design_cache(x):
     return x if isinstance(x, DesignCache) else DesignCache(x)
 
 
-def cluster_score_blocks(cache, clusters):
+def cluster_score_blocks(cache, tables):
     """density.score_blocks of -ln p_i - log f_i(x) over the cache's points,
-    every cluster scored from the cache's one design."""
-    params = [cl.params for cl in clusters]
-    design = cache.design(params[0].curve.family)
-    return score_blocks(params, design, [-math.log(cl.weight) for cl in clusters])
+    for the clusters of every ClusterTable of tables in order, all scored
+    from the cache's one design."""
+    fits = [t.fits for t in tables]
+    w, consts = np.concatenate([f.w for f in fits]), np.concatenate([f.consts for f in fits])
+    # -ln p on math.log over Python floats, the bits every cost is summed from
+    shift = [-math.log(p) for t in tables for p in t.weight.tolist()]
+    return score_blocks(w, consts, cache.design(fits[0].family), shift)
 
 
 def _argmin_rows(scores):
@@ -174,24 +236,24 @@ def _argmin_rows(scores):
 
 def _nearest(cache, batch):
     """(len(batch), n) labels: row r sends each of the cache's points to
-    argmin_i [-ln p_i - log f_i(x)] over the cluster list batch[r], ties to
-    the lowest index.
+    argmin_i [-ln p_i - log f_i(x)] over the clusters of the ClusterTable
+    batch[r], ties to the lowest index.
 
-    One score_blocks walk scores the clusters of every list, and each block
-    is reduced once per stretch of consecutive lists of one length; a score
+    One score_blocks walk scores the clusters of every table, and each block
+    is reduced once per stretch of consecutive tables of one length; a score
     has the same bits in any set of clusters, so each row equals the labels
-    of its list scored alone.
+    of its table scored alone.
     """
     # (first row, rows, clusters per row) of each stretch of equal lengths
     groups = []
-    for r, clusters in enumerate(batch):
-        if groups and groups[-1][2] == len(clusters):
+    for r, table in enumerate(batch):
+        k = len(table.weight)
+        if groups and groups[-1][2] == k:
             groups[-1][1] += 1
         else:
-            groups.append([r, 1, len(clusters)])
+            groups.append([r, 1, k])
     labels = np.empty((len(batch), cache.rows.shape[0]), dtype=np.intp)
-    flat = [cl for clusters in batch for cl in clusters]
-    for cols, block in cluster_score_blocks(cache, flat):
+    for cols, block in cluster_score_blocks(cache, batch):
         lo = 0
         for r, m, k in groups:
             stack = block[lo : lo + m * k].reshape(m, k, -1)
@@ -202,8 +264,8 @@ def _nearest(cache, batch):
 
 def assign_step(cache, batch, labels):
     """A copy of the (R, n) labels in which every row r whose batch[r] is not
-    None (a running restart) holds _nearest's labels over the clusters
-    batch[r]; the other rows are kept.
+    None (a running restart's ClusterTable) holds _nearest's labels over its
+    clusters; the other rows are kept.
 
     The Lloyd loop's assignment over every point of every running restart.
     Orphan reassignment calls _nearest on its subset instead, so
@@ -211,7 +273,7 @@ def assign_step(cache, batch, labels):
     each call moves against the last refit's labels, sees one call per
     iteration.
     """
-    live = [r for r, clusters in enumerate(batch) if clusters is not None]
+    live = [r for r, table in enumerate(batch) if table is not None]
     found = _nearest(cache, [batch[r] for r in live])
     if len(live) == len(batch):  # no row to keep, so no copy of labels
         return found
@@ -220,10 +282,20 @@ def assign_step(cache, batch, labels):
     return out
 
 
+def _label_counts(labels, ks):
+    """The point count of every (row, label) of the (R, n) labels, row r
+    holding labels 0..ks[r]-1, rows in order: one bincount over the labels
+    offset by the clusters of the rows before."""
+    ends = np.cumsum(ks)
+    # a lone row has no offset to add
+    flat = labels.reshape(-1) if len(ks) == 1 else (labels + (ends - ks)[:, None]).reshape(-1)
+    return np.bincount(flat, minlength=int(ends[-1]))
+
+
 def _refit(cache, labels, ks, family):
     """One batched refit of the rows of the (R, n) labels, row r holding
-    labels 0..ks[r]-1: per row, one ClusterModel per label, None for an empty
-    or degenerate cluster.
+    labels 0..ks[r]-1: a ClusterTable with one row per (row, label) in order,
+    not ok (fits.ok) where the cluster is empty or degenerate.
 
     Each row's points are stably sorted by label, so every cluster is one
     contiguous segment holding its points in their original order. The rows'
@@ -231,27 +303,22 @@ def _refit(cache, labels, ks, family):
     curves.refit_segments fits each segment from its own centred Gram, as it
     would fit it alone.
     """
-    n = cache.rows.shape[0]
     # numpy sorts 8- and 16-bit keys stably by radix sort
     order = np.argsort(
         labels.astype(np.min_scalar_type(max(ks))), axis=1, kind="stable"
     ).reshape(-1)
-    sizes = np.concatenate([np.bincount(row, minlength=k) for row, k in zip(labels, ks)])
+    sizes = _label_counts(labels, ks)
     bounds = np.zeros(len(sizes) + 1, dtype=np.intp)
     np.cumsum(sizes, out=bounds[1:])
     fits = refit_segments(np.take(cache.rows, order, axis=0), bounds, family)
-    models = [
-        None if f is None else ClusterModel(f[3], size / n, size, f[2])
-        for f, size in zip(fits, sizes.tolist())
-    ]
-    ends = np.cumsum(ks).tolist()
-    return [models[end - k : end] for k, end in zip(ks, ends)]
+    return ClusterTable(fits, sizes / cache.rows.shape[0], sizes)
 
 
 def _reassign(cache, assignment, k, keep, survivors):
     """Relabel keep[i] -> i (keep ascending, labels below k) and send every
-    point whose label is not kept to the survivor minimizing the assignment
-    cost, scored from the cache's design."""
+    point whose label is not kept to the survivor (a row of the ClusterTable
+    survivors) minimizing the assignment cost, scored from the cache's
+    design."""
     lookup = np.full(k, -1)
     lookup[keep] = np.arange(len(keep))
     out = lookup[assignment]
@@ -267,14 +334,14 @@ def _reestimate(cache, labels, ks, family):
 
     labels is (R, n); ks[r] is restart r's cluster count, or None for a
     restart that is not running. Returns (batch, labels, dropped): batch[r]
-    holds restart r's refit clusters, None where ks[r] is None or every
-    cluster failed; labels holds the labels after reassignment (the input
-    array when nothing was dropped); dropped counts the clusters dropped over
-    all restarts. Points of failed clusters go to the surviving cluster
-    minimizing the assignment cost. Survivors that receive points are refit
-    again; repeats until stable (k only shrinks). Labels are compacted to
-    0..k'-1 in original order. Every pass refits all restarts that need it at
-    once, so each restart gets the clusters a lone refit gives it.
+    holds restart r's refit clusters as a ClusterTable, None where ks[r] is
+    None or every cluster failed; labels holds the labels after reassignment
+    (the input array when nothing was dropped); dropped counts the clusters
+    dropped over all restarts. Points of failed clusters go to the surviving
+    cluster minimizing the assignment cost. Survivors that receive points are
+    refit again; repeats until stable (k only shrinks). Labels are compacted
+    to 0..k'-1 in original order. Every pass refits all restarts that need it
+    at once, so each restart gets the clusters a lone refit gives it.
     """
     ks = list(ks)
     batch = [None] * len(ks)
@@ -282,41 +349,64 @@ def _reestimate(cache, labels, ks, family):
     dropped, copied = 0, False
     while todo:
         rows = labels if len(todo) == len(ks) else labels[todo]
+        counts = [ks[r] for r in todo]
+        table = _refit(cache, rows, counts, family)
+        ends = np.cumsum(counts).tolist()
+        fitted = np.add.reduceat(table.fits.ok, np.subtract(ends, counts)).tolist()
         again = []
-        for r, fitted in zip(todo, _refit(cache, rows, [ks[r] for r in todo], family)):
-            keep = [lab for lab, cl in enumerate(fitted) if cl is not None]
-            if not keep:
+        for r, k, end, nok in zip(todo, counts, ends, fitted):
+            if nok == k:
+                batch[r] = table.take(slice(end - k, end))
                 continue
-            batch[r] = [fitted[lab] for lab in keep]
-            if len(keep) < ks[r]:
-                if not copied:
-                    labels, copied = labels.copy(), True
-                dropped += ks[r] - len(keep)
-                # refit survivors on their (possibly grown) point sets next pass
-                labels[r] = _reassign(cache, labels[r], ks[r], keep, batch[r])
-                ks[r] = len(keep)
-                again.append(r)
+            if not nok:
+                continue
+            keep = np.flatnonzero(table.fits.ok[end - k : end])
+            batch[r] = table.take(keep + (end - k))
+            if not copied:
+                labels, copied = labels.copy(), True
+            dropped += k - nok
+            # refit survivors on their (possibly grown) point sets next pass
+            labels[r] = _reassign(cache, labels[r], k, keep, batch[r])
+            ks[r] = nok
+            again.append(r)
         todo = again
     return batch, labels, dropped
 
 
-def delete_small(cache, clusters, assignment, threshold_fraction):
-    """Remove clusters holding fewer than threshold_fraction*n of the cache's
-    n points (empty ones always go); reassign their points by the assignment
-    cost argmin over the survivors (using the survivors' current weights).
-    Returns (surviving count, assignment compacted to 0..count-1, deleted
-    count)."""
-    assignment = np.asarray(assignment)
+def delete_small(cache, batch, labels, threshold_fraction):
+    """Remove, in every running restart r (batch[r] a ClusterTable, not None),
+    the clusters holding fewer than threshold_fraction*n of the cache's n
+    points (empty ones always go), and reassign their points by the
+    assignment cost argmin over the restart's survivors (using the survivors'
+    current weights).
+
+    labels is (R, n). Returns (ks, labels, deleted): ks[r] is restart r's
+    surviving count, None where batch[r] is None or none of its clusters
+    meets the threshold; labels holds each restart's row compacted to
+    0..ks[r]-1 (the input array when nothing was deleted); deleted counts the
+    clusters removed over the restarts with a survivor.
+    """
     n = cache.rows.shape[0]
-    sizes = np.bincount(assignment, minlength=len(clusters)).tolist()
-    keep = [i for i, s in enumerate(sizes) if s > 0 and s >= threshold_fraction * n]
-    if not keep:
-        raise AllClustersDegenerate("no cluster meets the size threshold")
-    deleted = len(clusters) - len(keep)
-    if deleted == 0:
-        return len(clusters), assignment, 0
-    survivors = [clusters[i] for i in keep]
-    return len(keep), _reassign(cache, assignment, len(clusters), keep, survivors), deleted
+    live = [r for r, table in enumerate(batch) if table is not None]
+    counts = [len(batch[r].weight) for r in live]
+    sizes = _label_counts(labels if len(live) == len(batch) else labels[live], counts)
+    big = (sizes > 0) & (sizes >= threshold_fraction * n)
+    ends = np.cumsum(counts).tolist()
+    kept = np.add.reduceat(big, np.subtract(ends, counts)).tolist()
+    ks = [None] * len(batch)
+    deleted, copied = 0, False
+    for r, k, end, nkeep in zip(live, counts, ends, kept):
+        if not nkeep:
+            continue  # ks[r] stays None: the restart fails
+        ks[r] = nkeep
+        if nkeep == k:
+            continue
+        keep = np.flatnonzero(big[end - k : end])
+        if not copied:
+            labels, copied = labels.copy(), True
+        labels[r] = _reassign(cache, labels[r], k, keep, batch[r].take(keep))
+        deleted += k - nkeep
+    return ks, labels, deleted
 
 
 def _sq_dist(xs_t, c):
@@ -368,21 +458,25 @@ def _init_partition(x, init, runs):
     return out
 
 
-def _total_cost(clusters):
-    """sum_i p_i * (-ln p_i + H_i) from each cluster's stored weight and H."""
-    return sum(cl.weight * (-math.log(cl.weight) + cl.cross_entropy) for cl in clusters)
+def _total_cost(table):
+    """sum_i p_i * (-ln p_i + H_i) from each cluster's weight and H, summed
+    left to right in cluster order over Python floats."""
+    entropies = table.fits.h.tolist()
+    return sum(p * (-math.log(p) + h) for p, h in zip(table.weight.tolist(), entropies))
 
 
 def _lloyd(cache, cfg, runs):
     """The clustering loop from one initial partition per (k, seed) run, all
     runs in lockstep over one DesignCache (cfg.k_init and cfg.seed are not
-    read). Returns, per run, its AfcecModel or the AllClustersDegenerate that
-    ended it.
+    read). Returns, per run, its AfcecModel, whose clusters are still the
+    ClusterTable the loop carries, or the AllClustersDegenerate that ended it.
 
     Each iteration scores the clusters of every live run in one assign_step,
-    runs delete_small per run and refits every live run in one _reestimate;
-    runs of different k share each pass, since every step reads each run's
-    own cluster count. A run stops when h_n >= h_{n-1} - epsilon, at
+    deletes small clusters of every live run in one delete_small and refits
+    every live run in one _reestimate; runs of different k share each pass,
+    since every step reads each run's own cluster count. Clusters travel
+    between the steps as ClusterTables, and _best_per_k builds objects only
+    for the models it returns. A run stops when h_n >= h_{n-1} - epsilon, at
     max_iters, or when it fails. The stop condition is only consulted on
     iterations that deleted nothing (a deletion can bump the cost, and
     stopping there would freeze a partial model); every deletion lowers k, so
@@ -392,7 +486,7 @@ def _lloyd(cache, cfg, runs):
     ks = [k for k, _ in runs]
     results = [AfcecModel([], None, [], 0, 0) for _ in runs]
     running = list(range(len(runs)))
-    deleted = [0] * len(runs)
+    before = list(ks)  # each run's cluster count entering the iteration
     labels = _init_partition(cache.rows, cfg.init, runs)
     # iteration 0 refits the initial partitions
     for it in range(cfg.max_iters + 1):
@@ -401,14 +495,10 @@ def _lloyd(cache, cfg, runs):
             for r in running:
                 batch[r] = results[r].clusters
             labels = assign_step(cache, batch, labels)
-            ks = [None] * len(runs)
+            ks, labels, _ = delete_small(cache, batch, labels, cfg.deletion_fraction)
             for r in running:
-                try:
-                    ks[r], labels[r], deleted[r] = delete_small(
-                        cache, batch[r], labels[r], cfg.deletion_fraction
-                    )
-                except AllClustersDegenerate as e:
-                    results[r] = e
+                if ks[r] is None:
+                    results[r] = AllClustersDegenerate("no cluster meets the size threshold")
         batch, labels, _ = _reestimate(cache, labels, ks, cfg.family)
         still = []
         for r in running:
@@ -418,7 +508,8 @@ def _lloyd(cache, cfg, runs):
             if clusters is None:
                 results[r] = AllClustersDegenerate("every cluster failed estimation")
                 continue
-            ndel = deleted[r] + ks[r] - len(clusters)
+            ndel = before[r] - len(clusters.weight)
+            before[r] = len(clusters.weight)
             if ndel:
                 model.deleted_count += ndel
                 model.deletion_iterations.append(it)
@@ -454,7 +545,7 @@ LOCKSTEP_POINTS = 1 << 15
 def _best_per_k(cache, cfg, ks, restarts):
     """Yields fit_restarts(cache, replace(cfg, k_init=k), restarts) for each k
     of ks in order; at a k where every restart failed, raises that k's first
-    failure instead.
+    failure instead. Only the yielded models get ClusterModel objects.
 
     The runs (k, cfg.seed + s) for s < restarts go through _lloyd in batches
     of consecutive k values: a batch holds as many whole k values as fit in
@@ -479,6 +570,7 @@ def _best_per_k(cache, cfg, ks, restarts):
                 raise results[at]
             # min keeps the first of equal costs, i.e. the smallest seed
             best = min(models, key=lambda m: m.final_cost)
+            best.clusters = cluster_models(best.clusters)
             yield best, [m.final_cost for m in models]
 
 

@@ -5,6 +5,7 @@ analytic limits are recorded as strict xfails rather than weakened bounds; see
 the reason strings on the tests.
 """
 
+import contextlib
 import math
 import time
 
@@ -17,6 +18,7 @@ from afcec.curves import CurveFit, builtin_family, fit_curve, select_orientation
 from afcec.data import GeneratorSpec, generate
 from afcec.density import FAdaptedParams, fadapted_cross_entropy, fadapted_log_density
 from afcec.engine import EngineConfig, fit, fit_restarts
+from afcec.errors import ZeroResidualWarning
 from afcec.numerics import simpson_blocks_2d
 from afcec.selection import count_params, score
 
@@ -133,6 +135,11 @@ def test_3_closed_form_equals_empirical():
     )
 
 
+# the one run of test 4 that floors a residual: it keeps a cluster of 6 points,
+# as many as the 3-d quadratic family has terms, which its curve interpolates
+FLOORED_RUN = 59
+
+
 def test_4_monotone_descent_and_termination():
     rng = np.random.default_rng(40)
     kinds = ("circle", "spiral", "strokes", "parametric3d")
@@ -145,7 +152,11 @@ def test_4_monotone_descent_and_termination():
         ds = generate(GeneratorSpec(kind=kind, n=n, noise_sigma=noise, seed=trial))
         fam = builtin_family("quadratic", ds.d - 1)
         k = 2 + trial % 9
-        m = fit(ds, EngineConfig(k_init=k, family=fam, seed=trial, epsilon=1e-4))
+        floors = (
+            pytest.warns(ZeroResidualWarning) if trial == FLOORED_RUN else contextlib.nullcontext()
+        )
+        with floors:
+            m = fit(ds, EngineConfig(k_init=k, family=fam, seed=trial, epsilon=1e-4))
         assert m.iterations < 200, f"run {trial} hit max_iters"
         for it in range(1, len(m.cost_trace)):
             if it not in m.deletion_iterations:

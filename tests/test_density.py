@@ -111,6 +111,31 @@ def test_fadapted_matches_factored_form():
     assert fadapted_log_density(p, pts[7]) == pytest.approx(got[7], rel=1e-15)
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"resid_var": float("nan")},
+        {"resid_var": float("inf")},
+        {"resid_var": 0.0},
+        {"resid_var": -1.0},
+        {"mean_exp": [float("nan")]},
+        {"mean_exp": [float("inf")]},
+        {"cov_exp": [[float("nan")]]},
+        {"cov_exp": [[-float("inf")]]},
+        {"mean_exp": [[0.0]]},
+        {"mean_exp": [0.0, 0.0]},
+        {"cov_exp": [1.0]},
+        {"cov_exp": [[1.0, 0.0]]},
+    ],
+    ids=lambda bad: "-".join(f"{k}={v}" for k, v in bad.items()),
+)
+def test_fadapted_params_rejects_bad_values(bad):
+    good = {"dependent_axis": 0, "mean_exp": [0.0], "cov_exp": [[1.0]], "resid_var": 1.0}
+    FAdaptedParams(**good)
+    with pytest.raises(ValueError):
+        FAdaptedParams(**{**good, **bad})
+
+
 def test_non_positive_definite_covariance_raises():
     fam = builtin_family("linear", 2)
     pts = np.random.default_rng(7).standard_normal((20, 3))

@@ -24,7 +24,12 @@ from afcec.engine import (
     fit,
     fit_restarts,
 )
-from afcec.errors import AllClustersDegenerate, DegenerateCluster, InvalidConfig
+from afcec.errors import (
+    AllClustersDegenerate,
+    DegenerateCluster,
+    InvalidConfig,
+    ZeroResidualWarning,
+)
 
 QUAD1 = builtin_family("quadratic", 1)
 
@@ -161,7 +166,9 @@ def test_fit_degenerate_data_raises():
 def test_assign_step_picks_cheapest_cluster():
     ds = _circle(seed=10)
     m = fit(ds, EngineConfig(k_init=3, family=QUAD1, seed=7))
-    (again,) = assign_step(DesignCache(ds.rows), [m.clusters], m.assignment[None])
+    (again,) = assign_step(
+        DesignCache(ds.rows), [engine.cluster_table(m.clusters)], m.assignment[None]
+    )
     # the fit has converged, so one more assignment pass changes nothing
     assert np.array_equal(again, m.assignment)
 
@@ -171,7 +178,10 @@ def test_delete_small_removes_planted_speck():
     big = rng.normal(0.0, 1.0, (400, 2))
     speck = rng.normal(50.0, 0.01, (3, 2))
     pts = np.vstack([big, speck])
-    m = fit(pts, EngineConfig(k_init=2, family=QUAD1, seed=1, init="kmeanspp"))
+    # the speck's 3 points are as many as QUAD1 has terms: its curve
+    # interpolates them and the residual is floored until it is deleted
+    with pytest.warns(ZeroResidualWarning):
+        m = fit(pts, EngineConfig(k_init=2, family=QUAD1, seed=1, init="kmeanspp"))
     assert m.deleted_count >= 1
     assert m.k == 1
 
@@ -179,11 +189,16 @@ def test_delete_small_removes_planted_speck():
 def test_delete_small_requires_survivor():
     pts = np.random.default_rng(12).standard_normal((40, 2))
     clusters = fit(pts, EngineConfig(k_init=2, family=QUAD1, seed=0)).clusters
-    assignment = np.zeros(40, dtype=int) if len(clusters) == 1 else None
-    if assignment is None:
-        assignment = np.arange(40) % len(clusters)
-    with pytest.raises(AllClustersDegenerate):
-        delete_small(DesignCache(pts), clusters, assignment, threshold_fraction=1.1)
+    assignment = np.arange(40) % len(clusters)
+    # a restart none of whose clusters meets the threshold gets no count
+    ks, labels, deleted = delete_small(
+        DesignCache(pts), [engine.cluster_table(clusters)], assignment[None], threshold_fraction=1.1
+    )
+    assert (ks, deleted) == ([None], 0)
+    assert np.array_equal(labels, assignment[None])
+    # and the loop ends it with AllClustersDegenerate
+    with pytest.raises(AllClustersDegenerate, match="size threshold"):
+        fit(pts, EngineConfig(k_init=2, family=QUAD1, seed=0, deletion_fraction=0.99))
 
 
 def test_fit_restarts_returns_best():
@@ -207,6 +222,7 @@ def test_fit_restarts_equals_separate_fits(monkeypatch):
             zip(range(3, 8), [2.0, 1.0, 3.0, 1.0, 1.5])}
     fake[5] = AllClustersDegenerate("every cluster failed estimation")
     monkeypatch.setattr(engine, "_lloyd", lambda cache, c, runs: [fake[s] for _, s in runs])
+    monkeypatch.setattr(engine, "cluster_models", list)  # the fakes hold no cluster table
     best, costs = fit_restarts(ds, replace(cfg, seed=3), restarts=5)
     assert best is fake[4]
     assert costs == [2.0, 1.0, 1.0, 1.5]
@@ -234,8 +250,10 @@ def _restart_data(rng, n, d, dup_frac):
     dup_frac=st.sampled_from([0.0, 0.5, 0.97]),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
-# two of four seeds fail the size threshold, and the others delete clusters
+# rows copied onto a few points make clusters that their curves interpolate,
+# so residuals are floored
 @pytest.mark.filterwarnings("ignore::afcec.errors.ZeroResidualWarning")
+# two of four seeds fail the size threshold, and the others delete clusters
 @example(kind="linear", d=3, restarts=4, k=4, init="kmeanspp", deletion_fraction=0.4,
          dup_frac=0.0, seed=3520269953)
 @example(kind="cubic", d=3, restarts=4, k=6, init="kmeanspp", deletion_fraction=0.4,
@@ -264,6 +282,30 @@ def test_lockstep_restarts_equal_separate_fits(
     assert best.cost_trace == want.cost_trace
     assert best.deletion_iterations == want.deletion_iterations
     assert (best.iterations, best.deleted_count) == (want.iterations, want.deleted_count)
+
+
+def test_cluster_objects_are_built_once_per_returned_cluster(tmp_path, monkeypatch):
+    built = []
+    make = engine.ClusterModel
+
+    def counting(*args):
+        built.append(args)
+        return make(*args)
+
+    monkeypatch.setattr(engine, "ClusterModel", counting)
+    ds = _circle(n=400, seed=19)
+    best, _ = fit_restarts(ds, EngineConfig(k_init=6, family=QUAD1, seed=0,
+                                            deletion_fraction=0.1), restarts=3)
+    assert best.deleted_count > 0
+    assert len(built) == best.k
+    built.clear()
+    path = tmp_path / "ring.csv"
+    save_csv(ds, path)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["sweep", "--input", str(path), "--k-max", "5", "--restarts", "3"]) == 0
+    rows = out.getvalue().splitlines()[1:]
+    assert len(built) == sum(int(row.split(",")[1]) for row in rows)
 
 
 def test_fit_restarts_propagates_total_failure():
@@ -309,10 +351,11 @@ def test_cached_assignment_matches_uncached_scores(kind, d, log_scale, seed):
         assume(False)
     cache = DesignCache(x)
     ref = _column_scores(x, clusters)
-    (labels,) = assign_step(cache, [clusters], np.zeros((1, x.shape[0]), dtype=np.intp))
+    table = engine.cluster_table(clusters)
+    (labels,) = assign_step(cache, [table], np.zeros((1, x.shape[0]), dtype=np.intp))
     assert np.array_equal(labels, np.argmin(ref, axis=1))
     scores = np.empty((len(clusters), x.shape[0]))
-    for cols, block in engine.cluster_score_blocks(cache, clusters):
+    for cols, block in engine.cluster_score_blocks(cache, [table]):
         scores[:, cols] = block
     np.testing.assert_allclose(scores.T, ref, rtol=1e-12, atol=0)
 
@@ -331,9 +374,8 @@ def test_assign_step_ties_go_to_lowest_index():
     first, second = m.clusters[0], m.clusters[1]
     cache = DesignCache(ds.rows)
     # one batch holding both lists: each row is reduced over its own clusters
-    labels, expected = assign_step(
-        cache, [[first, second, first], [first, second]], np.zeros((2, ds.n), dtype=np.intp)
-    )
+    batch = [engine.cluster_table(c) for c in ([first, second, first], [first, second])]
+    labels, expected = assign_step(cache, batch, np.zeros((2, ds.n), dtype=np.intp))
     assert not np.any(labels == 2)
     assert np.array_equal(labels, expected)
 
@@ -343,10 +385,12 @@ def test_orphan_reassignment_ties_go_to_lowest_index():
     m = fit(ds, EngineConfig(k_init=3, family=QUAD1, seed=2))
     first, second = m.clusters[0], m.clusters[1]
     cache = DesignCache(ds.rows)
-    (expected,) = engine._nearest(cache, [[first, second]])  # fills the cache
+    # fills the cache
+    (expected,) = engine._nearest(cache, [engine.cluster_table([first, second])])
     # every point sits in label 3, which is dropped; survivors 0 and 2 are equal
     orphans = np.full(ds.n, 3)
-    out = engine._reassign(cache, orphans, 4, [0, 1, 2], [first, second, first])
+    survivors = engine.cluster_table([first, second, first])
+    out = engine._reassign(cache, orphans, 4, [0, 1, 2], survivors)
     assert not np.any(out == 2)
     assert np.array_equal(out, expected)
 
@@ -356,7 +400,7 @@ def test_design_cache_take_equals_fresh_designs():
     family = builtin_family("cubic", 2)
     m = fit(ds, EngineConfig(k_init=4, family=family, seed=1, max_iters=3))
     cache = DesignCache(ds.rows)
-    engine._nearest(cache, [m.clusters])  # fills the cache
+    engine._nearest(cache, [engine.cluster_table(m.clusters)])  # fills the cache
     rows = np.flatnonzero(np.arange(ds.n) % 7 == 3)
     sub = cache.take(rows)
     fresh = family._refit_layout.union.design_matrix(ds.rows[rows])

@@ -126,6 +126,12 @@ BENCH_INPUT_SHA256 = {
 # sha256 of the default `acagmm-check` stdout, recorded before the foot cubic
 # was solved with product cubes at a power-of-two scale
 ACA_STDOUT_SHA256 = "c7d729c173297bfc07beb7ce292ed6a5d45e5634728aa08c2ced5ce167c293c4"
+# sha256 of the benchmark's ring-sweep stdout and of its helix3d-cubic fit's
+# stdout and model file (bench/workloads.py's flags, input and fit seed 0),
+# recorded before the Lloyd loop carried its clusters as stacked arrays
+RING_SWEEP_STDOUT_SHA256 = "6d95fb7cfe707a6c1a77c0b38b0c6a1e121eaefdeb409312cd69637fcd160b8e"
+HELIX_FIT_STDOUT_SHA256 = "7c2dc928200ff2199a3d335c420a81955ef4fb690b4a72b83ca3334fb8a4aeb0"
+HELIX_MODEL_SHA256 = "e7798dcecedfecbd1315fe1a5f3868b0ed83107b1f656faa7b75fdb31b4e3901"
 
 
 def _run(*argv):
@@ -194,6 +200,32 @@ def test_acagmm_check_matches_golden():
 
 def _sha256(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def _bench_input(tmp_path, kind, n):
+    path = tmp_path / f"{kind}.csv"
+    _run("generate", "--kind", kind, "--n", str(n), "--noise", "0.1", "--seed", "0",
+         "--out", str(path))
+    return str(path)
+
+
+def test_ring_sweep_stdout_matches_golden(tmp_path):
+    out = _run(
+        "sweep", "--input", _bench_input(tmp_path, "circle", 2000), "--k-max", "10",
+        "--restarts", "4", "--family", "quadratic", "--max-iters", "10", "--seed", "0",
+    )
+    assert hashlib.sha256(out.encode()).hexdigest() == RING_SWEEP_STDOUT_SHA256
+
+
+def test_helix_fit_stdout_and_model_match_golden(tmp_path):
+    model_path = tmp_path / "model.json"
+    out = _run(
+        "fit", "--input", _bench_input(tmp_path, "parametric3d", 10000), "--k", "20",
+        "--family", "cubic", "--init", "kmeanspp", "--max-iters", "10", "--seed", "0",
+        "--output-model", str(model_path),
+    )
+    assert hashlib.sha256(out.encode()).hexdigest() == HELIX_FIT_STDOUT_SHA256
+    assert _sha256(model_path) == HELIX_MODEL_SHA256
 
 
 @pytest.mark.parametrize("kind", GENERATOR_KINDS)

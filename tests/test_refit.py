@@ -2,15 +2,17 @@
 per-cluster references."""
 
 import warnings
+from unittest import mock
 
 import numpy as np
-from hypothesis import assume, given, settings
+import pytest
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from afcec import density, engine
 from afcec.curves import BUILTIN_KINDS, builtin_family, fit_curve, select_orientation
 from afcec.density import fadapted_cross_entropy
-from afcec.engine import ClusterModel, DesignCache
+from afcec.engine import ClusterModel, DesignCache, EngineConfig
 from afcec.errors import (
     AllClustersDegenerate,
     DegenerateCluster,
@@ -45,9 +47,10 @@ def test_batched_refit_matches_select_orientation_per_cluster(kind, d, log_scale
             ref = [select_orientation(x[labels == lab], family) for lab in range(k)]
         except DegenerateCluster:
             assume(False)
-        (clusters,), (assignment,), dropped = engine._reestimate(
+        (table,), (assignment,), dropped = engine._reestimate(
             DesignCache(x), labels[None], [k], family
         )
+    clusters = engine.cluster_models(table)
     assert dropped == 0
     assert np.array_equal(assignment, labels)
     assert len(clusters) == k
@@ -87,7 +90,7 @@ def _per_cluster_reestimate(x, assignment, k, family):
         if len(keep) == k:
             return clusters, assignment, dropped
         dropped += k - len(keep)
-        assignment = engine._reassign(cache, assignment, k, keep, clusters)
+        assignment = engine._reassign(cache, assignment, k, keep, engine.cluster_table(clusters))
         k = len(keep)
 
 
@@ -130,9 +133,10 @@ def test_degenerate_mix_matches_per_cluster_refit(monkeypatch):
         return low, used
 
     monkeypatch.setattr(density, "_cholesky_reg", spy)
-    ((clusters,), (assignment,), dropped), caught = _run_recording(
+    ((table,), (assignment,), dropped), caught = _run_recording(
         engine._reestimate, DesignCache(x), labels[None], [6], family
     )
+    clusters = engine.cluster_models(table)
     batched_ladder, ladder[:] = list(ladder), []
     (ref, ref_assignment, ref_dropped), ref_caught = _run_recording(
         _per_cluster_reestimate, x, labels, 6, family
@@ -155,3 +159,84 @@ def test_degenerate_mix_matches_per_cluster_refit(monkeypatch):
         _close(cl.cross_entropy, want.cross_entropy)
         _close(cl.params.resid_var, want.params.resid_var)
         _close(cl.params.cov_exp, want.params.cov_exp)
+
+
+def _assert_same_weights(table, clusters):
+    """The score weights and constants the refit built for table have the
+    bits engine.cluster_table gives from the ClusterModel objects clusters."""
+    again = engine.cluster_table(clusters)
+    assert table.fits.w.shape == again.fits.w.shape
+    assert table.fits.w.tobytes() == again.fits.w.tobytes()
+    assert table.fits.consts.tobytes() == again.fits.consts.tobytes()
+
+
+def _duplicate_heavy(rng, n, d, dup_frac, line):
+    """A noisy curve with a share of its rows copied onto two points and,
+    with line, 30 points of an exact line far from it: in 3-d and up the
+    line's explanatory covariance is singular, so its Cholesky factor is
+    regularized, and its residual is floored."""
+    t = rng.uniform(-1.0, 1.0, n)
+    x = rng.normal(0.0, 0.1, (n, d)) + t[:, None] * rng.uniform(-2.0, 2.0, d)
+    x[:, -1] += rng.uniform(-1.0, 1.0) * t**2
+    dup = rng.random(n) < dup_frac
+    x[dup] = x[rng.integers(0, 2, dup.sum())]
+    if line:
+        s = rng.uniform(-1.0, 1.0, 30)
+        x = np.vstack([x, 10.0 + s[:, None] * rng.uniform(0.5, 2.0, d)])
+    return x
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(BUILTIN_KINDS),
+    d=st.integers(min_value=2, max_value=4),
+    k=st.integers(min_value=1, max_value=4),
+    dup_frac=st.sampled_from([0.0, 0.5, 0.9]),
+    line=st.booleans(),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+# copied rows and the exact line are interpolated: their residuals are floored
+@pytest.mark.filterwarnings("ignore::afcec.errors.ZeroResidualWarning")
+# the line's covariance is regularized in 3-d and in 4-d
+@example(kind="quadratic", d=3, k=3, dup_frac=0.5, line=True, seed=1)
+@example(kind="cubic", d=4, k=2, dup_frac=0.9, line=True, seed=0)
+def test_refit_weights_equal_the_converters_on_the_returned_clusters(
+    kind, d, k, dup_frac, line, seed
+):
+    rng = np.random.default_rng(seed)
+    x = _duplicate_heavy(rng, 120, d, dup_frac, line)
+    cfg = EngineConfig(k_init=k, family=builtin_family(kind, d - 1), seed=seed % 1000,
+                       max_iters=6, init="kmeanspp")
+    tables = []
+    build = engine.cluster_models
+
+    def spy(table):
+        tables.append(table)
+        return build(table)
+
+    with mock.patch.object(engine, "cluster_models", spy):
+        try:
+            model = engine.fit(x, cfg)
+        except AllClustersDegenerate:
+            assume(False)
+    (table,) = tables
+    _assert_same_weights(table, model.clusters)
+
+
+def test_regularized_and_floored_weights_equal_the_converters(monkeypatch):
+    x, labels = _degenerate_mix()
+    family = builtin_family("quadratic", 2)
+    ladder = []
+    reg = density._cholesky_reg
+
+    def spy(cov):
+        low, used = reg(cov)
+        ladder.append(np.array_equal(used, cov))
+        return low, used
+
+    monkeypatch.setattr(density, "_cholesky_reg", spy)
+    # the line climbs the ladder and its residual is floored on every axis
+    with pytest.warns(ZeroResidualWarning):
+        (table,), _, _ = engine._reestimate(DesignCache(x), labels[None], [6], family)
+    assert False in ladder
+    _assert_same_weights(table, engine.cluster_models(table))

@@ -14,7 +14,13 @@ from hypothesis.extra import numpy as hnp
 
 from afcec import engine
 from afcec.curves import BUILTIN_KINDS, builtin_family, select_orientation
-from afcec.density import SCORE_BLOCK, SCORE_GEMM_CLUSTERS, fadapted_log_density, score_blocks
+from afcec.density import (
+    SCORE_BLOCK,
+    SCORE_GEMM_CLUSTERS,
+    fadapted_log_density,
+    param_weights,
+    score_blocks,
+)
 from afcec.engine import ClusterModel, DesignCache, EngineConfig
 from afcec.errors import DegenerateCluster
 from afcec.selection import log_likelihood
@@ -36,7 +42,7 @@ def _score_rows(cache, clusters):
     """(k, n) -ln p_i - log f_i(x) over the cache's points, gathered from
     engine.cluster_score_blocks."""
     scores = np.empty((len(clusters), cache.rows.shape[0]))
-    for cols, block in engine.cluster_score_blocks(cache, clusters):
+    for cols, block in engine.cluster_score_blocks(cache, [engine.cluster_table(clusters)]):
         scores[:, cols] = block
     return scores
 
@@ -76,7 +82,7 @@ def test_cluster_row_has_the_same_bits_alone_and_in_a_block(kind, d, extra, k, s
     for i, cl in enumerate(clusters):
         shift = -math.log(cl.weight)
         alone = np.empty(n)
-        for cols, scores in score_blocks([cl.params], design, [shift]):
+        for cols, scores in score_blocks(*param_weights([cl.params]), design, [shift]):
             alone[cols] = scores[0]
         assert np.array_equal(block[i], alone)
         assert np.array_equal(block[i], shift - fadapted_log_density(cl.params, x))
@@ -91,9 +97,10 @@ def test_clusters_of_different_families_are_rejected():
                      builtin_family(kind, 2))[0]
         for lab, kind in enumerate(["quadratic", "cubic"])
     ]
-    design = clusters[0].params.curve.family._refit_layout.union.design_matrix(x)
     with pytest.raises(ValueError, match="one family"):
-        next(score_blocks([cl.params for cl in clusters], design))
+        param_weights([cl.params for cl in clusters])
+    with pytest.raises(ValueError, match="one family"):
+        engine.cluster_table(clusters)
 
 
 def _long_double_scores(x, cl):
@@ -241,9 +248,10 @@ def test_first_traced_cost_equals_recomputed_cost():
     for init in engine.INITS:
         cfg = EngineConfig(k_init=5, family=family, seed=2, init=init)
         labels = engine._init_partition(x, init, [(cfg.k_init, cfg.seed)])
-        (clusters,), (assignment,), _ = engine._reestimate(
+        (table,), (assignment,), _ = engine._reestimate(
             DesignCache(x), labels, [cfg.k_init], family
         )
+        clusters = engine.cluster_models(table)
         first = engine.fit(x, cfg).cost_trace[0]
         # the refit's H reads the SSE from the Gram, engine.cost from explicit
         # residuals of the same curves
