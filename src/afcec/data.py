@@ -7,10 +7,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curves import CurveFit, FunctionFamily
-from .density import FAdaptedParams
-from .engine import AfcecModel, ClusterModel
-from .errors import InvalidSpec, IoError, ParseError, SchemaVersionMismatch
+from .curves import ClusterFits, CurveFit, FunctionFamily
+from .density import param_weights
+from .engine import AfcecModel, ClusterTable
+from .errors import InvalidSpec, IoError, NotPositiveDefinite, ParseError, SchemaVersionMismatch
 
 MODEL_SCHEMA = 1
 
@@ -250,26 +250,27 @@ def _family_from_json(obj):
 
 
 def model_to_json(model):
-    clusters = []
-    for cl in model.clusters:
-        p = cl.params
-        clusters.append(
-            {
-                "dependent_axis": int(p.dependent_axis),
-                "mean_exp": p.mean_exp.tolist(),
-                "cov_exp": p.cov_exp.tolist(),
-                "resid_var": p.resid_var,
-                "mean_dep": 0.0,
-                "curve": {
-                    "family": _family_to_json(p.curve.family),
-                    "coeffs": np.asarray(p.curve.coeffs, dtype=float).tolist(),
-                    "sse": p.curve.sse,
-                },
-                "weight": cl.weight,
-                "size": int(cl.size),
-                "cross_entropy": cl.cross_entropy,
-            }
+    table = model.clusters
+    f = table.fits
+    family = _family_to_json(f.family)
+    clusters = [
+        {
+            "dependent_axis": j,
+            "mean_exp": mean,
+            "cov_exp": cov,
+            "resid_var": rv,
+            "mean_dep": 0.0,
+            "curve": {"family": family, "coeffs": coeffs, "sse": sse},
+            "weight": p,
+            "size": size,
+            "cross_entropy": h,
+        }
+        for j, mean, cov, rv, coeffs, sse, p, size, h in zip(
+            f.axis.tolist(), f.mean_exp.tolist(), f.cov_exp.tolist(), f.resid_var.tolist(),
+            f.coeffs.tolist(), f.sse.tolist(), table.weight.tolist(), table.size.tolist(),
+            f.h.tolist(),
         )
+    ]
     return {
         "schema": MODEL_SCHEMA,
         "clusters": clusters,
@@ -282,66 +283,81 @@ def model_to_json(model):
 
 
 def model_from_json(obj):
-    """The AfcecModel a model_to_json object describes. IoError when a field
-    is missing or malformed (including a cluster shaped for another family, a
-    dependent axis outside 0..d-1, clusters of different families, a
-    non-finite mean_exp, cov_exp, coeffs, resid_var or weight, a resid_var
-    <= 0 or a weight outside (0, 1]), or the model has no cluster or no cost;
-    SchemaVersionMismatch when the schema is not MODEL_SCHEMA."""
+    """The AfcecModel a model_to_json object describes, its clusters built
+    into a ClusterTable with their score weights. IoError when a field is
+    missing or malformed (see _model_fields), or the model has no cluster or
+    no cost; SchemaVersionMismatch when the schema is not MODEL_SCHEMA."""
     if not isinstance(obj, dict):
         raise IoError(f"a model is a JSON object, got {type(obj).__name__}")
     if obj.get("schema") != MODEL_SCHEMA:
         raise SchemaVersionMismatch(f"schema {obj.get('schema')!r}, expected {MODEL_SCHEMA}")
     try:
-        model = _model_fields(obj)
+        return _model_fields(obj)
     except (KeyError, TypeError, ValueError) as e:
         raise IoError(f"malformed model: {type(e).__name__}: {e}") from e
-    if not model.clusters or not model.cost_trace:
-        raise IoError("a model needs at least one cluster and one cost")
-    return model
 
 
 def _model_fields(obj):
-    clusters = []
-    for c in obj["clusters"]:
+    """The model of obj, each field checked once: one family for every
+    cluster, mean_dep 0, finite numbers shaped for the family, integer
+    dependent axes in 0..d-1, resid_var > 0, weight in (0, 1], sse >= 0,
+    positive integer sizes equal to the counts of the assignment's labels
+    (each in 0..k-1), and a cov_exp with a Cholesky factor."""
+    rows = obj["clusters"]
+    if not rows or not obj["cost_trace"]:
+        raise IoError("a model needs at least one cluster and one cost")
+    fam = _family_from_json(rows[0]["curve"]["family"])
+    for c in rows:
         # the curve's intercept carries the dependent mean; the field stays in
         # the format, always 0
         if c["mean_dep"] != 0:
             raise IoError(f"mean_dep must be 0, got {c['mean_dep']!r}")
-        fam = _family_from_json(c["curve"]["family"])
         # every cluster is scored from one design of one family
-        if clusters and fam != clusters[0].params.curve.family:
+        if _family_from_json(c["curve"]["family"]) != fam:
             raise IoError("every cluster must use the first cluster's family")
-        m = fam.input_dim
-        coeffs = np.asarray(c["curve"]["coeffs"], dtype=float)
-        mean_exp = np.asarray(c["mean_exp"], dtype=float)
-        cov_exp = np.asarray(c["cov_exp"], dtype=float)
-        axis = int(c["dependent_axis"])
-        if coeffs.shape != (fam.size,) or mean_exp.shape != (m,) or cov_exp.shape != (m, m):
-            raise IoError(
-                f"coeffs, mean_exp and cov_exp must be shaped ({fam.size},), ({m},) and "
-                f"({m}, {m}), got {coeffs.shape}, {mean_exp.shape} and {cov_exp.shape}"
-            )
-        if not 0 <= axis <= m:
-            raise IoError(f"dependent_axis must be in 0..{m}, got {axis}")
-        resid_var, weight = float(c["resid_var"]), float(c["weight"])
-        if not all(np.isfinite(v).all() for v in (coeffs, mean_exp, cov_exp, resid_var, weight)):
-            raise IoError("mean_exp, cov_exp, coeffs, resid_var and weight must be finite")
-        # scoring takes the log of the weight; FAdaptedParams rejects a
-        # resid_var <= 0
-        if not 0 < weight <= 1:
-            raise IoError(f"weight must be in (0, 1], got {weight!r}")
-        params = FAdaptedParams(
-            dependent_axis=axis,
-            mean_exp=mean_exp,
-            cov_exp=cov_exp,
-            resid_var=resid_var,
-            curve=CurveFit(fam, coeffs, c["curve"]["sse"]),
-        )
-        clusters.append(ClusterModel(params, weight, int(c["size"]), c["cross_entropy"]))
+    k, m = len(rows), fam.input_dim
+
+    def field(name, shape=(), integer=False, get=None):
+        """c[name] (or get(c)) of every cluster c stacked, (k, *shape); IoError
+        unless every entry is a finite JSON number, an integer if integer."""
+        a = np.array([get(c) if get else c[name] for c in rows])
+        if a.shape != (k, *shape):
+            raise IoError(f"{name} must be shaped {shape} per cluster, got {a.shape[1:]}")
+        if a.dtype.kind not in ("iu" if integer else "iuf") or not np.isfinite(a).all():
+            raise IoError(f"every {name} must be {'an integer' if integer else 'finite'}")
+        return a if integer else a.astype(float)
+
+    axis = field("dependent_axis", integer=True)
+    if not ((axis >= 0) & (axis <= m)).all():
+        raise IoError(f"dependent_axis must be in 0..{m}, got {axis.tolist()}")
+    mean_exp, cov_exp = field("mean_exp", (m,)), field("cov_exp", (m, m))
+    coeffs = field("coeffs", (fam.size,), get=lambda c: c["curve"]["coeffs"])
+    sse = field("sse", get=lambda c: c["curve"]["sse"])
+    resid_var, weight, h = field("resid_var"), field("weight"), field("cross_entropy")
+    # scoring takes the log of the weight and of resid_var
+    if not ((resid_var > 0).all() and (weight > 0).all() and (weight <= 1).all()):
+        raise IoError("resid_var must be > 0 and weight in (0, 1]")
+    if not (sse >= 0).all():
+        raise IoError("sse must be >= 0")
+    size = field("size", integer=True)
+    assignment = np.asarray(obj["assignment"])
+    if assignment.ndim != 1 or assignment.dtype.kind not in "iu":
+        raise IoError("assignment must be a list of integer labels")
+    if not 0 <= assignment.min() <= assignment.max() < k:
+        raise IoError(f"assignment labels must be in 0..{k - 1}")
+    if not (size > 0).all() or not np.array_equal(np.bincount(assignment, minlength=k), size):
+        raise IoError("every size must be positive and count its label in the assignment")
+    try:
+        w, consts = param_weights(fam, axis, mean_exp, cov_exp, resid_var, coeffs)
+    except NotPositiveDefinite as e:
+        raise IoError(f"a cov_exp is not positive definite: {e}") from e
+    fits = ClusterFits(
+        fam, axis, mean_exp, cov_exp, resid_var, coeffs, sse, h, np.ones(k, dtype=bool), w,
+        consts,
+    )
     return AfcecModel(
-        clusters=clusters,
-        assignment=np.asarray(obj["assignment"], dtype=int),
+        clusters=ClusterTable(fits, weight, size),
+        assignment=assignment,
         cost_trace=[float(v) for v in obj["cost_trace"]],
         iterations=int(obj["iterations"]),
         deleted_count=int(obj["deleted_count"]),
@@ -387,11 +403,11 @@ def export_plot_data(x, model, path):
         csv_lines(["point", a, *row] for row, a in zip(rows_arr.tolist(), assignment.tolist())),
     ]
     frac = np.linspace(0.0, 1.0, CURVE_SAMPLES)[:, None]
-    for i, cl in enumerate(model.clusters):
-        j = cl.params.dependent_axis
+    f = model.clusters.fits
+    for i, (j, coeffs) in enumerate(zip(f.axis.tolist(), f.coeffs)):
         xe = np.delete(rows_arr[assignment == i], j, axis=1)
         lo, hi = xe.min(axis=0), xe.max(axis=0)
         path_pts = lo + frac * (hi - lo)
-        coords = np.insert(path_pts, j, cl.params.curve.evaluate(path_pts), axis=1)
+        coords = np.insert(path_pts, j, CurveFit(f.family, coeffs).evaluate(path_pts), axis=1)
         parts.append(csv_lines(["curve", i, *row] for row in coords.tolist()))
     _write_text(path, "".join(parts))

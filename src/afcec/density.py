@@ -106,9 +106,9 @@ def score_weights(layout, axes, low, mean_exp, resid_var, coeffs):
     1 + j. Both rows sum raw-basis terms, which cancel far from the origin.
 
     The one weight builder: the refit calls it with the Cholesky factors it
-    has just formed, param_weights with those of FAdaptedParams objects.
-    Both factor each covariance by the same LAPACK call, so a cluster's
-    weights have the same bits either way.
+    has just formed, param_weights with those of stacked covariances. Both
+    factor each covariance by the same LAPACK call, so a cluster's weights
+    have the same bits either way.
     """
     k, d = len(axes), mean_exp.shape[1] + 1
     inv = np.linalg.inv(low)
@@ -123,26 +123,17 @@ def score_weights(layout, axes, low, mean_exp, resid_var, coeffs):
     return w, consts
 
 
-def param_weights(params):
-    """score_weights of a list of FAdaptedParams of one family: the path for
-    clusters given as objects (a loaded model, fadapted_log_density). Raises
-    ValueError for mixed families and NotPositiveDefinite when a cov_exp has
-    no Cholesky factor."""
-    family = params[0].curve.family
-    if any(q.curve.family is not family and q.curve.family != family for q in params):
-        raise ValueError("scoring needs clusters of one family")
+def param_weights(family, axes, mean_exp, cov_exp, resid_var, coeffs):
+    """score_weights of k stacked clusters of family given by their
+    parameters (fields as in curves.ClusterFits), each cov_exp factored here:
+    the path for clusters that come without Cholesky factors (a loaded model,
+    fadapted_log_density). Raises NotPositiveDefinite when a cov_exp has no
+    Cholesky factor."""
     try:
-        low = np.linalg.cholesky(np.array([q.cov_exp for q in params]))
+        low = np.linalg.cholesky(cov_exp)
     except np.linalg.LinAlgError as e:
         raise NotPositiveDefinite(str(e)) from e
-    return score_weights(
-        family._refit_layout,
-        np.array([q.dependent_axis for q in params]),
-        low,
-        np.array([q.mean_exp for q in params]),
-        np.array([q.resid_var for q in params]),
-        np.array([q.curve.coeffs for q in params]),
-    )
+    return score_weights(family._refit_layout, axes, low, mean_exp, resid_var, coeffs)
 
 
 def score_blocks(w, consts, design, shift=None):
@@ -201,11 +192,17 @@ def score_blocks(w, consts, design, shift=None):
 
 def fadapted_log_density(p, x):
     """Log density of the curve-adapted Gaussian at x ((d,) or (n,d)):
-    score_blocks on one cluster."""
+    score_blocks on one cluster, weighted by param_weights on a one-row
+    stack."""
     x = np.asarray(x, dtype=float)
-    design = p.curve.family._refit_layout.union.design_matrix(x.reshape(-1, p.dim))
+    family = p.curve.family
+    w, consts = param_weights(
+        family, np.array([p.dependent_axis]), p.mean_exp[None], p.cov_exp[None],
+        np.array([p.resid_var]), np.asarray(p.curve.coeffs, dtype=float)[None],
+    )
+    design = family._refit_layout.union.design_matrix(x.reshape(-1, p.dim))
     out = np.empty(design.shape[0])
-    for cols, scores in score_blocks(*param_weights([p]), design):
+    for cols, scores in score_blocks(w, consts, design):
         np.negative(scores[0], out=out[cols])
     return float(out[0]) if x.ndim == 1 else out
 

@@ -18,32 +18,18 @@ import numpy as np
 from .curves import ClusterFits, CurveFit, refit_segments, select_orientation  # noqa: F401
 # fadapted_log_density is not called here; bench/spans.py wraps it under this
 # module's name as well
-from .density import (  # noqa: F401
-    FAdaptedParams,
-    fadapted_cross_entropy,
-    fadapted_log_density,
-    param_weights,
-    score_blocks,
-)
+from .density import fadapted_cross_entropy, fadapted_log_density, score_blocks  # noqa: F401
 from .errors import AllClustersDegenerate, DegenerateCluster, InvalidConfig
 
 INITS = ("random_partition", "kmeanspp")
-
-
-@dataclass(frozen=True)
-class ClusterModel:
-    params: object  # FAdaptedParams
-    weight: float
-    size: int
-    cross_entropy: float
 
 
 class ClusterTable(NamedTuple):
     """One run's clusters as stacked arrays, one row per cluster in label
     order: the chosen-axis fit and score weights of each (curves.ClusterFits),
     its weight p and its point count. The Lloyd loop carries clusters in this
-    form; cluster_models builds the objects of a model it returns, and
-    cluster_table is the way back for clusters given as objects."""
+    form, an AfcecModel holds its clusters in it, and data.model_from_json
+    builds one from a model file."""
 
     fits: ClusterFits
     weight: np.ndarray  # (k,)
@@ -54,45 +40,9 @@ class ClusterTable(NamedTuple):
         return ClusterTable(self.fits.take(rows), self.weight[rows], self.size[rows])
 
 
-def cluster_models(table):
-    """One ClusterModel per row of table."""
-    f = table.fits
-    return [
-        ClusterModel(FAdaptedParams(j, mean, cov, rv, CurveFit(f.family, coeffs, sse)), p, size, h)
-        for j, mean, cov, rv, coeffs, sse, h, p, size in zip(
-            f.axis.tolist(), f.mean_exp, f.cov_exp, f.resid_var.tolist(), f.coeffs,
-            f.sse.tolist(), f.h.tolist(), table.weight.tolist(), table.size.tolist(),
-        )
-    ]
-
-
-def cluster_table(clusters):
-    """The ClusterTable of a list of ClusterModel objects of one family, its
-    score weights from density.param_weights (ValueError for mixed families,
-    NotPositiveDefinite for a covariance with no Cholesky factor)."""
-    params = [cl.params for cl in clusters]
-    w, consts = param_weights(params)
-    fits = ClusterFits(
-        params[0].curve.family,
-        np.array([q.dependent_axis for q in params]),
-        np.array([q.mean_exp for q in params]),
-        np.array([q.cov_exp for q in params]),
-        np.array([q.resid_var for q in params]),
-        np.array([q.curve.coeffs for q in params]),
-        np.array([q.curve.sse for q in params]),
-        np.array([cl.cross_entropy for cl in clusters]),
-        np.ones(len(params), dtype=bool),
-        w,
-        consts,
-    )
-    return ClusterTable(
-        fits, np.array([cl.weight for cl in clusters]), np.array([cl.size for cl in clusters])
-    )
-
-
 @dataclass
 class AfcecModel:
-    clusters: list
+    clusters: ClusterTable
     assignment: np.ndarray
     cost_trace: list
     iterations: int
@@ -101,7 +51,7 @@ class AfcecModel:
 
     @property
     def k(self):
-        return len(self.clusters)
+        return len(self.clusters.weight)
 
     @property
     def final_cost(self):
@@ -154,17 +104,19 @@ def as_array(x):
 
 
 def cost(x, clusters, assignment):
-    """sum_i p_i * (-ln p_i + H_i), H_i recomputed from each cluster's
-    current point set with its stored axis and curve."""
+    """sum_i p_i * (-ln p_i + H_i) over the rows of the ClusterTable clusters,
+    H_i recomputed by fadapted_cross_entropy from each cluster's current
+    point set with its stored axis and curve."""
     x = as_array(x)
     assignment = np.asarray(assignment)
     n = x.shape[0]
+    f = clusters.fits
     total = 0.0
-    for i, cl in enumerate(clusters):
+    for i, (j, coeffs) in enumerate(zip(f.axis.tolist(), f.coeffs)):
         xi = x[assignment == i]
         if len(xi) == 0:
             raise DegenerateCluster(f"cluster {i} is empty")
-        h, _ = fadapted_cross_entropy(xi, cl.params.dependent_axis, cl.params.curve)
+        h, _ = fadapted_cross_entropy(xi, j, CurveFit(f.family, coeffs))
         p = len(xi) / n
         total += p * (-math.log(p) + h)
     return total
@@ -468,23 +420,22 @@ def _total_cost(table):
 def _lloyd(cache, cfg, runs):
     """The clustering loop from one initial partition per (k, seed) run, all
     runs in lockstep over one DesignCache (cfg.k_init and cfg.seed are not
-    read). Returns, per run, its AfcecModel, whose clusters are still the
-    ClusterTable the loop carries, or the AllClustersDegenerate that ended it.
+    read). Returns, per run, its AfcecModel, holding the ClusterTable the loop
+    carries, or the AllClustersDegenerate that ended it.
 
     Each iteration scores the clusters of every live run in one assign_step,
     deletes small clusters of every live run in one delete_small and refits
     every live run in one _reestimate; runs of different k share each pass,
     since every step reads each run's own cluster count. Clusters travel
-    between the steps as ClusterTables, and _best_per_k builds objects only
-    for the models it returns. A run stops when h_n >= h_{n-1} - epsilon, at
-    max_iters, or when it fails. The stop condition is only consulted on
-    iterations that deleted nothing (a deletion can bump the cost, and
-    stopping there would freeze a partial model); every deletion lowers k, so
-    this cannot loop forever. Every step treats each run as a lone run would,
+    between the steps as ClusterTables. A run stops when h_n >= h_{n-1} -
+    epsilon, at max_iters, or when it fails. The stop condition is only
+    consulted on iterations that deleted nothing (a deletion can bump the
+    cost, and stopping there would freeze a partial model); every deletion
+    lowers k, so this cannot loop forever. Every step treats each run as a lone run would,
     so each result is bit for bit the one a batch of that run alone gives.
     """
     ks = [k for k, _ in runs]
-    results = [AfcecModel([], None, [], 0, 0) for _ in runs]
+    results = [AfcecModel(None, None, [], 0, 0) for _ in runs]
     running = list(range(len(runs)))
     before = list(ks)  # each run's cluster count entering the iteration
     labels = _init_partition(cache.rows, cfg.init, runs)
@@ -545,7 +496,7 @@ LOCKSTEP_POINTS = 1 << 15
 def _best_per_k(cache, cfg, ks, restarts):
     """Yields fit_restarts(cache, replace(cfg, k_init=k), restarts) for each k
     of ks in order; at a k where every restart failed, raises that k's first
-    failure instead. Only the yielded models get ClusterModel objects.
+    failure instead.
 
     The runs (k, cfg.seed + s) for s < restarts go through _lloyd in batches
     of consecutive k values: a batch holds as many whole k values as fit in
@@ -570,7 +521,6 @@ def _best_per_k(cache, cfg, ks, restarts):
                 raise results[at]
             # min keeps the first of equal costs, i.e. the smallest seed
             best = min(models, key=lambda m: m.final_cost)
-            best.clusters = cluster_models(best.clusters)
             yield best, [m.final_cost for m in models]
 
 

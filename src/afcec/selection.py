@@ -8,7 +8,7 @@ import numpy as np
 # fadapted_log_density is not called here; bench/spans.py wraps it under this
 # module's name as well
 from .density import fadapted_log_density  # noqa: F401
-from .engine import cluster_score_blocks, cluster_table, design_cache
+from .engine import cluster_score_blocks, design_cache
 
 LL_MODES = ("mixture", "max")
 # mixture log-likelihood: a term smaller than exp(LSE_FLOOR) times a point's
@@ -31,14 +31,14 @@ def log_likelihood(x, model, mode="mixture"):
     point's largest term); max: sum_l max_i [ln p_i + ln f_i(x_l)].
 
     x is a Dataset, an (n, d) array, or an engine.DesignCache over the data,
-    whose design is then reused. The model's clusters are scored through
-    engine.cluster_table, and each block of engine.cluster_score_blocks is
-    reduced as it arrives, so no (k, n) block is formed."""
+    whose design is then reused. Each block of engine.cluster_score_blocks
+    over the model's ClusterTable is reduced as it arrives, so no (k, n)
+    block is formed."""
     if mode not in LL_MODES:
         raise ValueError(f"mode must be one of {LL_MODES}")
     cache = design_cache(x)
     per_point = np.empty(cache.rows.shape[0])
-    for cols, scores in cluster_score_blocks(cache, [cluster_table(model.clusters)]):
+    for cols, scores in cluster_score_blocks(cache, [model.clusters]):
         # scores = -(ln p_i + ln f_i); its column minimum is the largest term
         low = scores.min(axis=0)
         if mode == "max":
@@ -52,20 +52,14 @@ def log_likelihood(x, model, mode="mixture"):
     return float(np.sum(per_point))
 
 
-def _cluster_params(cl):
-    d = cl.params.dim
-    b = cl.params.curve.family.size
-    # explanatory mean + explanatory covariance + residual variance
-    # + curve coefficients (intercept included) + mixing weight
-    return (d - 1) + (d - 1) * d // 2 + 1 + b + 1
-
-
 def count_params(model):
     """Free-parameter count: per cluster (d-1) mean + (d-1)d/2 covariance + 1
     residual variance + B curve coefficients + 1 weight (the discrete
     dependent-axis choice is not counted). For d=2 with the quadratic family
     that is the paper's 7 per cluster."""
-    return sum(_cluster_params(cl) for cl in model.clusters)
+    family = model.clusters.fits.family
+    m = family.input_dim  # d - 1 explanatory coordinates
+    return model.k * (m + m * (m + 1) // 2 + 1 + family.size + 1)
 
 
 def score(x, model, ll_mode="mixture"):

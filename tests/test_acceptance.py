@@ -248,7 +248,7 @@ def _replicate(model, k):
     import copy
 
     m = copy.copy(model)
-    m.clusters = [model.clusters[i % len(model.clusters)] for i in range(k)]
+    m.clusters = model.clusters.take(np.arange(k) % model.k)
     return m
 
 

@@ -6,16 +6,16 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from cluster_tables import row_params
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from afcec import engine, selection
+from afcec import density, engine, selection
 from afcec.cli import main
-from afcec.curves import BUILTIN_KINDS, builtin_family, select_orientation
+from afcec.curves import BUILTIN_KINDS, builtin_family
 from afcec.data import Dataset, GeneratorSpec, generate, save_csv
 from afcec.density import fadapted_log_density
 from afcec.engine import (
-    ClusterModel,
     DesignCache,
     EngineConfig,
     assign_step,
@@ -26,7 +26,6 @@ from afcec.engine import (
 )
 from afcec.errors import (
     AllClustersDegenerate,
-    DegenerateCluster,
     InvalidConfig,
     ZeroResidualWarning,
 )
@@ -106,10 +105,9 @@ def test_weights_match_sizes():
     ds = _circle(seed=9)
     m = fit(ds, EngineConfig(k_init=4, family=QUAD1, seed=6))
     sizes = np.bincount(m.assignment, minlength=m.k)
-    for cl, s in zip(m.clusters, sizes):
-        assert cl.size == s
-        assert cl.weight == pytest.approx(s / ds.n, abs=1e-12)
-    assert sum(cl.weight for cl in m.clusters) == pytest.approx(1.0, abs=1e-12)
+    assert np.array_equal(m.clusters.size, sizes)
+    np.testing.assert_allclose(m.clusters.weight, sizes / ds.n, rtol=0, atol=1e-12)
+    assert m.clusters.weight.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_config_validation():
@@ -166,9 +164,7 @@ def test_fit_degenerate_data_raises():
 def test_assign_step_picks_cheapest_cluster():
     ds = _circle(seed=10)
     m = fit(ds, EngineConfig(k_init=3, family=QUAD1, seed=7))
-    (again,) = assign_step(
-        DesignCache(ds.rows), [engine.cluster_table(m.clusters)], m.assignment[None]
-    )
+    (again,) = assign_step(DesignCache(ds.rows), [m.clusters], m.assignment[None])
     # the fit has converged, so one more assignment pass changes nothing
     assert np.array_equal(again, m.assignment)
 
@@ -189,10 +185,10 @@ def test_delete_small_removes_planted_speck():
 def test_delete_small_requires_survivor():
     pts = np.random.default_rng(12).standard_normal((40, 2))
     clusters = fit(pts, EngineConfig(k_init=2, family=QUAD1, seed=0)).clusters
-    assignment = np.arange(40) % len(clusters)
+    assignment = np.arange(40) % len(clusters.weight)
     # a restart none of whose clusters meets the threshold gets no count
     ks, labels, deleted = delete_small(
-        DesignCache(pts), [engine.cluster_table(clusters)], assignment[None], threshold_fraction=1.1
+        DesignCache(pts), [clusters], assignment[None], threshold_fraction=1.1
     )
     assert (ks, deleted) == ([None], 0)
     assert np.array_equal(labels, assignment[None])
@@ -222,7 +218,6 @@ def test_fit_restarts_equals_separate_fits(monkeypatch):
             zip(range(3, 8), [2.0, 1.0, 3.0, 1.0, 1.5])}
     fake[5] = AllClustersDegenerate("every cluster failed estimation")
     monkeypatch.setattr(engine, "_lloyd", lambda cache, c, runs: [fake[s] for _, s in runs])
-    monkeypatch.setattr(engine, "cluster_models", list)  # the fakes hold no cluster table
     best, costs = fit_restarts(ds, replace(cfg, seed=3), restarts=5)
     assert best is fake[4]
     assert costs == [2.0, 1.0, 1.0, 1.5]
@@ -284,28 +279,23 @@ def test_lockstep_restarts_equal_separate_fits(
     assert (best.iterations, best.deleted_count) == (want.iterations, want.deleted_count)
 
 
-def test_cluster_objects_are_built_once_per_returned_cluster(tmp_path, monkeypatch):
+def test_commands_build_no_fadapted_params(tmp_path, monkeypatch):
+    # a model holds its clusters as the ClusterTable its Lloyd loop carries,
+    # and saving and scoring it read that table
     built = []
-    make = engine.ClusterModel
-
-    def counting(*args):
-        built.append(args)
-        return make(*args)
-
-    monkeypatch.setattr(engine, "ClusterModel", counting)
+    monkeypatch.setattr(density.FAdaptedParams, "__post_init__", lambda self: built.append(self))
     ds = _circle(n=400, seed=19)
-    best, _ = fit_restarts(ds, EngineConfig(k_init=6, family=QUAD1, seed=0,
-                                            deletion_fraction=0.1), restarts=3)
-    assert best.deleted_count > 0
-    assert len(built) == best.k
-    built.clear()
-    path = tmp_path / "ring.csv"
+    path, model_path = tmp_path / "ring.csv", tmp_path / "model.json"
     save_csv(ds, path)
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        assert main(["sweep", "--input", str(path), "--k-max", "5", "--restarts", "3"]) == 0
-    rows = out.getvalue().splitlines()[1:]
-    assert len(built) == sum(int(row.split(",")[1]) for row in rows)
+    for argv in (
+        ["fit", "--k", "6", "--restarts", "3", "--deletion-fraction", "0.1",
+         "--output-model", str(model_path)],
+        ["sweep", "--k-max", "5", "--restarts", "3"],
+    ):
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main([*argv, "--input", str(path)]) == 0
+    assert model_path.stat().st_size > 0
+    assert built == []
 
 
 def test_fit_restarts_propagates_total_failure():
@@ -314,21 +304,12 @@ def test_fit_restarts_propagates_total_failure():
         fit_restarts(pts, EngineConfig(k_init=2, family=QUAD1, seed=0), restarts=3)
 
 
-def _column_scores(x, clusters):
+def _column_scores(x, table):
     """(n, k) assignment costs, one uncached log-density call per cluster."""
-    return np.column_stack(
-        [-math.log(cl.weight) - fadapted_log_density(cl.params, x) for cl in clusters]
-    )
-
-
-def _clusters_on(x, labels, family):
-    n = x.shape[0]
-    out = []
-    for lab in np.unique(labels):
-        pts = x[labels == lab]
-        _, _, h, params = select_orientation(pts, family)
-        out.append(ClusterModel(params, len(pts) / n, len(pts), h))
-    return out
+    return np.column_stack([
+        -math.log(table.weight[i]) - fadapted_log_density(row_params(table, i), x)
+        for i in range(len(table.weight))
+    ])
 
 
 @settings(max_examples=40, deadline=None)
@@ -345,16 +326,13 @@ def test_cached_assignment_matches_uncached_scores(kind, d, log_scale, seed):
     x[:, -1] += 0.5 * x[:, 0] ** 2 - 0.2 * x[:, 1] ** 3
     x = (x + rng.uniform(-2.0, 2.0, d)) * scale
     family = builtin_family(kind, d - 1)
-    try:
-        clusters = _clusters_on(x, rng.integers(0, 3, x.shape[0]), family)
-    except DegenerateCluster:
-        assume(False)
     cache = DesignCache(x)
-    ref = _column_scores(x, clusters)
-    table = engine.cluster_table(clusters)
+    table = engine._refit(cache, rng.integers(0, 3, (1, x.shape[0])), [3], family)
+    assume(table.fits.ok.all())
+    ref = _column_scores(x, table)
     (labels,) = assign_step(cache, [table], np.zeros((1, x.shape[0]), dtype=np.intp))
     assert np.array_equal(labels, np.argmin(ref, axis=1))
-    scores = np.empty((len(clusters), x.shape[0]))
+    scores = np.empty((3, x.shape[0]))
     for cols, block in engine.cluster_score_blocks(cache, [table]):
         scores[:, cols] = block
     np.testing.assert_allclose(scores.T, ref, rtol=1e-12, atol=0)
@@ -371,10 +349,9 @@ def test_assign_step_ties_go_to_lowest_index():
     ds = _circle(seed=15)
     m = fit(ds, EngineConfig(k_init=3, family=QUAD1, seed=2))
     assert m.k >= 2
-    first, second = m.clusters[0], m.clusters[1]
     cache = DesignCache(ds.rows)
     # one batch holding both lists: each row is reduced over its own clusters
-    batch = [engine.cluster_table(c) for c in ([first, second, first], [first, second])]
+    batch = [m.clusters.take([0, 1, 0]), m.clusters.take([0, 1])]
     labels, expected = assign_step(cache, batch, np.zeros((2, ds.n), dtype=np.intp))
     assert not np.any(labels == 2)
     assert np.array_equal(labels, expected)
@@ -383,13 +360,12 @@ def test_assign_step_ties_go_to_lowest_index():
 def test_orphan_reassignment_ties_go_to_lowest_index():
     ds = _circle(seed=15)
     m = fit(ds, EngineConfig(k_init=3, family=QUAD1, seed=2))
-    first, second = m.clusters[0], m.clusters[1]
     cache = DesignCache(ds.rows)
     # fills the cache
-    (expected,) = engine._nearest(cache, [engine.cluster_table([first, second])])
+    (expected,) = engine._nearest(cache, [m.clusters.take([0, 1])])
     # every point sits in label 3, which is dropped; survivors 0 and 2 are equal
     orphans = np.full(ds.n, 3)
-    survivors = engine.cluster_table([first, second, first])
+    survivors = m.clusters.take([0, 1, 0])
     out = engine._reassign(cache, orphans, 4, [0, 1, 2], survivors)
     assert not np.any(out == 2)
     assert np.array_equal(out, expected)
@@ -400,7 +376,7 @@ def test_design_cache_take_equals_fresh_designs():
     family = builtin_family("cubic", 2)
     m = fit(ds, EngineConfig(k_init=4, family=family, seed=1, max_iters=3))
     cache = DesignCache(ds.rows)
-    engine._nearest(cache, [engine.cluster_table(m.clusters)])  # fills the cache
+    engine._nearest(cache, [m.clusters])  # fills the cache
     rows = np.flatnonzero(np.arange(ds.n) % 7 == 3)
     sub = cache.take(rows)
     fresh = family._refit_layout.union.design_matrix(ds.rows[rows])

@@ -132,6 +132,10 @@ ACA_STDOUT_SHA256 = "c7d729c173297bfc07beb7ce292ed6a5d45e5634728aa08c2ced5ce167c
 RING_SWEEP_STDOUT_SHA256 = "6d95fb7cfe707a6c1a77c0b38b0c6a1e121eaefdeb409312cd69637fcd160b8e"
 HELIX_FIT_STDOUT_SHA256 = "7c2dc928200ff2199a3d335c420a81955ef4fb690b4a72b83ca3334fb8a4aeb0"
 HELIX_MODEL_SHA256 = "e7798dcecedfecbd1315fe1a5f3868b0ed83107b1f656faa7b75fdb31b4e3901"
+# the same for the strokes2d-quad fit, the largest model file, recorded before
+# models held their clusters as the Lloyd loop's table
+STROKES_FIT_STDOUT_SHA256 = "048682c7f4a3bbd41bd8e7b8f6ffca0fc571ece422bd53e448d2bf2305cfe5e3"
+STROKES_MODEL_SHA256 = "d13231201c67de3efa758029db1437ee324e803a9e191faa36546faf8a47e1f8"
 
 
 def _run(*argv):
@@ -226,6 +230,17 @@ def test_helix_fit_stdout_and_model_match_golden(tmp_path):
     )
     assert hashlib.sha256(out.encode()).hexdigest() == HELIX_FIT_STDOUT_SHA256
     assert _sha256(model_path) == HELIX_MODEL_SHA256
+
+
+def test_strokes_fit_stdout_and_model_match_golden(tmp_path):
+    model_path = tmp_path / "model.json"
+    out = _run(
+        "fit", "--input", _bench_input(tmp_path, "strokes", 50000), "--k", "20",
+        "--family", "quadratic", "--init", "kmeanspp", "--max-iters", "20", "--seed", "0",
+        "--output-model", str(model_path),
+    )
+    assert hashlib.sha256(out.encode()).hexdigest() == STROKES_FIT_STDOUT_SHA256
+    assert _sha256(model_path) == STROKES_MODEL_SHA256
 
 
 @pytest.mark.parametrize("kind", GENERATOR_KINDS)

@@ -2,17 +2,18 @@
 per-cluster references."""
 
 import warnings
-from unittest import mock
 
 import numpy as np
 import pytest
+from cluster_tables import reweighted, table_of
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from afcec import density, engine
 from afcec.curves import BUILTIN_KINDS, builtin_family, fit_curve, select_orientation
+from afcec.data import model_from_json, model_to_json
 from afcec.density import fadapted_cross_entropy
-from afcec.engine import ClusterModel, DesignCache, EngineConfig
+from afcec.engine import DesignCache, EngineConfig
 from afcec.errors import (
     AllClustersDegenerate,
     DegenerateCluster,
@@ -50,23 +51,24 @@ def test_batched_refit_matches_select_orientation_per_cluster(kind, d, log_scale
         (table,), (assignment,), dropped = engine._reestimate(
             DesignCache(x), labels[None], [k], family
         )
-    clusters = engine.cluster_models(table)
+    f = table.fits
     assert dropped == 0
     assert np.array_equal(assignment, labels)
-    assert len(clusters) == k
-    for lab, (cl, (axis, curve, h, params)) in enumerate(zip(clusters, ref)):
-        assert cl.params.dependent_axis == axis
-        assert cl.size == np.count_nonzero(labels == lab)
-        _close(cl.cross_entropy, h)
-        _close(cl.params.resid_var, params.resid_var)
-        _close(cl.params.mean_exp, params.mean_exp)
-        _close(cl.params.cov_exp, params.cov_exp)
-        _close(cl.params.curve.sse, curve.sse)
+    assert len(table.weight) == k
+    assert f.axis.tolist() == [axis for axis, *_ in ref]
+    assert np.array_equal(table.size, np.bincount(labels, minlength=k))
+    for i, (axis, curve, h, params) in enumerate(ref):
+        _close(f.h[i], h)
+        _close(f.resid_var[i], params.resid_var)
+        _close(f.mean_exp[i], params.mean_exp)
+        _close(f.cov_exp[i], params.cov_exp)
+        _close(f.sse[i], curve.sse)
 
 
 def _per_cluster_reestimate(x, assignment, k, family):
     """The refit as one fit_curve and fadapted_cross_entropy call per cluster
-    and axis, dropping clusters no axis fits and reassigning their points."""
+    and axis, dropping clusters no axis fits and reassigning their points.
+    Returns the surviving clusters' (H, FAdaptedParams, size) and the labels."""
     n, d = x.shape
     cache = DesignCache(x)
     dropped = 0
@@ -84,13 +86,15 @@ def _per_cluster_reestimate(x, assignment, k, family):
                     best = (h, params)
             if best is not None:
                 keep.append(lab)
-                clusters.append(ClusterModel(best[1], len(pts) / n, len(pts), best[0]))
+                clusters.append((*best, len(pts)))
         if not clusters:
             raise AllClustersDegenerate("every cluster failed estimation")
         if len(keep) == k:
             return clusters, assignment, dropped
         dropped += k - len(keep)
-        assignment = engine._reassign(cache, assignment, k, keep, engine.cluster_table(clusters))
+        entropies, params, sizes = zip(*clusters)
+        survivors = table_of(params, entropies, sizes, n)
+        assignment = engine._reassign(cache, assignment, k, keep, survivors)
         k = len(keep)
 
 
@@ -136,7 +140,7 @@ def test_degenerate_mix_matches_per_cluster_refit(monkeypatch):
     ((table,), (assignment,), dropped), caught = _run_recording(
         engine._reestimate, DesignCache(x), labels[None], [6], family
     )
-    clusters = engine.cluster_models(table)
+    f = table.fits
     batched_ladder, ladder[:] = list(ladder), []
     (ref, ref_assignment, ref_dropped), ref_caught = _run_recording(
         _per_cluster_reestimate, x, labels, 6, family
@@ -151,20 +155,18 @@ def test_degenerate_mix_matches_per_cluster_refit(monkeypatch):
     assert dropped == ref_dropped == 3
     assert np.array_equal(assignment, ref_assignment)
     assert np.bincount(assignment).tolist() == [104, 30, 60]
-    axes = [cl.params.dependent_axis for cl in clusters]
-    assert axes == [cl.params.dependent_axis for cl in ref] == [2, 1, 1]
+    assert f.axis.tolist() == [params.dependent_axis for _, params, _ in ref] == [2, 1, 1]
     assert caught == ref_caught == [ZeroResidualWarning] * 6
-    for cl, want in zip(clusters, ref):
-        assert cl.size == want.size
-        _close(cl.cross_entropy, want.cross_entropy)
-        _close(cl.params.resid_var, want.params.resid_var)
-        _close(cl.params.cov_exp, want.params.cov_exp)
+    assert table.size.tolist() == [size for *_, size in ref]
+    for i, (h, params, _) in enumerate(ref):
+        _close(f.h[i], h)
+        _close(f.resid_var[i], params.resid_var)
+        _close(f.cov_exp[i], params.cov_exp)
 
 
-def _assert_same_weights(table, clusters):
+def _assert_same_weights(table, again):
     """The score weights and constants the refit built for table have the
-    bits engine.cluster_table gives from the ClusterModel objects clusters."""
-    again = engine.cluster_table(clusters)
+    bits of those of the ClusterTable again."""
     assert table.fits.w.shape == again.fits.w.shape
     assert table.fits.w.tobytes() == again.fits.w.tobytes()
     assert table.fits.consts.tobytes() == again.fits.consts.tobytes()
@@ -200,30 +202,20 @@ def _duplicate_heavy(rng, n, d, dup_frac, line):
 # the line's covariance is regularized in 3-d and in 4-d
 @example(kind="quadratic", d=3, k=3, dup_frac=0.5, line=True, seed=1)
 @example(kind="cubic", d=4, k=2, dup_frac=0.9, line=True, seed=0)
-def test_refit_weights_equal_the_converters_on_the_returned_clusters(
-    kind, d, k, dup_frac, line, seed
-):
+def test_refit_weights_equal_the_loaded_models_weights(kind, d, k, dup_frac, line, seed):
     rng = np.random.default_rng(seed)
     x = _duplicate_heavy(rng, 120, d, dup_frac, line)
     cfg = EngineConfig(k_init=k, family=builtin_family(kind, d - 1), seed=seed % 1000,
                        max_iters=6, init="kmeanspp")
-    tables = []
-    build = engine.cluster_models
-
-    def spy(table):
-        tables.append(table)
-        return build(table)
-
-    with mock.patch.object(engine, "cluster_models", spy):
-        try:
-            model = engine.fit(x, cfg)
-        except AllClustersDegenerate:
-            assume(False)
-    (table,) = tables
-    _assert_same_weights(table, model.clusters)
+    try:
+        model = engine.fit(x, cfg)
+    except AllClustersDegenerate:
+        assume(False)
+    # a saved model's weights are built again at load from its parameters
+    _assert_same_weights(model.clusters, model_from_json(model_to_json(model)).clusters)
 
 
-def test_regularized_and_floored_weights_equal_the_converters(monkeypatch):
+def test_regularized_and_floored_weights_equal_the_rebuilt_weights(monkeypatch):
     x, labels = _degenerate_mix()
     family = builtin_family("quadratic", 2)
     ladder = []
@@ -239,4 +231,4 @@ def test_regularized_and_floored_weights_equal_the_converters(monkeypatch):
     with pytest.warns(ZeroResidualWarning):
         (table,), _, _ = engine._reestimate(DesignCache(x), labels[None], [6], family)
     assert False in ladder
-    _assert_same_weights(table, engine.cluster_models(table))
+    _assert_same_weights(table, reweighted(table))

@@ -3,17 +3,17 @@ assign_step's argmin, the mixture and max log-likelihood, and the k-means++
 seeding labels."""
 
 import math
-from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from cluster_tables import reweighted, row_params
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from afcec import engine
-from afcec.curves import BUILTIN_KINDS, builtin_family, select_orientation
+from afcec.curves import BUILTIN_KINDS, builtin_family
 from afcec.density import (
     SCORE_BLOCK,
     SCORE_GEMM_CLUSTERS,
@@ -21,8 +21,7 @@ from afcec.density import (
     param_weights,
     score_blocks,
 )
-from afcec.engine import ClusterModel, DesignCache, EngineConfig
-from afcec.errors import DegenerateCluster
+from afcec.engine import DesignCache, EngineConfig
 from afcec.selection import log_likelihood
 
 LD = np.longdouble
@@ -38,23 +37,19 @@ def _data(rng, n, d, scale=1.0):
     return (x + rng.uniform(-2.0, 2.0, d)) * scale
 
 
-def _score_rows(cache, clusters):
+def _score_rows(cache, table):
     """(k, n) -ln p_i - log f_i(x) over the cache's points, gathered from
     engine.cluster_score_blocks."""
-    scores = np.empty((len(clusters), cache.rows.shape[0]))
-    for cols, block in engine.cluster_score_blocks(cache, [engine.cluster_table(clusters)]):
+    scores = np.empty((len(table.weight), cache.rows.shape[0]))
+    for cols, block in engine.cluster_score_blocks(cache, [table]):
         scores[:, cols] = block
     return scores
 
 
 def _clusters_on(x, labels, family):
-    n = x.shape[0]
-    out = []
-    for lab in np.unique(labels):
-        pts = x[labels == lab]
-        _, _, h, params = select_orientation(pts, family)
-        out.append(ClusterModel(params, len(pts) / n, len(pts), h))
-    return out
+    """The refit's ClusterTable of the clusters labels 0..max of x (a row is
+    not ok where its cluster is degenerate)."""
+    return engine._refit(DesignCache(x), labels[None], [int(labels.max()) + 1], family)
 
 
 @settings(max_examples=12, deadline=None)
@@ -71,42 +66,29 @@ def test_cluster_row_has_the_same_bits_alone_and_in_a_block(kind, d, extra, k, s
     n = SCORE_BLOCK + extra  # a full block and a partial one
     x = _data(rng, n, d)
     family = builtin_family(kind, d - 1)
-    try:
-        clusters = _clusters_on(x, rng.integers(0, k, n), family)
-    except DegenerateCluster:
-        assume(False)
+    table = _clusters_on(x, rng.integers(0, k, n), family)
+    assume(table.fits.ok.all())
     cache = DesignCache(x)
-    block = _score_rows(cache, clusters)
+    block = _score_rows(cache, table)
     design = family._refit_layout.union.design_matrix(x)
     assert np.array_equal(cache.design(family), design)
-    for i, cl in enumerate(clusters):
-        shift = -math.log(cl.weight)
+    f = table.fits
+    for i, p in enumerate(table.weight.tolist()):
+        shift = -math.log(p)
+        row = slice(i, i + 1)
+        weights = param_weights(f.family, f.axis[row], f.mean_exp[row], f.cov_exp[row],
+                                f.resid_var[row], f.coeffs[row])
         alone = np.empty(n)
-        for cols, scores in score_blocks(*param_weights([cl.params]), design, [shift]):
+        for cols, scores in score_blocks(*weights, design, [shift]):
             alone[cols] = scores[0]
         assert np.array_equal(block[i], alone)
-        assert np.array_equal(block[i], shift - fadapted_log_density(cl.params, x))
+        assert np.array_equal(block[i], shift - fadapted_log_density(row_params(table, i), x))
 
 
-def test_clusters_of_different_families_are_rejected():
-    rng = np.random.default_rng(4)
-    x = _data(rng, 900, 3)
-    labels = rng.integers(0, 2, x.shape[0])
-    clusters = [
-        _clusters_on(x[labels == lab], np.zeros(np.count_nonzero(labels == lab)),
-                     builtin_family(kind, 2))[0]
-        for lab, kind in enumerate(["quadratic", "cubic"])
-    ]
-    with pytest.raises(ValueError, match="one family"):
-        param_weights([cl.params for cl in clusters])
-    with pytest.raises(ValueError, match="one family"):
-        engine.cluster_table(clusters)
-
-
-def _long_double_scores(x, cl):
-    """-ln p - log f at every row of x in long double from the parameters, and
-    the sum of absolute terms that computation adds up, per row."""
-    p = cl.params
+def _long_double_scores(x, p, weight):
+    """-ln p - log f at every row of x in long double from the parameters p
+    and the weight, and the sum of absolute terms that computation adds up,
+    per row."""
     d, j = p.dim, p.dependent_axis
     xe = np.delete(x, j, axis=1).astype(LD)
     xj = x[:, j].astype(LD)
@@ -130,7 +112,7 @@ def _long_double_scores(x, cl):
     var = LD(p.resid_var)
     resid = xj - phi @ beta
     log_diag = np.log(np.diag(low))
-    ln_p = np.log(LD(cl.weight))
+    ln_p = np.log(LD(weight))
     ln_2pi = np.log(2 * LD(np.pi))
     ref = (-ln_p + 0.5 * (d * ln_2pi + 2 * log_diag.sum() + np.log(var))
            + 0.5 * (z * z).sum(axis=0) + 0.5 * resid * resid / var)
@@ -152,19 +134,14 @@ def test_scores_match_long_double_reference(kind, d, log_scale, seed):
     rng = np.random.default_rng(seed)
     scale = 10.0**log_scale
     x = _data(rng, 300, d, scale)
-    try:
-        clusters = _clusters_on(x, rng.integers(0, 3, x.shape[0]), builtin_family(kind, d - 1))
-    except DegenerateCluster:
-        assume(False)
+    table = _clusters_on(x, rng.integers(0, 3, x.shape[0]), builtin_family(kind, d - 1))
+    assume(table.fits.ok.all())
     # an intercept off the least-squares one, so the residuals have a mean
-    params = clusters[0].params
-    coeffs = params.curve.coeffs.copy()
-    coeffs[0] += 0.1 * scale
-    curve = replace(params.curve, coeffs=coeffs)
-    clusters[0] = replace(clusters[0], params=replace(params, curve=curve))
-    got = _score_rows(DesignCache(x), clusters)
-    for row, cl in zip(got, clusters):
-        ref, terms = _long_double_scores(x, cl)
+    table.fits.coeffs[0, 0] += 0.1 * scale
+    table = reweighted(table)
+    got = _score_rows(DesignCache(x), table)
+    for i, (row, weight) in enumerate(zip(got, table.weight)):
+        ref, terms = _long_double_scores(x, row_params(table, i), weight)
         assert np.all(np.abs(row.astype(LD) - ref) <= SCORE_TOL_EPS * EPS * terms)
 
 
@@ -172,15 +149,15 @@ def test_log_likelihood_matches_numpy_reference_far_from_every_cluster():
     rng = np.random.default_rng(21)
     near = rng.standard_normal((200, 2))
     tight = rng.normal([30.0, 0.0], 0.1, (100, 2))
-    model = SimpleNamespace(
-        clusters=_clusters_on(np.vstack([near, tight]), np.repeat([0, 1], [200, 100]),
-                              builtin_family("quadratic", 1))
-    )
+    table = _clusters_on(np.vstack([near, tight]), np.repeat([0, 1], [200, 100]),
+                         builtin_family("quadratic", 1))
+    assert table.fits.ok.all()
+    model = SimpleNamespace(clusters=table)
     # the outlier's best term is below -745 (exp underflows to 0) and beats
     # the other cluster's by far more than 745 nats
     x = np.vstack([near, tight, [[-40.0, 0.0]]])
-    wl = np.stack([math.log(cl.weight) + fadapted_log_density(cl.params, x)
-                   for cl in model.clusters])
+    wl = np.stack([math.log(p) + fadapted_log_density(row_params(table, i), x)
+                   for i, p in enumerate(table.weight.tolist())])
     best, other = np.sort(wl[:, -1])[::-1]
     assert best < -745.0 and best - other > 745.0
     top = wl.max(axis=0)
@@ -251,11 +228,10 @@ def test_first_traced_cost_equals_recomputed_cost():
         (table,), (assignment,), _ = engine._reestimate(
             DesignCache(x), labels, [cfg.k_init], family
         )
-        clusters = engine.cluster_models(table)
         first = engine.fit(x, cfg).cost_trace[0]
         # the refit's H reads the SSE from the Gram, engine.cost from explicit
         # residuals of the same curves
-        assert first == pytest.approx(engine.cost(x, clusters, assignment), rel=1e-13, abs=0)
+        assert first == pytest.approx(engine.cost(x, table, assignment), rel=1e-13, abs=0)
 
 
 def test_argmin_rows_sends_nan_columns_to_row_zero():

@@ -56,10 +56,10 @@ def test_loglik_rejects_unknown_mode():
 
 def test_max_loglik_equals_minus_n_cost_at_fixed_point():
     # iterate assignment/refit to a mutually consistent state first
-    from afcec.engine import _reestimate, cluster_models, cluster_table, cost as engine_cost
+    from afcec.engine import _reestimate, cost as engine_cost
 
     ds, m = _fitted(QUAD1, k=3, seed=8)
-    table, assignment = cluster_table(m.clusters), m.assignment
+    table, assignment = m.clusters, m.assignment
     cache = DesignCache(ds.rows)
     for _ in range(50):
         (nxt,) = assign_step(cache, [table], assignment[None])
@@ -69,9 +69,8 @@ def test_max_loglik_equals_minus_n_cost_at_fixed_point():
         (table,), (assignment,), _ = _reestimate(
             cache, assignment[None], [len(table.weight)], QUAD1
         )
-    clusters = cluster_models(table)
-    h = engine_cost(ds.rows, clusters, assignment)
-    m.clusters, m.assignment = clusters, assignment
+    h = engine_cost(ds.rows, table, assignment)
+    m.clusters, m.assignment = table, assignment
     assert log_likelihood(ds, m, "max") == pytest.approx(-ds.n * h, abs=1e-8)
 
 
