@@ -102,7 +102,7 @@ def _engine_setup(args, k):
         seed=args.seed,
         init=args.init,
     )
-    cfg.validate_for((ds.n, ds.d))
+    cfg.validate((ds.n, ds.d))
     return ds, cfg
 
 

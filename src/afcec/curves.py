@@ -350,9 +350,7 @@ def _solve_segments(xs, bounds, family):
 class ClusterFits(NamedTuple):
     """Clusters stacked as arrays, one row each: the chosen dependent axis of
     each, its curved Gaussian there and that Gaussian's score weights
-    (density.score_weights). refit_segments returns one row per segment,
-    rows where ok is False holding zeros; the engine's tables hold fitted
-    rows only."""
+    (density.score_weights)."""
 
     family: FunctionFamily
     axis: np.ndarray  # (k,) int
@@ -362,23 +360,12 @@ class ClusterFits(NamedTuple):
     coeffs: np.ndarray  # (k, p): the curve's raw monomial coefficients
     sse: np.ndarray  # (k,)
     h: np.ndarray  # (k,): the cross-entropy
-    ok: np.ndarray  # (k,) bool: some axis admits a fit
     w: np.ndarray  # (k, d, q): score weights over the family's union design
     consts: np.ndarray  # (k,): score constants
 
     def take(self, rows):
         """The rows `rows` (a slice or index array) of every field."""
         return ClusterFits(self.family, *[f[rows] for f in self[1:]])
-
-
-def _no_fits(family, k, d):
-    """k all-zero rows, none ok."""
-    m, q = d - 1, family._refit_layout.union.size
-    return ClusterFits(
-        family, np.zeros(k, dtype=np.intp), np.zeros((k, m)), np.zeros((k, m, m)), np.zeros(k),
-        np.zeros((k, family.size)), np.zeros(k), np.zeros(k), np.zeros(k, dtype=bool),
-        np.zeros((k, d, q)), np.zeros(k),
-    )
 
 
 def refit_segments(xs, bounds, family):
@@ -392,18 +379,17 @@ def refit_segments(xs, bounds, family):
     x_j, as in density.pin_constants), with one ZeroResidualWarning per
     floored (segment, axis).
 
-    Returns ClusterFits with one row per segment: its lowest cross-entropy
-    axis, ties to the smallest, and the score weights built from the Cholesky
-    factor of that axis's explanatory covariance. A row is not ok where no
-    axis admits a fit: fewer than max(family.size, d + 1) points, or on every
-    axis an explanatory covariance that density._cholesky_reg cannot
-    regularize.
+    Returns (fits, fitted): fitted holds, ascending, the segments on which
+    some axis admits a fit, and fits one row for each of them, its lowest
+    cross-entropy axis, ties to the smallest, with the score weights built
+    from the Cholesky factor of that axis's explanatory covariance. No axis
+    admits a fit on a segment of fewer than max(family.size, d + 1) points,
+    nor on one whose every explanatory covariance density._cholesky_reg
+    cannot regularize.
     """
     n, d = xs.shape
     sizes = bounds[1:] - bounds[:-1]
     live = np.flatnonzero(sizes >= max(family.size, d + 1))
-    if not live.size:
-        return _no_fits(family, len(sizes), d)
     nonempty = np.flatnonzero(sizes)
     solved = _solve_segments(xs, np.concatenate([bounds[nonempty], [n]]), family)
     pick = np.searchsorted(nonempty, live)
@@ -434,15 +420,9 @@ def refit_segments(xs, bounds, family):
     mean, rv, coeffs = mean_exp[i, j], resid_var[i, j], solved.coeffs[pick[i], j]
     w, consts = density.score_weights(lay, j, low[i, j], mean, rv, coeffs)
     fits = ClusterFits(
-        family, j, mean, cov_exp[i, j], rv, coeffs, solved.sse[pick[i], j], h[i, j],
-        np.ones(len(i), dtype=bool), w, consts,
+        family, j, mean, cov_exp[i, j], rv, coeffs, solved.sse[pick[i], j], h[i, j], w, consts
     )
-    if len(i) == len(sizes):
-        return fits
-    out = _no_fits(family, len(sizes), d)
-    for full, part in zip(out[1:], fits[1:]):
-        full[live[i]] = part
-    return out
+    return fits, live[i]
 
 
 def select_orientation(x, family):
@@ -454,8 +434,8 @@ def select_orientation(x, family):
     segment, its row 0 built into objects.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    f = refit_segments(x, np.array([0, x.shape[0]]), family)
-    if not f.ok[0]:
+    f, fitted = refit_segments(x, np.array([0, x.shape[0]]), family)
+    if not fitted.size:
         raise DegenerateCluster("no orientation admits a non-degenerate fit")
     j = int(f.axis[0])
     curve = CurveFit(family, f.coeffs[0], float(f.sse[0]))

@@ -300,12 +300,27 @@ def model_from_json(obj):
 def _model_fields(obj):
     """The model of obj, each field checked once: one family for every
     cluster, mean_dep 0, finite numbers shaped for the family, integer
-    dependent axes in 0..d-1, resid_var > 0, weight in (0, 1], sse >= 0,
-    positive integer sizes equal to the counts of the assignment's labels
-    (each in 0..k-1), and a cov_exp with a Cholesky factor."""
+    dependent axes in 0..d-1, resid_var > 0, sse >= 0, positive integer
+    sizes equal to the counts of the assignment's labels (each in 0..k-1),
+    each weight size / n to the bit, and a cov_exp with a Cholesky factor;
+    non-negative integer iterations and deleted_count, iterations + 1 finite
+    costs, and deletion iterations strictly ascending in 0..iterations."""
     rows = obj["clusters"]
-    if not rows or not obj["cost_trace"]:
-        raise IoError("a model needs at least one cluster and one cost")
+    if not rows:
+        raise IoError("a model needs at least one cluster")
+    iterations, deleted = obj["iterations"], obj["deleted_count"]
+    for name, v in (("iterations", iterations), ("deleted_count", deleted)):
+        if type(v) is not int or v < 0:
+            raise IoError(f"{name} must be a non-negative integer, got {v!r}")
+    costs = obj["cost_trace"]
+    if len(costs) != iterations + 1:
+        raise IoError(f"cost_trace must hold iterations + 1 = {iterations + 1} costs")
+    if not all(type(c) in (int, float) and math.isfinite(c) for c in costs):
+        raise IoError("every cost must be a finite number")
+    # -1 < first < ... < last < iterations + 1
+    steps = [-1, *obj.get("deletion_iterations", []), iterations + 1]
+    if not all(type(i) is int for i in steps) or any(a >= b for a, b in zip(steps, steps[1:])):
+        raise IoError("deletion_iterations must be strictly ascending integers in 0..iterations")
     fam = _family_from_json(rows[0]["curve"]["family"])
     for c in rows:
         # the curve's intercept carries the dependent mean; the field stays in
@@ -334,9 +349,9 @@ def _model_fields(obj):
     coeffs = field("coeffs", (fam.size,), get=lambda c: c["curve"]["coeffs"])
     sse = field("sse", get=lambda c: c["curve"]["sse"])
     resid_var, weight, h = field("resid_var"), field("weight"), field("cross_entropy")
-    # scoring takes the log of the weight and of resid_var
-    if not ((resid_var > 0).all() and (weight > 0).all() and (weight <= 1).all()):
-        raise IoError("resid_var must be > 0 and weight in (0, 1]")
+    # scoring takes the log of resid_var
+    if not (resid_var > 0).all():
+        raise IoError("resid_var must be > 0")
     if not (sse >= 0).all():
         raise IoError("sse must be >= 0")
     size = field("size", integer=True)
@@ -347,21 +362,21 @@ def _model_fields(obj):
         raise IoError(f"assignment labels must be in 0..{k - 1}")
     if not (size > 0).all() or not np.array_equal(np.bincount(assignment, minlength=k), size):
         raise IoError("every size must be positive and count its label in the assignment")
+    # as the refit computes it; so each is in (0, 1], and scoring takes its log
+    if not np.array_equal(weight, size / assignment.size):
+        raise IoError("every weight must be its size / the number of points")
     try:
         w, consts = param_weights(fam, axis, mean_exp, cov_exp, resid_var, coeffs)
     except NotPositiveDefinite as e:
         raise IoError(f"a cov_exp is not positive definite: {e}") from e
-    fits = ClusterFits(
-        fam, axis, mean_exp, cov_exp, resid_var, coeffs, sse, h, np.ones(k, dtype=bool), w,
-        consts,
-    )
+    fits = ClusterFits(fam, axis, mean_exp, cov_exp, resid_var, coeffs, sse, h, w, consts)
     return AfcecModel(
         clusters=ClusterTable(fits, weight, size),
         assignment=assignment,
-        cost_trace=[float(v) for v in obj["cost_trace"]],
-        iterations=int(obj["iterations"]),
-        deleted_count=int(obj["deleted_count"]),
-        deletion_iterations=[int(i) for i in obj.get("deletion_iterations", [])],
+        cost_trace=[float(v) for v in costs],
+        iterations=iterations,
+        deleted_count=deleted,
+        deletion_iterations=steps[1:-1],
     )
 
 

@@ -207,19 +207,6 @@ def fadapted_log_density(p, x):
     return float(out[0]) if x.ndim == 1 else out
 
 
-def segment_moments(xs, bounds):
-    """Means (k, d) and 1/n covariances (k, d, d) of the row segments
-    xs[bounds[i]:bounds[i + 1]], which must be non-empty and cover xs."""
-    sizes = np.diff(bounds)
-    means = np.add.reduceat(xs, bounds[:-1], axis=0) / sizes[:, None]
-    diff = xs - np.repeat(means, sizes, axis=0)
-    covs = np.empty((len(sizes), xs.shape[1], xs.shape[1]))
-    for cov, lo, hi in zip(covs, bounds[:-1].tolist(), bounds[1:].tolist()):
-        np.matmul(diff[lo:hi].T, diff[lo:hi], out=cov)
-    covs /= sizes[:, None, None]
-    return means, covs
-
-
 def pin_constants(covs, flat):
     """Covariances (..., d, d) with the rows and columns of constant
     coordinates (flat (..., d): every value of the coordinate equal) set to 0,
@@ -255,7 +242,8 @@ def fadapted_cross_entropy(x, j, curve):
 
     Returns (H, params): H = d/2*ln(2*pi*e) + 0.5*ln det(cov_exp)
     + 0.5*ln(resid_var) with resid_var = mean squared residual of the curve
-    (its intercept absorbs the dependent mean). Residual variance below
+    (its intercept absorbs the dependent mean); params holds the explanatory
+    mean and 1/n covariance, as _cholesky_reg uses it. Residual variance below
     RESID_VAR_FLOOR * var(x_j) (var 1 where x_j is constant, see
     pin_constants) is floored there and flagged ZeroResidualWarning, as in
     the batched refit (curves.refit_segments). Unlike the refit, which reads
@@ -266,8 +254,11 @@ def fadapted_cross_entropy(x, j, curve):
     n, d = x.shape
     if n < d + 1:
         raise DegenerateCluster(f"need at least {d + 1} points, got {n}")
-    means, covs = segment_moments(x, np.array([0, n]))
-    cov, var = pin_constants(covs[0], x.max(axis=0) == x.min(axis=0))
+    # reduceat sums each column pairwise, which x.sum(axis=0) does not do on
+    # C-ordered rows
+    mean = np.add.reduceat(x, [0], axis=0)[0] / n
+    diff = x - mean
+    cov, var = pin_constants((diff.T @ diff) / n, x.max(axis=0) == x.min(axis=0))
     others = [i for i in range(d) if i != j]
     low, cov_used = _cholesky_reg(cov[np.ix_(others, others)])
     resid = x[:, j] - curve.evaluate(x[:, others])
@@ -277,4 +268,4 @@ def fadapted_cross_entropy(x, j, curve):
         warnings.warn("residual variance floored", ZeroResidualWarning, stacklevel=2)
         resid_var = RESID_VAR_FLOOR * var
     h = float(_fadapted_entropy(d, _logdet(low), resid_var))
-    return h, FAdaptedParams(j, means[0][others], cov_used, resid_var, curve)
+    return h, FAdaptedParams(j, mean[others], cov_used, resid_var, curve)

@@ -68,7 +68,9 @@ class EngineConfig:
     seed: int = 0
     init: str = "random_partition"
 
-    def validate(self):
+    def validate(self, shape):
+        """InvalidConfig unless the fields hold valid values and the (n, d)
+        data shape has at least 2 coordinates and k_init*(d+1) points."""
         if self.k_init < 1:
             raise InvalidConfig("k_init must be >= 1")
         if not (self.epsilon > 0):
@@ -79,10 +81,6 @@ class EngineConfig:
             raise InvalidConfig("max_iters must be >= 1")
         if self.init not in INITS:
             raise InvalidConfig(f"init must be one of {INITS}")
-
-    def validate_for(self, shape):
-        """validate(), plus the checks against an (n, d) data shape."""
-        self.validate()
         n, d = shape
         if d < 2:
             raise InvalidConfig("need at least 2 coordinates")
@@ -246,8 +244,9 @@ def _label_counts(labels, ks):
 
 def _refit(cache, labels, ks, family):
     """One batched refit of the rows of the (R, n) labels, row r holding
-    labels 0..ks[r]-1: a ClusterTable with one row per (row, label) in order,
-    not ok (fits.ok) where the cluster is empty or degenerate.
+    labels 0..ks[r]-1. Returns (table, fitted): fitted holds, ascending, the
+    positions in (row, label) order of the clusters the refit fits (neither
+    empty nor degenerate), and table one row for each of them.
 
     Each row's points are stably sorted by label, so every cluster is one
     contiguous segment holding its points in their original order. The rows'
@@ -262,22 +261,53 @@ def _refit(cache, labels, ks, family):
     sizes = _label_counts(labels, ks)
     bounds = np.zeros(len(sizes) + 1, dtype=np.intp)
     np.cumsum(sizes, out=bounds[1:])
-    fits = refit_segments(np.take(cache.rows, order, axis=0), bounds, family)
-    return ClusterTable(fits, sizes / cache.rows.shape[0], sizes)
+    fits, fitted = refit_segments(np.take(cache.rows, order, axis=0), bounds, family)
+    sizes = sizes[fitted]
+    return ClusterTable(fits, sizes / cache.rows.shape[0], sizes), fitted
 
 
-def _reassign(cache, assignment, k, keep, survivors):
-    """Relabel keep[i] -> i (keep ascending, labels below k) and send every
-    point whose label is not kept to the survivor (a row of the ClusterTable
-    survivors) minimizing the assignment cost, scored from the cache's
-    design."""
-    lookup = np.full(k, -1)
-    lookup[keep] = np.arange(len(keep))
-    out = lookup[assignment]
-    moved = np.flatnonzero(out < 0)
-    if moved.size:
-        (out[moved],) = _nearest(cache.take(moved), [survivors])
-    return out
+def _split_runs(positions, ks):
+    """Split ascending positions into the clusters of runs laid end to end,
+    run i holding ks[i] clusters, by run: part i holds those in run i, as
+    indices within the run."""
+    ends = np.cumsum(ks).tolist()
+    cuts = np.searchsorted(positions, ends).tolist()
+    return [
+        positions[lo:hi] - (end - k) for lo, hi, end, k in zip([0] + cuts, cuts, ends, ks)
+    ]
+
+
+def _drop(cache, labels, runs, ks, keeps, survivors):
+    """Drop from the (R, n) labels the clusters each run does not keep.
+
+    Run i is row runs[i], holding labels 0..ks[i]-1, and keeps the clusters
+    keeps[i] (ascending). Every run that keeps some but not all of its
+    clusters is relabelled keeps[i][t] -> t, and each point of a cluster it
+    drops goes to the kept cluster minimizing the assignment cost over
+    survivors(runs[i], keeps[i]), the ClusterTable of its kept clusters,
+    scored from the cache's design, ties to the lowest index. Runs that keep
+    all or none of their clusters are left as they are.
+
+    Returns (labels, moved, dropped): labels is a copy when some run was
+    relabelled and the input array otherwise, moved lists the relabelled
+    rows and dropped counts the clusters they dropped.
+    """
+    moved, dropped = [], 0
+    for r, k, keep in zip(runs, ks, keeps):
+        if not 0 < keep.size < k:
+            continue
+        if not moved:
+            labels = labels.copy()
+        lookup = np.full(k, -1)
+        lookup[keep] = np.arange(keep.size)
+        row = lookup[labels[r]]
+        orphans = np.flatnonzero(row < 0)
+        if orphans.size:
+            (row[orphans],) = _nearest(cache.take(orphans), [survivors(r, keep)])
+        labels[r] = row
+        moved.append(r)
+        dropped += k - keep.size
+    return labels, moved, dropped
 
 
 def _reestimate(cache, labels, ks, family):
@@ -289,39 +319,30 @@ def _reestimate(cache, labels, ks, family):
     holds restart r's refit clusters as a ClusterTable, None where ks[r] is
     None or every cluster failed; labels holds the labels after reassignment
     (the input array when nothing was dropped); dropped counts the clusters
-    dropped over all restarts. Points of failed clusters go to the surviving
-    cluster minimizing the assignment cost. Survivors that receive points are
-    refit again; repeats until stable (k only shrinks). Labels are compacted
-    to 0..k'-1 in original order. Every pass refits all restarts that need it
-    at once, so each restart gets the clusters a lone refit gives it.
+    dropped over the restarts with a survivor. Points of failed clusters go
+    to the surviving cluster minimizing the assignment cost (_drop).
+    Survivors that receive points are refit again; repeats until stable (k
+    only shrinks). Labels are compacted to 0..k'-1 in original order. Every
+    pass refits all restarts that need it at once, so each restart gets the
+    clusters a lone refit gives it.
     """
-    ks = list(ks)
     batch = [None] * len(ks)
     todo = [r for r, k in enumerate(ks) if k is not None]
-    dropped, copied = 0, False
+    counts = [ks[r] for r in todo]
+    dropped = 0
     while todo:
         rows = labels if len(todo) == len(ks) else labels[todo]
-        counts = [ks[r] for r in todo]
-        table = _refit(cache, rows, counts, family)
-        ends = np.cumsum(counts).tolist()
-        fitted = np.add.reduceat(table.fits.ok, np.subtract(ends, counts)).tolist()
-        again = []
-        for r, k, end, nok in zip(todo, counts, ends, fitted):
-            if nok == k:
-                batch[r] = table.take(slice(end - k, end))
-                continue
-            if not nok:
-                continue
-            keep = np.flatnonzero(table.fits.ok[end - k : end])
-            batch[r] = table.take(keep + (end - k))
-            if not copied:
-                labels, copied = labels.copy(), True
-            dropped += k - nok
-            # refit survivors on their (possibly grown) point sets next pass
-            labels[r] = _reassign(cache, labels[r], k, keep, batch[r])
-            ks[r] = nok
-            again.append(r)
-        todo = again
+        table, fitted = _refit(cache, rows, counts, family)
+        keeps = _split_runs(fitted, counts)
+        lo = 0
+        for r, keep in zip(todo, keeps):
+            if keep.size:
+                batch[r] = table.take(slice(lo, lo + keep.size))
+                lo += keep.size
+        # the survivors are refit on their (possibly grown) point sets next pass
+        labels, todo, more = _drop(cache, labels, todo, counts, keeps, lambda r, _: batch[r])
+        dropped += more
+        counts = [len(batch[r].weight) for r in todo]
     return batch, labels, dropped
 
 
@@ -330,7 +351,7 @@ def delete_small(cache, batch, labels, threshold_fraction):
     the clusters holding fewer than threshold_fraction*n of the cache's n
     points (empty ones always go), and reassign their points by the
     assignment cost argmin over the restart's survivors (using the survivors'
-    current weights).
+    current weights, _drop).
 
     labels is (R, n). Returns (ks, labels, deleted): ks[r] is restart r's
     surviving count, None where batch[r] is None or none of its clusters
@@ -342,22 +363,13 @@ def delete_small(cache, batch, labels, threshold_fraction):
     live = [r for r, table in enumerate(batch) if table is not None]
     counts = [len(batch[r].weight) for r in live]
     sizes = _label_counts(labels if len(live) == len(batch) else labels[live], counts)
-    big = (sizes > 0) & (sizes >= threshold_fraction * n)
-    ends = np.cumsum(counts).tolist()
-    kept = np.add.reduceat(big, np.subtract(ends, counts)).tolist()
+    keeps = _split_runs(np.flatnonzero((sizes > 0) & (sizes >= threshold_fraction * n)), counts)
     ks = [None] * len(batch)
-    deleted, copied = 0, False
-    for r, k, end, nkeep in zip(live, counts, ends, kept):
-        if not nkeep:
-            continue  # ks[r] stays None: the restart fails
-        ks[r] = nkeep
-        if nkeep == k:
-            continue
-        keep = np.flatnonzero(big[end - k : end])
-        if not copied:
-            labels, copied = labels.copy(), True
-        labels[r] = _reassign(cache, labels[r], k, keep, batch[r].take(keep))
-        deleted += k - nkeep
+    for r, keep in zip(live, keeps):
+        ks[r] = keep.size or None  # None: the restart fails
+    labels, _, deleted = _drop(
+        cache, labels, live, counts, keeps, lambda r, keep: batch[r].take(keep)
+    )
     return ks, labels, deleted
 
 
@@ -509,7 +521,7 @@ def _best_per_k(cache, cfg, ks, restarts):
     ks = list(ks)
     # k >= 1 binds at the smallest k, and the data shape's bound at the largest
     for k in (min(ks), max(ks)):
-        replace(cfg, k_init=k).validate_for(cache.rows.shape)
+        replace(cfg, k_init=k).validate(cache.rows.shape)
     per_batch = max(1, LOCKSTEP_POINTS // (restarts * cache.rows.shape[0]))
     for lo in range(0, len(ks), per_batch):
         group = ks[lo : lo + per_batch]

@@ -35,8 +35,6 @@ def table_of(params, entropies, sizes, n):
         for v in zip(*[(q.dependent_axis, q.mean_exp, q.cov_exp, q.resid_var, q.curve.coeffs,
                         q.curve.sse) for q in params])
     ]
-    k = len(params)
-    fits = ClusterFits(params[0].curve.family, *stack, np.array(entropies),
-                       np.ones(k, dtype=bool), None, None)
+    fits = ClusterFits(params[0].curve.family, *stack, np.array(entropies), None, None)
     sizes = np.array(sizes)
     return reweighted(ClusterTable(fits, sizes / n, sizes))

@@ -524,6 +524,12 @@ def _adding_cluster(kind, input_dim):
         _setting("dependent_axis", value=1.5),
         lambda blob: {**blob, "assignment": [0, 0, 0, 7]},
         _setting("cov_exp", value=[[-1.0, 0.0], [0.0, 2.0]]),
+        lambda blob: {**blob, "iterations": 2.7},
+        lambda blob: {**blob, "deleted_count": -3},
+        lambda blob: {**blob, "cost_trace": ["1.5", 2]},
+        lambda blob: {**blob, "iterations": 7},
+        lambda blob: {**blob, "deletion_iterations": [-4]},
+        _setting("weight", value=0.3),
     ],
     ids=[
         "schema-only", "no-clusters-no-costs", "no-costs", "cluster-without-curve",
@@ -533,7 +539,9 @@ def _adding_cluster(kind, input_dim):
         "zero-resid-var", "negative-resid-var", "nan-weight", "zero-weight", "negative-weight",
         "weight-above-1", "string-cross-entropy", "string-sse", "negative-sse", "negative-size",
         "fractional-size", "size-not-label-count", "fractional-axis", "label-above-k-1",
-        "indefinite-cov-exp",
+        "indefinite-cov-exp", "fractional-iterations", "negative-deleted-count",
+        "string-cost", "iterations-not-costs-1", "deletion-iteration-below-0",
+        "weight-not-size-over-n",
     ],
 )
 def test_incomplete_model_file_is_an_io_error(tmp_path, edit):

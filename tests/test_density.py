@@ -12,7 +12,6 @@ from afcec.density import (
     FAdaptedParams,
     fadapted_cross_entropy,
     fadapted_log_density,
-    segment_moments,
 )
 from afcec.errors import DegenerateCluster, NotPositiveDefinite, ZeroResidualWarning
 from afcec.numerics import simpson_blocks_2d
@@ -44,12 +43,18 @@ def test_gaussian_log_density_hand_inverted_2x2():
     assert fadapted_log_density(p, x) == pytest.approx(expect, abs=1e-12)
 
 
-def test_segment_moments_uses_1_over_n():
-    x = np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0], [2.0, 2.0], [5.0, 5.0], [7.0, 5.0]])
-    means, covs = segment_moments(x, np.array([0, 4, 6]))
-    assert np.allclose(means, [[1.0, 1.0], [6.0, 5.0]])
-    assert np.allclose(covs[0], np.eye(2))  # 1/n, not 1/(n-1)
-    assert np.allclose(covs[1], [[1.0, 0.0], [0.0, 0.0]])
+def test_cross_entropy_covariance_uses_1_over_n():
+    # x0 and x1 at the corners of a square: 1/n gives the identity, 1/(n-1) 4/3
+    x = np.array([[0.0, 0.0, 0.0], [2.0, 0.0, 1.0], [0.0, 2.0, 1.0], [2.0, 2.0, 0.0]])
+    _, params = fadapted_cross_entropy(x, 2, CurveFit(builtin_family("linear", 2), np.zeros(3)))
+    assert np.array_equal(params.mean_exp, [1.0, 1.0])
+    assert np.array_equal(params.cov_exp, np.eye(2))
+    assert params.resid_var == 0.5
+    pts = np.random.default_rng(8).standard_normal((50, 3)) + [1.0, -2.0, 3.0]
+    curve = fit_curve(pts, 0, builtin_family("quadratic", 2))
+    _, params = fadapted_cross_entropy(pts, 0, curve)
+    np.testing.assert_allclose(params.mean_exp, pts[:, 1:].mean(axis=0), rtol=1e-14)
+    np.testing.assert_allclose(params.cov_exp, np.cov(pts[:, 1:].T, bias=True), rtol=1e-13)
 
 
 def test_gaussian_cross_entropy_translation_invariant():

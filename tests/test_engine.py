@@ -112,15 +112,15 @@ def test_weights_match_sizes():
 
 def test_config_validation():
     with pytest.raises(InvalidConfig):
-        EngineConfig(k_init=0, family=QUAD1).validate()
+        EngineConfig(k_init=0, family=QUAD1).validate((100, 2))
     with pytest.raises(InvalidConfig):
-        EngineConfig(k_init=2, family=QUAD1, epsilon=-1.0).validate()
+        EngineConfig(k_init=2, family=QUAD1, epsilon=-1.0).validate((100, 2))
     with pytest.raises(InvalidConfig):
-        EngineConfig(k_init=2, family=QUAD1, deletion_fraction=1.5).validate()
+        EngineConfig(k_init=2, family=QUAD1, deletion_fraction=1.5).validate((100, 2))
     with pytest.raises(InvalidConfig):
-        EngineConfig(k_init=2, family=QUAD1, max_iters=0).validate()
+        EngineConfig(k_init=2, family=QUAD1, max_iters=0).validate((100, 2))
     with pytest.raises(InvalidConfig):
-        EngineConfig(k_init=2, family=QUAD1, init="grid").validate()
+        EngineConfig(k_init=2, family=QUAD1, init="grid").validate((100, 2))
 
 
 def test_fit_rejects_small_or_thin_data():
@@ -327,8 +327,8 @@ def test_cached_assignment_matches_uncached_scores(kind, d, log_scale, seed):
     x = (x + rng.uniform(-2.0, 2.0, d)) * scale
     family = builtin_family(kind, d - 1)
     cache = DesignCache(x)
-    table = engine._refit(cache, rng.integers(0, 3, (1, x.shape[0])), [3], family)
-    assume(table.fits.ok.all())
+    table, fitted = engine._refit(cache, rng.integers(0, 3, (1, x.shape[0])), [3], family)
+    assume(fitted.size == 3)
     ref = _column_scores(x, table)
     (labels,) = assign_step(cache, [table], np.zeros((1, x.shape[0]), dtype=np.intp))
     assert np.array_equal(labels, np.argmin(ref, axis=1))
@@ -366,9 +366,72 @@ def test_orphan_reassignment_ties_go_to_lowest_index():
     # every point sits in label 3, which is dropped; survivors 0 and 2 are equal
     orphans = np.full(ds.n, 3)
     survivors = m.clusters.take([0, 1, 0])
-    out = engine._reassign(cache, orphans, 4, [0, 1, 2], survivors)
+    (out,), moved, dropped = engine._drop(
+        cache, orphans[None], [0], [4], [np.arange(3)], lambda r, keep: survivors
+    )
+    assert (moved, dropped) == ([0], 1)
     assert not np.any(out == 2)
     assert np.array_equal(out, expected)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(st.booleans(), min_size=1, max_size=6), min_size=1, max_size=6))
+# runs keeping nothing and everything, first, in the middle and last
+@example([[False, False], [True, False, True], [True, True]])
+@example([[True, True], [False, False, False], [False, True]])
+@example([[False, True], [True, True, True], [False]])
+def test_split_runs_equals_per_run_flatnonzero(runs):
+    keep = np.concatenate([np.array(run) for run in runs])
+    parts = engine._split_runs(np.flatnonzero(keep), [len(run) for run in runs])
+    assert len(parts) == len(runs)
+    for part, run in zip(parts, runs):
+        assert np.array_equal(part, np.flatnonzero(run))
+
+
+def _same_bits(a, b):
+    """a and b are both None, or ClusterTables whose arrays hold the same bits."""
+    if a is None or b is None:
+        return a is b
+    pairs = zip([*a.fits[1:], a.weight, a.size], [*b.fits[1:], b.weight, b.size])
+    return all(u.shape == v.shape and u.tobytes() == v.tobytes() for u, v in pairs)
+
+
+def test_drop_step_gives_each_run_of_a_batch_what_it_gets_alone():
+    rng = np.random.default_rng(23)
+    n = 300
+    x = rng.standard_normal((n, 2))
+    x[:, 1] += x[:, 0] ** 2
+    cache = DesignCache(x)
+    thirds = np.arange(n) % 3
+    (table,), _, _ = engine._reestimate(cache, thirds[None], [3], QUAD1)
+    idle = np.zeros(n, dtype=np.intp)
+
+    # below 0.2 * n = 60 points: none of run 0's clusters of 100, the cluster
+    # of 10 of run 1, every cluster of 50 of run 2; row 3 is not running
+    batch = [table, table, table.take([0, 1, 2, 0, 1, 2]), None]
+    labels = np.stack([thirds, rng.permutation(np.repeat([0, 1, 2], [150, 140, 10])),
+                       np.arange(n) % 6, idle])
+    ks, out, deleted = delete_small(cache, batch, labels, 0.2)
+    alone = [delete_small(cache, [t], row[None], 0.2) for t, row in zip(batch, labels[:3])]
+    assert ks == [k for (k,), _, _ in alone] + [None] == [3, 2, None, None]
+    for row, (_, (want,), _) in zip(out, alone):
+        assert np.array_equal(row, want)
+    assert np.array_equal(out[3], idle)
+    assert deleted == sum(d for *_, d in alone) == 1
+
+    # no fit on fewer points than QUAD1's 3 terms: run 1 drops its cluster of
+    # 2, run 2 all of its clusters of 2
+    ks = [3, 3, n // 2, None]
+    labels = np.stack([thirds, rng.permutation(np.repeat([0, 1, 2], [149, 149, 2])),
+                       np.arange(n) // 2, idle])
+    tables, out, dropped = engine._reestimate(cache, labels, ks, QUAD1)
+    alone = [engine._reestimate(cache, row[None], [k], QUAD1) for row, k in zip(labels, ks[:3])]
+    assert [None if t is None else len(t.weight) for t in tables] == [3, 2, None, None]
+    for t, row, ((want_t,), (want,), _) in zip(tables, out, alone):
+        assert _same_bits(t, want_t)
+        assert np.array_equal(row, want)
+    assert tables[3] is None and np.array_equal(out[3], idle)
+    assert dropped == sum(d for *_, d in alone) == 1
 
 
 def test_design_cache_take_equals_fresh_designs():

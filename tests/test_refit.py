@@ -94,7 +94,9 @@ def _per_cluster_reestimate(x, assignment, k, family):
         dropped += k - len(keep)
         entropies, params, sizes = zip(*clusters)
         survivors = table_of(params, entropies, sizes, n)
-        assignment = engine._reassign(cache, assignment, k, keep, survivors)
+        (assignment,), _, _ = engine._drop(
+            cache, assignment[None], [0], [k], [np.array(keep)], lambda r, kept: survivors
+        )
         k = len(keep)
 
 
