@@ -55,7 +55,11 @@ class FunctionFamily:
     def __post_init__(self):
         if self.input_dim < 1:
             raise ValueError("input_dim must be >= 1")
-        e = np.array(self.exponents, dtype=int, ndmin=2)
+        e = np.array(self.exponents, ndmin=2)
+        # int() would read 2.7, "2" and True as exponents
+        if e.dtype.kind not in "iu" or bool in map(type, np.array(self.exponents, object).flat):
+            raise ValueError("exponents must be integers")
+        e = e.astype(int)
         if e.ndim != 2 or e.shape[1] != self.input_dim or e.shape[0] == 0:
             raise ValueError(f"exponents must be a (size, {self.input_dim}) matrix")
         if np.any(e < 0):
@@ -254,16 +258,7 @@ def _full_rank(a):
     Cholesky factor whose every squared pivot exceeds RANK_TOL times its
     diagonal entry, i.e. no column is within rounding of the span of the
     columns before it."""
-    try:
-        low = np.linalg.cholesky(a)
-    except np.linalg.LinAlgError:
-        # a stack with a failing system: factor each on its own
-        low = np.zeros(a.shape)
-        for i in np.ndindex(a.shape[:-2]):
-            try:
-                low[i] = np.linalg.cholesky(a[i])
-            except np.linalg.LinAlgError:
-                pass
+    low = density._cholesky_reg(a, ladder=False)[0]
     pivots = np.diagonal(low, axis1=-2, axis2=-1) ** 2
     return (pivots > RANK_TOL * np.diagonal(a, axis1=-2, axis2=-1)).all(axis=-1)
 
@@ -393,22 +388,10 @@ def refit_segments(xs, bounds, family):
     nonempty = np.flatnonzero(sizes)
     solved = _solve_segments(xs, np.concatenate([bounds[nonempty], [n]]), family)
     pick = np.searchsorted(nonempty, live)
-    ok = np.ones((len(live), d), dtype=bool)
     lay = family._refit_layout
     mean_exp = solved.means[pick][:, lay.others]  # (k, d, d-1)
     cov_exp = solved.covs[pick][:, lay.others[:, :, None], lay.others[:, None, :]]
-
-    try:
-        low = np.linalg.cholesky(cov_exp)
-    except np.linalg.LinAlgError:
-        # each covariance on its own: only the failing ones climb _cholesky_reg's ladder
-        low = np.broadcast_to(np.eye(d - 1), cov_exp.shape).copy()
-        for i in np.ndindex(ok.shape):
-            try:
-                low[i], cov_exp[i] = density._cholesky_reg(cov_exp[i])
-            except DegenerateCluster:
-                ok[i] = False
-
+    low, cov_exp, ok = density._cholesky_reg(cov_exp)
     for _ in range(np.count_nonzero(ok & solved.floored[pick])):
         warnings.warn("residual variance floored", ZeroResidualWarning, stacklevel=2)
     resid_var = solved.resid_var[pick]

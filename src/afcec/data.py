@@ -245,8 +245,10 @@ def _family_to_json(fam):
 
 
 def _family_from_json(obj):
-    exponents = [[int(e) for e in b["exponents"]] for b in obj["basis"]]
-    return FunctionFamily(int(obj["input_dim"]), exponents, obj.get("kind", "custom"))
+    dim, kind = obj["input_dim"], obj.get("kind", "custom")
+    if type(dim) is not int or not isinstance(kind, str):
+        raise IoError(f"a family needs an integer input_dim and a string kind: {dim!r}, {kind!r}")
+    return FunctionFamily(dim, [b["exponents"] for b in obj["basis"]], kind)
 
 
 def model_to_json(model):
@@ -293,7 +295,8 @@ def model_from_json(obj):
         raise SchemaVersionMismatch(f"schema {obj.get('schema')!r}, expected {MODEL_SCHEMA}")
     try:
         return _model_fields(obj)
-    except (KeyError, TypeError, ValueError) as e:
+    # OverflowError: an integer too large for a float, as math.isfinite reads it
+    except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise IoError(f"malformed model: {type(e).__name__}: {e}") from e
 
 

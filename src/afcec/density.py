@@ -69,27 +69,35 @@ class FAdaptedParams:
         return self.mean_exp.size + 1
 
 
-def _cholesky_reg(cov):
-    """Cholesky of cov, adding eps*I only if needed. Returns (L, cov_used).
-
-    eps starts at REG_BASE*(trace/d) and escalates by 10x up to REG_MAX*(trace/d);
-    raises DegenerateCluster when nothing works (e.g. zero trace).
+def _cholesky_reg(cov, ladder=True):
+    """Cholesky factors of one matrix or a stack (..., m, m): (low, used, ok),
+    ok marking the matrices with a factor, used each as factored and low 0
+    where ok is False. One LAPACK call factors the stack; only if it fails is
+    each matrix factored alone, exactly and then, with ladder, plus eps*I for
+    eps from REG_BASE*(trace/m) up by 10x to REG_MAX*(trace/m) (none at zero
+    trace). So a matrix gets the same bits alone and in any stack.
     """
     cov = np.asarray(cov, dtype=float)
     try:
-        return np.linalg.cholesky(cov), cov
+        return np.linalg.cholesky(cov), cov, np.ones(cov.shape[:-2], dtype=bool)
     except np.linalg.LinAlgError:
         pass
-    scale = np.trace(cov) / cov.shape[0]
-    if scale > 0:
-        eps = REG_BASE * scale
-        while eps <= REG_MAX * scale:
-            reg = cov + eps * np.eye(cov.shape[0])
-            try:
-                return np.linalg.cholesky(reg), reg
-            except np.linalg.LinAlgError:
-                eps *= 10.0
-    raise DegenerateCluster("covariance not positive definite after regularization")
+    low, used, ok = np.zeros(cov.shape), cov.copy(), np.zeros(cov.shape[:-2], dtype=bool)
+    m = cov.shape[-1]
+    for i in np.ndindex(ok.shape):
+        try:
+            low[i], ok[i] = np.linalg.cholesky(cov[i]), True
+        except np.linalg.LinAlgError:
+            scale = np.trace(cov[i]) / m
+            eps = REG_BASE * scale
+            while ladder and scale > 0 and eps <= REG_MAX * scale:
+                reg = cov[i] + eps * np.eye(m)
+                try:
+                    low[i], used[i], ok[i] = np.linalg.cholesky(reg), reg, True
+                    break
+                except np.linalg.LinAlgError:
+                    eps *= 10.0
+    return low, used, ok
 
 
 def score_weights(layout, axes, low, mean_exp, resid_var, coeffs):
@@ -107,7 +115,7 @@ def score_weights(layout, axes, low, mean_exp, resid_var, coeffs):
 
     The one weight builder: the refit calls it with the Cholesky factors it
     has just formed, param_weights with those of stacked covariances. Both
-    factor each covariance by the same LAPACK call, so a cluster's weights
+    factor each covariance through _cholesky_reg, so a cluster's weights
     have the same bits either way.
     """
     k, d = len(axes), mean_exp.shape[1] + 1
@@ -127,12 +135,12 @@ def param_weights(family, axes, mean_exp, cov_exp, resid_var, coeffs):
     """score_weights of k stacked clusters of family given by their
     parameters (fields as in curves.ClusterFits), each cov_exp factored here:
     the path for clusters that come without Cholesky factors (a loaded model,
-    fadapted_log_density). Raises NotPositiveDefinite when a cov_exp has no
-    Cholesky factor."""
-    try:
-        low = np.linalg.cholesky(cov_exp)
-    except np.linalg.LinAlgError as e:
-        raise NotPositiveDefinite(str(e)) from e
+    fadapted_log_density). Raises NotPositiveDefinite, naming the clusters
+    (rows) whose cov_exp has no Cholesky factor."""
+    low, _, ok = _cholesky_reg(cov_exp, ladder=False)
+    if not ok.all():
+        bad = np.flatnonzero(~ok).tolist()
+        raise NotPositiveDefinite(f"cov_exp has no Cholesky factor in cluster(s) {bad}")
     return score_weights(family._refit_layout, axes, low, mean_exp, resid_var, coeffs)
 
 
@@ -260,7 +268,9 @@ def fadapted_cross_entropy(x, j, curve):
     diff = x - mean
     cov, var = pin_constants((diff.T @ diff) / n, x.max(axis=0) == x.min(axis=0))
     others = [i for i in range(d) if i != j]
-    low, cov_used = _cholesky_reg(cov[np.ix_(others, others)])
+    low, cov_used, ok = _cholesky_reg(cov[np.ix_(others, others)])
+    if not ok:
+        raise DegenerateCluster("covariance not positive definite after regularization")
     resid = x[:, j] - curve.evaluate(x[:, others])
     resid_var = float(resid @ resid) / n
     var = float(var[j])

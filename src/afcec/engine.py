@@ -449,7 +449,6 @@ def _lloyd(cache, cfg, runs):
     ks = [k for k, _ in runs]
     results = [AfcecModel(None, None, [], 0, 0) for _ in runs]
     running = list(range(len(runs)))
-    before = list(ks)  # each run's cluster count entering the iteration
     labels = _init_partition(cache.rows, cfg.init, runs)
     # iteration 0 refits the initial partitions
     for it in range(cfg.max_iters + 1):
@@ -459,20 +458,19 @@ def _lloyd(cache, cfg, runs):
                 batch[r] = results[r].clusters
             labels = assign_step(cache, batch, labels)
             ks, labels, _ = delete_small(cache, batch, labels, cfg.deletion_fraction)
-            for r in running:
-                if ks[r] is None:
-                    results[r] = AllClustersDegenerate("no cluster meets the size threshold")
         batch, labels, _ = _reestimate(cache, labels, ks, cfg.family)
         still = []
         for r in running:
-            if ks[r] is None:
-                continue
             model, clusters = results[r], batch[r]
             if clusters is None:
-                results[r] = AllClustersDegenerate("every cluster failed estimation")
+                results[r] = AllClustersDegenerate(
+                    "no cluster meets the size threshold"
+                    if ks[r] is None
+                    else "every cluster failed estimation"
+                )
                 continue
-            ndel = before[r] - len(clusters.weight)
-            before[r] = len(clusters.weight)
+            # the cluster count entering the iteration
+            ndel = (model.k if it else runs[r][0]) - len(clusters.weight)
             if ndel:
                 model.deleted_count += ndel
                 model.deletion_iterations.append(it)

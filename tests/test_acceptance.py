@@ -73,7 +73,7 @@ def test_2_linear_family_equals_gaussian():
     rng = np.random.default_rng(20)
     worst_pt = 0.0
     for trial in range(20):
-        d = 2 + trial % 3
+        d = 2 + trial % 5
         m = rng.standard_normal(d - 1)
         basis = rng.standard_normal((d - 1, d - 1))
         cov = basis @ basis.T + 0.3 * (d - 1) * np.eye(d - 1)
@@ -117,7 +117,7 @@ def test_3_closed_form_equals_empirical():
     rng = np.random.default_rng(30)
     worst = 0.0
     for trial in range(50):
-        d = 2 + trial % 3
+        d = 2 + trial % 5
         n = int(rng.integers(30, 200))
         pts = rng.standard_normal((n, d)) @ np.diag(rng.uniform(0.5, 2.0, d))
         pts[:, -1] += 0.3 * pts[:, 0] ** 2

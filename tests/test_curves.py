@@ -61,6 +61,10 @@ def test_family_rejects_malformed_exponents():
         FunctionFamily(input_dim=1, exponents=[[0], [1], [-1]])
     with pytest.raises(ValueError):
         FunctionFamily(input_dim=1, exponents=np.zeros((0, 1), dtype=int))
+    # int() would read each of these as the exponents of a valid family
+    for exponents in ([[0], [1], [2.7]], [["0"], ["1"], ["2"]], [[False], [True]]):
+        with pytest.raises(ValueError, match="integers"):
+            FunctionFamily(input_dim=1, exponents=exponents)
 
 
 def test_builtin_family_rows():

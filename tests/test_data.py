@@ -345,11 +345,11 @@ def _small_model():
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(
     kind=st.sampled_from(BUILTIN_KINDS),
-    d=st.integers(min_value=2, max_value=4),
+    d=st.integers(min_value=2, max_value=6),
     k=st.integers(min_value=1, max_value=3),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
-# a small cluster can be interpolated by a 4-d cubic curve, its residual
+# a small cluster can be interpolated by a cubic curve from 4-d up, its residual
 # floored: such models round-trip too
 @pytest.mark.filterwarnings("ignore::afcec.errors.ZeroResidualWarning")
 def test_model_json_round_trip(tmp_path, kind, d, k, seed):
@@ -530,6 +530,11 @@ def _adding_cluster(kind, input_dim):
         lambda blob: {**blob, "iterations": 7},
         lambda blob: {**blob, "deletion_iterations": [-4]},
         _setting("weight", value=0.3),
+        _setting("curve", "family", "basis", 3, "exponents", value=[2.7, 0]),
+        _setting("curve", "family", "basis", 3, "exponents", value=["2", 0]),
+        _setting("curve", "family", "input_dim", value=2.5),
+        _setting("curve", "family", "kind", value=7),
+        lambda blob: {**blob, "cost_trace": [10**400, 2.0]},
     ],
     ids=[
         "schema-only", "no-clusters-no-costs", "no-costs", "cluster-without-curve",
@@ -541,7 +546,8 @@ def _adding_cluster(kind, input_dim):
         "fractional-size", "size-not-label-count", "fractional-axis", "label-above-k-1",
         "indefinite-cov-exp", "fractional-iterations", "negative-deleted-count",
         "string-cost", "iterations-not-costs-1", "deletion-iteration-below-0",
-        "weight-not-size-over-n",
+        "weight-not-size-over-n", "fractional-exponent", "string-exponent",
+        "fractional-input-dim", "number-kind", "overflowing-cost",
     ],
 )
 def test_incomplete_model_file_is_an_io_error(tmp_path, edit):

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -8,10 +9,14 @@ from scipy import stats
 
 from afcec.curves import CurveFit, builtin_family, fit_curve, select_orientation
 from afcec.density import (
+    REG_BASE,
+    REG_MAX,
     RESID_VAR_FLOOR,
     FAdaptedParams,
+    _cholesky_reg,
     fadapted_cross_entropy,
     fadapted_log_density,
+    param_weights,
 )
 from afcec.errors import DegenerateCluster, NotPositiveDefinite, ZeroResidualWarning
 from afcec.numerics import simpson_blocks_2d
@@ -148,6 +153,85 @@ def test_non_positive_definite_covariance_raises():
     p = FAdaptedParams(0, np.zeros(2), bad, 1.0, fit_curve(pts, 0, fam))
     with pytest.raises(NotPositiveDefinite):
         fadapted_log_density(p, pts)
+
+
+def test_param_weights_names_the_clusters_without_a_factor():
+    fam = builtin_family("linear", 2)
+    indefinite = [[1.0, 2.0], [2.0, 1.0]]
+    cov = np.array([np.eye(2), indefinite, 2.0 * np.eye(2), np.zeros((2, 2))])
+    with pytest.raises(NotPositiveDefinite, match=r"cluster\(s\) \[1, 3\]"):
+        param_weights(fam, np.array([0, 1, 2, 0]), np.zeros((4, 2)), cov, np.ones(4),
+                      np.zeros((4, fam.size)))
+
+
+def _cholesky_ladder(cov):
+    """One matrix's factor as the regularization ladder was first written,
+    one matrix at a time: (low, used), or None where no rung factors it."""
+    try:
+        return np.linalg.cholesky(cov), cov
+    except np.linalg.LinAlgError:
+        pass
+    scale = np.trace(cov) / cov.shape[0]
+    if scale > 0:
+        eps = REG_BASE * scale
+        while eps <= REG_MAX * scale:
+            reg = cov + eps * np.eye(cov.shape[0])
+            try:
+                return np.linalg.cholesky(reg), reg
+            except np.linalg.LinAlgError:
+                eps *= 10.0
+    return None
+
+
+def _planted(kind, m, rng):
+    """An m x m symmetric matrix of the given kind at a random scale."""
+    s = 10.0 ** rng.uniform(-3.0, 3.0)
+    a = rng.standard_normal((m, m)) * s
+    low_rank = a[:, : m - 1] @ a[:, : m - 1].T
+    return {
+        "spd": a @ a.T + s * s * np.eye(m),
+        "zero": np.zeros((m, m)),
+        "rank1": a[:, :1] @ a[:, :1].T,
+        "singular": low_rank,
+        "near-singular": low_rank + 1e-17 * s * s * np.eye(m),
+        "indefinite": a @ a.T - 2.0 * m * s * s * np.eye(m),
+    }[kind]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    m=st.integers(min_value=1, max_value=6),
+    shape=st.sampled_from([(), (1,), (4,), (2, 3)]),
+    kinds=st.lists(
+        st.sampled_from(["spd", "zero", "rank1", "singular", "near-singular", "indefinite"]),
+        min_size=6, max_size=6,
+    ),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_a_stack_factors_each_matrix_as_alone_and_as_the_ladder(m, shape, kinds, seed):
+    rng = np.random.default_rng(seed)
+    kinds = kinds[: math.prod(shape)]
+    cov = np.array([_planted(kind, m, rng) for kind in kinds]).reshape(*shape, m, m)
+    for ladder in (True, False):
+        low, used, ok = _cholesky_reg(cov, ladder)
+        assert low.shape == used.shape == cov.shape and ok.shape == shape
+        if set(kinds) == {"spd"}:
+            assert used is cov  # one LAPACK call, no copy
+        for i in np.ndindex(shape):
+            a = cov[i]
+            alone = _cholesky_reg(a, ladder)
+            assert low[i].tobytes() == alone[0].tobytes()
+            assert used[i].tobytes() == alone[1].tobytes()
+            assert ok[i] == alone[2]
+            want = _cholesky_ladder(a)
+            if not ladder and want is not None and want[1] is not a:
+                want = None  # a factor only up the ladder
+            if want is None:
+                assert not ok[i] and not low[i].any() and used[i].tobytes() == a.tobytes()
+            else:
+                assert ok[i]
+                assert low[i].tobytes() == want[0].tobytes()
+                assert used[i].tobytes() == want[1].tobytes()
 
 
 def test_fadapted_cross_entropy_equals_empirical_mean():

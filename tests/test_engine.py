@@ -237,7 +237,7 @@ def _restart_data(rng, n, d, dup_frac):
 @settings(max_examples=60, deadline=None)
 @given(
     kind=st.sampled_from(BUILTIN_KINDS),
-    d=st.integers(min_value=2, max_value=3),
+    d=st.integers(min_value=2, max_value=6),
     restarts=st.integers(min_value=1, max_value=5),
     k=st.integers(min_value=1, max_value=6),
     init=st.sampled_from(engine.INITS),

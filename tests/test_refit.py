@@ -126,31 +126,31 @@ def _run_recording(fn, *args):
 def test_degenerate_mix_matches_per_cluster_refit(monkeypatch):
     x, labels = _degenerate_mix()
     family = builtin_family("quadratic", 2)
-    ladder = []
+    rungs = []
     reg = density._cholesky_reg
 
-    def spy(cov):
-        try:
-            low, used = reg(cov)
-        except DegenerateCluster:
-            ladder.append("degenerate")
-            raise
-        ladder.append("plain" if np.array_equal(used, cov) else "regularized")
-        return low, used
+    def spy(cov, ladder=True):
+        low, used, ok = reg(cov, ladder)
+        # every covariance of the stack; the rank test's Grams climb no ladder
+        if ladder:
+            for i in np.ndindex(ok.shape):
+                plain = np.array_equal(used[i], cov[i])
+                rungs.append("degenerate" if not ok[i] else "plain" if plain else "regularized")
+        return low, used, ok
 
     monkeypatch.setattr(density, "_cholesky_reg", spy)
     ((table,), (assignment,), dropped), caught = _run_recording(
         engine._reestimate, DesignCache(x), labels[None], [6], family
     )
     f = table.fits
-    batched_ladder, ladder[:] = list(ladder), []
+    batched_rungs, rungs[:] = list(rungs), []
     (ref, ref_assignment, ref_dropped), ref_caught = _run_recording(
         _per_cluster_reestimate, x, labels, 6, family
     )
     # the repeated point fails the ladder on every axis and the line climbs it,
     # in the batched refit as in the per-cluster one
-    assert "degenerate" in batched_ladder and "regularized" in batched_ladder
-    assert "degenerate" in ladder and "regularized" in ladder
+    assert "degenerate" in batched_rungs and "regularized" in batched_rungs
+    assert "degenerate" in rungs and "regularized" in rungs
     # the empty label, the few points and the repeated point are dropped, and
     # the orphans go to cluster 0; the line is kept, with its residual
     # variance floored on all three axes in both passes
@@ -220,17 +220,18 @@ def test_refit_weights_equal_the_loaded_models_weights(kind, d, k, dup_frac, lin
 def test_regularized_and_floored_weights_equal_the_rebuilt_weights(monkeypatch):
     x, labels = _degenerate_mix()
     family = builtin_family("quadratic", 2)
-    ladder = []
+    plain = []
     reg = density._cholesky_reg
 
-    def spy(cov):
-        low, used = reg(cov)
-        ladder.append(np.array_equal(used, cov))
-        return low, used
+    def spy(cov, ladder=True):
+        low, used, ok = reg(cov, ladder)
+        if ladder:
+            plain.extend(np.array_equal(used[i], cov[i]) for i in np.ndindex(ok.shape))
+        return low, used, ok
 
     monkeypatch.setattr(density, "_cholesky_reg", spy)
     # the line climbs the ladder and its residual is floored on every axis
     with pytest.warns(ZeroResidualWarning):
         (table,), _, _ = engine._reestimate(DesignCache(x), labels[None], [6], family)
-    assert False in ladder
+    assert False in plain
     _assert_same_weights(table, reweighted(table))
