@@ -35,11 +35,8 @@ class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on usage errors; the exit contract reserves 2 for data
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise SystemExit(self._config_exit(message))
-
-    def _config_exit(self, message):
         print(f"error: {message}", file=sys.stderr)
-        return EXIT_CONFIG
+        raise SystemExit(EXIT_CONFIG)
 
 
 def build_parser():
@@ -88,11 +85,10 @@ def build_parser():
 
 
 def _engine_setup(args, k):
-    """Load --input and build the validated EngineConfig for k clusters from
-    the shared fit/sweep flags; raises before anything is written to stdout."""
+    """Load --input and build the EngineConfig for k clusters from the shared
+    fit/sweep flags. engine._best_per_k checks it, and --restarts, when it is
+    called, so before anything is written to stdout."""
     ds = data.load_csv(args.input)
-    if args.restarts < 1:
-        raise InvalidConfig("--restarts must be >= 1")
     cfg = engine.EngineConfig(
         k_init=k,
         family=builtin_family(args.family, ds.d - 1),
@@ -102,7 +98,6 @@ def _engine_setup(args, k):
         seed=args.seed,
         init=args.init,
     )
-    cfg.validate((ds.n, ds.d))
     return ds, cfg
 
 
@@ -147,13 +142,14 @@ def cmd_sweep(args):
     # one cache serves every k's fits and scoring, so its design is built once
     cache = engine.DesignCache(ds.rows)
     other_mode = "max" if args.ll_mode == "mixture" else "mixture"
-    sys.stdout.write(data.csv_lines(
-        [["k", "k_final", "cost", "loglik_mixture", "loglik_max", "n_params", "bic", "aic"]]
-    ))
     # row k is fit --k k's model; the k values run in lockstep batches, and a k
     # whose restarts all fail raises once the rows before it are written
     ks = range(1, args.k_max + 1)
-    for k, (best, _) in zip(ks, engine._best_per_k(cache, cfg, ks, args.restarts)):
+    fits = engine._best_per_k(cache, cfg, ks, args.restarts)
+    sys.stdout.write(data.csv_lines(
+        [["k", "k_final", "cost", "loglik_mixture", "loglik_max", "n_params", "bic", "aic"]]
+    ))
+    for k, (best, _) in zip(ks, fits):
         sc = selection.score(cache, best, args.ll_mode)
         ll = {
             args.ll_mode: sc.loglik,

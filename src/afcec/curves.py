@@ -343,9 +343,11 @@ def _solve_segments(xs, bounds, family):
 
 
 class ClusterFits(NamedTuple):
-    """Clusters stacked as arrays, one row each: the chosen dependent axis of
-    each, its curved Gaussian there and that Gaussian's score weights
-    (density.score_weights)."""
+    """Clusters stacked as arrays, one row each in label order: the chosen
+    dependent axis of each, its curved Gaussian there, its weight p and that
+    Gaussian's score weights (density.score_weights). The Lloyd loop carries
+    clusters in this form, an AfcecModel holds its clusters in it, and
+    data.model_from_json builds one from a model file."""
 
     family: FunctionFamily
     axis: np.ndarray  # (k,) int
@@ -355,6 +357,7 @@ class ClusterFits(NamedTuple):
     coeffs: np.ndarray  # (k, p): the curve's raw monomial coefficients
     sse: np.ndarray  # (k,)
     h: np.ndarray  # (k,): the cross-entropy
+    weight: np.ndarray  # (k,): p, the cluster's point count / the run's
     w: np.ndarray  # (k, d, q): score weights over the family's union design
     consts: np.ndarray  # (k,): score constants
 
@@ -363,7 +366,7 @@ class ClusterFits(NamedTuple):
         return ClusterFits(self.family, *[f[rows] for f in self[1:]])
 
 
-def refit_segments(xs, bounds, family):
+def refit_segments(xs, bounds, family, n):
     """Fit every segment of label-sorted points on every dependent axis at once
     and keep each segment's cross-entropy argmin.
 
@@ -376,17 +379,18 @@ def refit_segments(xs, bounds, family):
 
     Returns (fits, fitted): fitted holds, ascending, the segments on which
     some axis admits a fit, and fits one row for each of them, its lowest
-    cross-entropy axis, ties to the smallest, with the score weights built
+    cross-entropy axis, ties to the smallest, its weight its point count / n
+    (n the point count of the segment's run), and the score weights built
     from the Cholesky factor of that axis's explanatory covariance. No axis
     admits a fit on a segment of fewer than max(family.size, d + 1) points,
     nor on one whose every explanatory covariance density._cholesky_reg
     cannot regularize.
     """
-    n, d = xs.shape
+    d = xs.shape[1]
     sizes = bounds[1:] - bounds[:-1]
     live = np.flatnonzero(sizes >= max(family.size, d + 1))
     nonempty = np.flatnonzero(sizes)
-    solved = _solve_segments(xs, np.concatenate([bounds[nonempty], [n]]), family)
+    solved = _solve_segments(xs, np.concatenate([bounds[nonempty], bounds[-1:]]), family)
     pick = np.searchsorted(nonempty, live)
     lay = family._refit_layout
     mean_exp = solved.means[pick][:, lay.others]  # (k, d, d-1)
@@ -403,7 +407,8 @@ def refit_segments(xs, bounds, family):
     mean, rv, coeffs = mean_exp[i, j], resid_var[i, j], solved.coeffs[pick[i], j]
     w, consts = density.score_weights(lay, j, low[i, j], mean, rv, coeffs)
     fits = ClusterFits(
-        family, j, mean, cov_exp[i, j], rv, coeffs, solved.sse[pick[i], j], h[i, j], w, consts
+        family, j, mean, cov_exp[i, j], rv, coeffs, solved.sse[pick[i], j], h[i, j],
+        sizes[live[i]] / n, w, consts,
     )
     return fits, live[i]
 
@@ -417,7 +422,7 @@ def select_orientation(x, family):
     segment, its row 0 built into objects.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    f, fitted = refit_segments(x, np.array([0, x.shape[0]]), family)
+    f, fitted = refit_segments(x, np.array([0, x.shape[0]]), family, x.shape[0])
     if not fitted.size:
         raise DegenerateCluster("no orientation admits a non-degenerate fit")
     j = int(f.axis[0])

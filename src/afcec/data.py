@@ -9,7 +9,7 @@ import numpy as np
 
 from .curves import ClusterFits, CurveFit, FunctionFamily
 from .density import param_weights
-from .engine import AfcecModel, ClusterTable
+from .engine import AfcecModel
 from .errors import InvalidSpec, IoError, NotPositiveDefinite, ParseError, SchemaVersionMismatch
 
 MODEL_SCHEMA = 1
@@ -252,8 +252,7 @@ def _family_from_json(obj):
 
 
 def model_to_json(model):
-    table = model.clusters
-    f = table.fits
+    f = model.clusters
     family = _family_to_json(f.family)
     clusters = [
         {
@@ -269,8 +268,8 @@ def model_to_json(model):
         }
         for j, mean, cov, rv, coeffs, sse, p, size, h in zip(
             f.axis.tolist(), f.mean_exp.tolist(), f.cov_exp.tolist(), f.resid_var.tolist(),
-            f.coeffs.tolist(), f.sse.tolist(), table.weight.tolist(), table.size.tolist(),
-            f.h.tolist(),
+            f.coeffs.tolist(), f.sse.tolist(), f.weight.tolist(),
+            np.bincount(model.assignment, minlength=model.k).tolist(), f.h.tolist(),
         )
     ]
     return {
@@ -278,7 +277,7 @@ def model_to_json(model):
         "clusters": clusters,
         "assignment": model.assignment.tolist(),
         "cost_trace": list(model.cost_trace),
-        "iterations": int(model.iterations),
+        "iterations": model.iterations,
         "deleted_count": int(model.deleted_count),
         "deletion_iterations": [int(i) for i in model.deletion_iterations],
     }
@@ -286,7 +285,7 @@ def model_to_json(model):
 
 def model_from_json(obj):
     """The AfcecModel a model_to_json object describes, its clusters built
-    into a ClusterTable with their score weights. IoError when a field is
+    into a ClusterFits with their score weights. IoError when a field is
     missing or malformed (see _model_fields), or the model has no cluster or
     no cost; SchemaVersionMismatch when the schema is not MODEL_SCHEMA."""
     if not isinstance(obj, dict):
@@ -372,12 +371,11 @@ def _model_fields(obj):
         w, consts = param_weights(fam, axis, mean_exp, cov_exp, resid_var, coeffs)
     except NotPositiveDefinite as e:
         raise IoError(f"a cov_exp is not positive definite: {e}") from e
-    fits = ClusterFits(fam, axis, mean_exp, cov_exp, resid_var, coeffs, sse, h, w, consts)
+    fits = ClusterFits(fam, axis, mean_exp, cov_exp, resid_var, coeffs, sse, h, weight, w, consts)
     return AfcecModel(
-        clusters=ClusterTable(fits, weight, size),
+        clusters=fits,
         assignment=assignment,
         cost_trace=[float(v) for v in costs],
-        iterations=iterations,
         deleted_count=deleted,
         deletion_iterations=steps[1:-1],
     )
@@ -421,7 +419,7 @@ def export_plot_data(x, model, path):
         csv_lines(["point", a, *row] for row, a in zip(rows_arr.tolist(), assignment.tolist())),
     ]
     frac = np.linspace(0.0, 1.0, CURVE_SAMPLES)[:, None]
-    f = model.clusters.fits
+    f = model.clusters
     for i, (j, coeffs) in enumerate(zip(f.axis.tolist(), f.coeffs)):
         xe = np.delete(rows_arr[assignment == i], j, axis=1)
         lo, hi = xe.min(axis=0), xe.max(axis=0)

@@ -39,14 +39,15 @@ class FAdaptedParams:
     dependent_axis j is modeled as curve(x_others) plus N(0, resid_var)
     noise; the other coordinates follow N(mean_exp, cov_exp). The noise has
     mean 0 because the curve's intercept absorbs the dependent mean (families
-    always contain the constant function).
+    always contain the constant function). j is an integer in 0..m for m
+    explanatory coordinates, and curve a curves.CurveFit over those m.
     """
 
     dependent_axis: int
     mean_exp: np.ndarray = field(repr=False)
     cov_exp: np.ndarray = field(repr=False)
-    resid_var: float = 1.0
-    curve: object = None
+    resid_var: float
+    curve: object
 
     def __post_init__(self):
         mean = np.asarray(self.mean_exp, dtype=float)
@@ -60,6 +61,11 @@ class FAdaptedParams:
             )
         if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
             raise ValueError("mean_exp and cov_exp must be finite")
+        j = self.dependent_axis
+        if not (isinstance(j, (int, np.integer)) and 0 <= j <= mean.size):
+            raise ValueError(f"dependent_axis must be an integer in 0..{mean.size}, got {j!r}")
+        if getattr(getattr(self.curve, "family", None), "input_dim", None) != mean.size:
+            raise ValueError(f"curve must be a CurveFit over {mean.size} explanatory coordinates")
         # written so that NaN fails too
         if not (0 < self.resid_var < math.inf):
             raise ValueError(f"resid_var must be positive and finite, got {self.resid_var!r}")

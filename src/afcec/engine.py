@@ -9,7 +9,6 @@ decreases on every iteration that performs no deletion.
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import NamedTuple
 
 import numpy as np
 
@@ -24,34 +23,22 @@ from .errors import AllClustersDegenerate, DegenerateCluster, InvalidConfig
 INITS = ("random_partition", "kmeanspp")
 
 
-class ClusterTable(NamedTuple):
-    """One run's clusters as stacked arrays, one row per cluster in label
-    order: the chosen-axis fit and score weights of each (curves.ClusterFits),
-    its weight p and its point count. The Lloyd loop carries clusters in this
-    form, an AfcecModel holds its clusters in it, and data.model_from_json
-    builds one from a model file."""
-
-    fits: ClusterFits
-    weight: np.ndarray  # (k,)
-    size: np.ndarray  # (k,) int
-
-    def take(self, rows):
-        """The clusters `rows` (a slice or index array)."""
-        return ClusterTable(self.fits.take(rows), self.weight[rows], self.size[rows])
-
-
 @dataclass
 class AfcecModel:
-    clusters: ClusterTable
+    clusters: ClusterFits
     assignment: np.ndarray
     cost_trace: list
-    iterations: int
     deleted_count: int
     deletion_iterations: list = field(default_factory=list)
 
     @property
     def k(self):
         return len(self.clusters.weight)
+
+    @property
+    def iterations(self):
+        """The Lloyd iterations after the initial refit (iteration 0)."""
+        return len(self.cost_trace) - 1
 
     @property
     def final_cost(self):
@@ -102,19 +89,18 @@ def as_array(x):
 
 
 def cost(x, clusters, assignment):
-    """sum_i p_i * (-ln p_i + H_i) over the rows of the ClusterTable clusters,
+    """sum_i p_i * (-ln p_i + H_i) over the rows of the ClusterFits clusters,
     H_i recomputed by fadapted_cross_entropy from each cluster's current
     point set with its stored axis and curve."""
     x = as_array(x)
     assignment = np.asarray(assignment)
     n = x.shape[0]
-    f = clusters.fits
     total = 0.0
-    for i, (j, coeffs) in enumerate(zip(f.axis.tolist(), f.coeffs)):
+    for i, (j, coeffs) in enumerate(zip(clusters.axis.tolist(), clusters.coeffs)):
         xi = x[assignment == i]
         if len(xi) == 0:
             raise DegenerateCluster(f"cluster {i} is empty")
-        h, _ = fadapted_cross_entropy(xi, j, CurveFit(f.family, coeffs))
+        h, _ = fadapted_cross_entropy(xi, j, CurveFit(clusters.family, coeffs))
         p = len(xi) / n
         total += p * (-math.log(p) + h)
     return total
@@ -158,13 +144,12 @@ def design_cache(x):
 
 def cluster_score_blocks(cache, tables):
     """density.score_blocks of -ln p_i - log f_i(x) over the cache's points,
-    for the clusters of every ClusterTable of tables in order, all scored
+    for the clusters of every ClusterFits of tables in order, all scored
     from the cache's one design."""
-    fits = [t.fits for t in tables]
-    w, consts = np.concatenate([f.w for f in fits]), np.concatenate([f.consts for f in fits])
+    w, consts = np.concatenate([t.w for t in tables]), np.concatenate([t.consts for t in tables])
     # -ln p on math.log over Python floats, the bits every cost is summed from
     shift = [-math.log(p) for t in tables for p in t.weight.tolist()]
-    return score_blocks(w, consts, cache.design(fits[0].family), shift)
+    return score_blocks(w, consts, cache.design(tables[0].family), shift)
 
 
 def _argmin_rows(scores):
@@ -186,7 +171,7 @@ def _argmin_rows(scores):
 
 def _nearest(cache, batch):
     """(len(batch), n) labels: row r sends each of the cache's points to
-    argmin_i [-ln p_i - log f_i(x)] over the clusters of the ClusterTable
+    argmin_i [-ln p_i - log f_i(x)] over the clusters of the ClusterFits
     batch[r], ties to the lowest index.
 
     One score_blocks walk scores the clusters of every table, and each block
@@ -214,7 +199,7 @@ def _nearest(cache, batch):
 
 def assign_step(cache, batch, labels):
     """A copy of the (R, n) labels in which every row r whose batch[r] is not
-    None (a running restart's ClusterTable) holds _nearest's labels over its
+    None (a running restart's ClusterFits) holds _nearest's labels over its
     clusters; the other rows are kept.
 
     The Lloyd loop's assignment over every point of every running restart.
@@ -244,9 +229,10 @@ def _label_counts(labels, ks):
 
 def _refit(cache, labels, ks, family):
     """One batched refit of the rows of the (R, n) labels, row r holding
-    labels 0..ks[r]-1. Returns (table, fitted): fitted holds, ascending, the
+    labels 0..ks[r]-1. Returns (fits, fitted): fitted holds, ascending, the
     positions in (row, label) order of the clusters the refit fits (neither
-    empty nor degenerate), and table one row for each of them.
+    empty nor degenerate), and the ClusterFits fits one row for each of them,
+    its weight its point count / n.
 
     Each row's points are stably sorted by label, so every cluster is one
     contiguous segment holding its points in their original order. The rows'
@@ -261,9 +247,7 @@ def _refit(cache, labels, ks, family):
     sizes = _label_counts(labels, ks)
     bounds = np.zeros(len(sizes) + 1, dtype=np.intp)
     np.cumsum(sizes, out=bounds[1:])
-    fits, fitted = refit_segments(np.take(cache.rows, order, axis=0), bounds, family)
-    sizes = sizes[fitted]
-    return ClusterTable(fits, sizes / cache.rows.shape[0], sizes), fitted
+    return refit_segments(np.take(cache.rows, order, axis=0), bounds, family, cache.rows.shape[0])
 
 
 def _split_runs(positions, ks):
@@ -284,7 +268,7 @@ def _drop(cache, labels, runs, ks, keeps, survivors):
     keeps[i] (ascending). Every run that keeps some but not all of its
     clusters is relabelled keeps[i][t] -> t, and each point of a cluster it
     drops goes to the kept cluster minimizing the assignment cost over
-    survivors(runs[i], keeps[i]), the ClusterTable of its kept clusters,
+    survivors(runs[i], keeps[i]), the ClusterFits of its kept clusters,
     scored from the cache's design, ties to the lowest index. Runs that keep
     all or none of their clusters are left as they are.
 
@@ -316,7 +300,7 @@ def _reestimate(cache, labels, ks, family):
 
     labels is (R, n); ks[r] is restart r's cluster count, or None for a
     restart that is not running. Returns (batch, labels, dropped): batch[r]
-    holds restart r's refit clusters as a ClusterTable, None where ks[r] is
+    holds restart r's refit clusters as a ClusterFits, None where ks[r] is
     None or every cluster failed; labels holds the labels after reassignment
     (the input array when nothing was dropped); dropped counts the clusters
     dropped over the restarts with a survivor. Points of failed clusters go
@@ -332,12 +316,12 @@ def _reestimate(cache, labels, ks, family):
     dropped = 0
     while todo:
         rows = labels if len(todo) == len(ks) else labels[todo]
-        table, fitted = _refit(cache, rows, counts, family)
+        fits, fitted = _refit(cache, rows, counts, family)
         keeps = _split_runs(fitted, counts)
         lo = 0
         for r, keep in zip(todo, keeps):
             if keep.size:
-                batch[r] = table.take(slice(lo, lo + keep.size))
+                batch[r] = fits.take(slice(lo, lo + keep.size))
                 lo += keep.size
         # the survivors are refit on their (possibly grown) point sets next pass
         labels, todo, more = _drop(cache, labels, todo, counts, keeps, lambda r, _: batch[r])
@@ -347,7 +331,7 @@ def _reestimate(cache, labels, ks, family):
 
 
 def delete_small(cache, batch, labels, threshold_fraction):
-    """Remove, in every running restart r (batch[r] a ClusterTable, not None),
+    """Remove, in every running restart r (batch[r] a ClusterFits, not None),
     the clusters holding fewer than threshold_fraction*n of the cache's n
     points (empty ones always go), and reassign their points by the
     assignment cost argmin over the restart's survivors (using the survivors'
@@ -425,21 +409,20 @@ def _init_partition(x, init, runs):
 def _total_cost(table):
     """sum_i p_i * (-ln p_i + H_i) from each cluster's weight and H, summed
     left to right in cluster order over Python floats."""
-    entropies = table.fits.h.tolist()
-    return sum(p * (-math.log(p) + h) for p, h in zip(table.weight.tolist(), entropies))
+    return sum(p * (-math.log(p) + h) for p, h in zip(table.weight.tolist(), table.h.tolist()))
 
 
 def _lloyd(cache, cfg, runs):
     """The clustering loop from one initial partition per (k, seed) run, all
     runs in lockstep over one DesignCache (cfg.k_init and cfg.seed are not
-    read). Returns, per run, its AfcecModel, holding the ClusterTable the loop
+    read). Returns, per run, its AfcecModel, holding the ClusterFits the loop
     carries, or the AllClustersDegenerate that ended it.
 
     Each iteration scores the clusters of every live run in one assign_step,
     deletes small clusters of every live run in one delete_small and refits
     every live run in one _reestimate; runs of different k share each pass,
     since every step reads each run's own cluster count. Clusters travel
-    between the steps as ClusterTables. A run stops when h_n >= h_{n-1} -
+    between the steps as ClusterFits. A run stops when h_n >= h_{n-1} -
     epsilon, at max_iters, or when it fails. The stop condition is only
     consulted on iterations that deleted nothing (a deletion can bump the
     cost, and stopping there would freeze a partial model); every deletion
@@ -447,7 +430,7 @@ def _lloyd(cache, cfg, runs):
     so each result is bit for bit the one a batch of that run alone gives.
     """
     ks = [k for k, _ in runs]
-    results = [AfcecModel(None, None, [], 0, 0) for _ in runs]
+    results = [AfcecModel(None, None, [], 0) for _ in runs]
     running = list(range(len(runs)))
     labels = _init_partition(cache.rows, cfg.init, runs)
     # iteration 0 refits the initial partitions
@@ -476,7 +459,7 @@ def _lloyd(cache, cfg, runs):
                 model.deletion_iterations.append(it)
             h = _total_cost(clusters)
             model.cost_trace.append(h)
-            model.clusters, model.iterations = clusters, it
+            model.clusters = clusters
             if it == 0 or ndel or h < model.cost_trace[-2] - cfg.epsilon:
                 still.append(r)
         running = still
@@ -504,9 +487,11 @@ LOCKSTEP_POINTS = 1 << 15
 
 
 def _best_per_k(cache, cfg, ks, restarts):
-    """Yields fit_restarts(cache, replace(cfg, k_init=k), restarts) for each k
-    of ks in order; at a k where every restart failed, raises that k's first
-    failure instead.
+    """A generator of fit_restarts(cache, replace(cfg, k_init=k), restarts)
+    for each k of ks in order; at a k where every restart failed, it raises
+    that k's first failure instead. InvalidConfig is raised by the call
+    itself, before any fit, unless restarts >= 1 and cfg validates at every
+    k of ks (an empty ks reads as k = 0).
 
     The runs (k, cfg.seed + s) for s < restarts go through _lloyd in batches
     of consecutive k values: a batch holds as many whole k values as fit in
@@ -518,20 +503,24 @@ def _best_per_k(cache, cfg, ks, restarts):
         raise InvalidConfig("restarts must be >= 1")
     ks = list(ks)
     # k >= 1 binds at the smallest k, and the data shape's bound at the largest
-    for k in (min(ks), max(ks)):
+    for k in (min(ks, default=0), max(ks, default=0)):
         replace(cfg, k_init=k).validate(cache.rows.shape)
     per_batch = max(1, LOCKSTEP_POINTS // (restarts * cache.rows.shape[0]))
-    for lo in range(0, len(ks), per_batch):
-        group = ks[lo : lo + per_batch]
-        runs = [(k, cfg.seed + s) for k in group for s in range(restarts)]
-        results = _lloyd(cache, cfg, runs)
-        for at in range(0, len(runs), restarts):
-            models = [m for m in results[at : at + restarts] if isinstance(m, AfcecModel)]
-            if not models:
-                raise results[at]
-            # min keeps the first of equal costs, i.e. the smallest seed
-            best = min(models, key=lambda m: m.final_cost)
-            yield best, [m.final_cost for m in models]
+
+    def batches():
+        for lo in range(0, len(ks), per_batch):
+            group = ks[lo : lo + per_batch]
+            runs = [(k, cfg.seed + s) for k in group for s in range(restarts)]
+            results = _lloyd(cache, cfg, runs)
+            for at in range(0, len(runs), restarts):
+                models = [m for m in results[at : at + restarts] if isinstance(m, AfcecModel)]
+                if not models:
+                    raise results[at]
+                # min keeps the first of equal costs, i.e. the smallest seed
+                best = min(models, key=lambda m: m.final_cost)
+                yield best, [m.final_cost for m in models]
+
+    return batches()
 
 
 def fit_restarts(x, cfg, restarts):

@@ -32,7 +32,7 @@ def log_likelihood(x, model, mode="mixture"):
 
     x is a Dataset, an (n, d) array, or an engine.DesignCache over the data,
     whose design is then reused. Each block of engine.cluster_score_blocks
-    over the model's ClusterTable is reduced as it arrives, so no (k, n)
+    over the model's ClusterFits is reduced as it arrives, so no (k, n)
     block is formed."""
     if mode not in LL_MODES:
         raise ValueError(f"mode must be one of {LL_MODES}")
@@ -57,7 +57,7 @@ def count_params(model):
     residual variance + B curve coefficients + 1 weight (the discrete
     dependent-axis choice is not counted). For d=2 with the quadratic family
     that is the paper's 7 per cluster."""
-    family = model.clusters.fits.family
+    family = model.clusters.family
     m = family.input_dim  # d - 1 explanatory coordinates
     return model.k * (m + m * (m + 1) // 2 + 1 + family.size + 1)
 

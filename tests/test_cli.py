@@ -162,7 +162,9 @@ def test_bad_family_is_config_error(circle_csv):
     "command", [["fit", "--k", "2"], ["sweep", "--k-max", "2"]], ids=["fit", "sweep"]
 )
 @pytest.mark.parametrize(
-    "flag", [["--epsilon", "-1"], ["--max-iters", "0"]], ids=["epsilon", "max-iters"]
+    "flag",
+    [["--epsilon", "-1"], ["--max-iters", "0"], ["--restarts", "0"]],
+    ids=["epsilon", "max-iters", "restarts"],
 )
 def test_bad_engine_flag_is_config_error_with_no_output(circle_csv, capsys, command, flag):
     code, out = _run(capsys, *command, "--input", circle_csv, *flag)

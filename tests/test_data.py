@@ -365,9 +365,11 @@ def test_model_json_round_trip(tmp_path, kind, d, k, seed):
     back = load_model(path)
     save_model(back, path)
     assert path.read_bytes() == saved
-    # the loaded table's score weights are the refit's, bit for bit
-    assert back.clusters.fits.w.tobytes() == m.clusters.fits.w.tobytes()
-    assert back.clusters.fits.consts.tobytes() == m.clusters.fits.consts.tobytes()
+    # the loaded record is the fit's, bit for bit, score weights included
+    assert back.clusters.family == m.clusters.family
+    for name, got, want in zip(m.clusters._fields[1:], back.clusters[1:], m.clusters[1:]):
+        assert got.dtype == want.dtype and got.shape == want.shape, name
+        assert got.tobytes() == want.tobytes(), name
     for mode in selection.LL_MODES:
         assert selection.score(x, back, mode) == selection.score(x, m, mode)
 
@@ -432,10 +434,10 @@ SCHEMA1_MODEL = {
 
 def test_schema1_model_loads_and_reserializes_unchanged():
     model = model_from_json(json.loads(json.dumps(SCHEMA1_MODEL)))
-    fam = model.clusters.fits.family
+    fam = model.clusters.family
     assert fam == builtin_family("quadratic", 2)
     assert hash(fam) == hash(builtin_family("quadratic", 2))
-    curve = CurveFit(fam, model.clusters.fits.coeffs[0])
+    curve = CurveFit(fam, model.clusters.coeffs[0])
     assert curve.evaluate([[1.0, 2.0]]).tolist() == [0.5 - 1.0 + 4.0 + 0.1 + 0.4 - 1.2]
     assert json.dumps(model_to_json(model)) == json.dumps(SCHEMA1_MODEL)
 
@@ -574,7 +576,7 @@ def _csv_writer_plot_data(x, model, path):
         writer.writerow(["kind", "cluster"] + [f"c{i}" for i in range(rows.shape[1])])
         for row, a in zip(rows, model.assignment):
             writer.writerow(["point", int(a)] + [repr(float(v)) for v in row])
-        f = model.clusters.fits
+        f = model.clusters
         for i, j in enumerate(f.axis.tolist()):
             xe = np.delete(rows[np.asarray(model.assignment) == i], j, axis=1)
             lo, hi = xe.min(axis=0), xe.max(axis=0)

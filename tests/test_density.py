@@ -136,11 +136,21 @@ def test_fadapted_matches_factored_form():
         {"mean_exp": [0.0, 0.0]},
         {"cov_exp": [1.0]},
         {"cov_exp": [[1.0, 0.0]]},
+        # index -1 would score the constant column as x_j
+        {"dependent_axis": -1},
+        {"dependent_axis": 2},
+        {"dependent_axis": 5},
+        {"dependent_axis": 1.5},
+        {"curve": None},
+        pytest.param({"curve": CurveFit(builtin_family("quadratic", 2), np.zeros(6))},
+                     id="curve-over-2-coordinates"),
+        {"mean_exp": [0.0, 0.0], "cov_exp": [[1.0, 0.0], [0.0, 1.0]]},
     ],
     ids=lambda bad: "-".join(f"{k}={v}" for k, v in bad.items()),
 )
 def test_fadapted_params_rejects_bad_values(bad):
-    good = {"dependent_axis": 0, "mean_exp": [0.0], "cov_exp": [[1.0]], "resid_var": 1.0}
+    good = {"dependent_axis": 1, "mean_exp": [0.0], "cov_exp": [[1.0]], "resid_var": 1.0,
+            "curve": CurveFit(builtin_family("quadratic", 1), np.zeros(3))}
     FAdaptedParams(**good)
     with pytest.raises(ValueError):
         FAdaptedParams(**{**good, **bad})

@@ -105,8 +105,7 @@ def test_weights_match_sizes():
     ds = _circle(seed=9)
     m = fit(ds, EngineConfig(k_init=4, family=QUAD1, seed=6))
     sizes = np.bincount(m.assignment, minlength=m.k)
-    assert np.array_equal(m.clusters.size, sizes)
-    np.testing.assert_allclose(m.clusters.weight, sizes / ds.n, rtol=0, atol=1e-12)
+    assert np.array_equal(m.clusters.weight, sizes / ds.n)
     assert m.clusters.weight.sum() == pytest.approx(1.0, abs=1e-12)
 
 
@@ -214,7 +213,7 @@ def test_fit_restarts_equals_separate_fits(monkeypatch):
     first = separate[costs.index(min(costs))]
     assert np.array_equal(best.assignment, first.assignment)
     # equal costs go to the smallest seed, and failed seeds are skipped
-    fake = {s: engine.AfcecModel([], None, [c], 0, 0) for s, c in
+    fake = {s: engine.AfcecModel([], None, [c], 0) for s, c in
             zip(range(3, 8), [2.0, 1.0, 3.0, 1.0, 1.5])}
     fake[5] = AllClustersDegenerate("every cluster failed estimation")
     monkeypatch.setattr(engine, "_lloyd", lambda cache, c, runs: [fake[s] for _, s in runs])
@@ -280,7 +279,7 @@ def test_lockstep_restarts_equal_separate_fits(
 
 
 def test_commands_build_no_fadapted_params(tmp_path, monkeypatch):
-    # a model holds its clusters as the ClusterTable its Lloyd loop carries,
+    # a model holds its clusters as the ClusterFits its Lloyd loop carries,
     # and saving and scoring it read that table
     built = []
     monkeypatch.setattr(density.FAdaptedParams, "__post_init__", lambda self: built.append(self))
@@ -389,10 +388,10 @@ def test_split_runs_equals_per_run_flatnonzero(runs):
 
 
 def _same_bits(a, b):
-    """a and b are both None, or ClusterTables whose arrays hold the same bits."""
+    """a and b are both None, or ClusterFits whose arrays hold the same bits."""
     if a is None or b is None:
         return a is b
-    pairs = zip([*a.fits[1:], a.weight, a.size], [*b.fits[1:], b.weight, b.size])
+    pairs = zip(a[1:], b[1:])
     return all(u.shape == v.shape and u.tobytes() == v.tobytes() for u, v in pairs)
 
 

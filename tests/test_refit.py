@@ -48,15 +48,14 @@ def test_batched_refit_matches_select_orientation_per_cluster(kind, d, log_scale
             ref = [select_orientation(x[labels == lab], family) for lab in range(k)]
         except DegenerateCluster:
             assume(False)
-        (table,), (assignment,), dropped = engine._reestimate(
+        (f,), (assignment,), dropped = engine._reestimate(
             DesignCache(x), labels[None], [k], family
         )
-    f = table.fits
     assert dropped == 0
     assert np.array_equal(assignment, labels)
-    assert len(table.weight) == k
+    assert len(f.weight) == k
     assert f.axis.tolist() == [axis for axis, *_ in ref]
-    assert np.array_equal(table.size, np.bincount(labels, minlength=k))
+    assert np.array_equal(f.weight, np.bincount(labels, minlength=k) / len(labels))
     for i, (axis, curve, h, params) in enumerate(ref):
         _close(f.h[i], h)
         _close(f.resid_var[i], params.resid_var)
@@ -139,10 +138,9 @@ def test_degenerate_mix_matches_per_cluster_refit(monkeypatch):
         return low, used, ok
 
     monkeypatch.setattr(density, "_cholesky_reg", spy)
-    ((table,), (assignment,), dropped), caught = _run_recording(
+    ((f,), (assignment,), dropped), caught = _run_recording(
         engine._reestimate, DesignCache(x), labels[None], [6], family
     )
-    f = table.fits
     batched_rungs, rungs[:] = list(rungs), []
     (ref, ref_assignment, ref_dropped), ref_caught = _run_recording(
         _per_cluster_reestimate, x, labels, 6, family
@@ -159,7 +157,7 @@ def test_degenerate_mix_matches_per_cluster_refit(monkeypatch):
     assert np.bincount(assignment).tolist() == [104, 30, 60]
     assert f.axis.tolist() == [params.dependent_axis for _, params, _ in ref] == [2, 1, 1]
     assert caught == ref_caught == [ZeroResidualWarning] * 6
-    assert table.size.tolist() == [size for *_, size in ref]
+    assert f.weight.tolist() == [size / len(x) for *_, size in ref]
     for i, (h, params, _) in enumerate(ref):
         _close(f.h[i], h)
         _close(f.resid_var[i], params.resid_var)
@@ -168,10 +166,10 @@ def test_degenerate_mix_matches_per_cluster_refit(monkeypatch):
 
 def _assert_same_weights(table, again):
     """The score weights and constants the refit built for table have the
-    bits of those of the ClusterTable again."""
-    assert table.fits.w.shape == again.fits.w.shape
-    assert table.fits.w.tobytes() == again.fits.w.tobytes()
-    assert table.fits.consts.tobytes() == again.fits.consts.tobytes()
+    bits of those of the ClusterFits again."""
+    assert table.w.shape == again.w.shape
+    assert table.w.tobytes() == again.w.tobytes()
+    assert table.consts.tobytes() == again.consts.tobytes()
 
 
 def _duplicate_heavy(rng, n, d, dup_frac, line):

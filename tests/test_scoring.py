@@ -47,7 +47,7 @@ def _score_rows(cache, table):
 
 
 def _clusters_on(x, labels, family):
-    """The refit's ClusterTable of the clusters labels 0..max of x, or None
+    """The refit's ClusterFits of the clusters labels 0..max of x, or None
     when the refit cannot fit one of them."""
     k = int(labels.max()) + 1
     table, fitted = engine._refit(DesignCache(x), labels[None], [k], family)
@@ -74,12 +74,11 @@ def test_cluster_row_has_the_same_bits_alone_and_in_a_block(kind, d, extra, k, s
     block = _score_rows(cache, table)
     design = family._refit_layout.union.design_matrix(x)
     assert np.array_equal(cache.design(family), design)
-    f = table.fits
     for i, p in enumerate(table.weight.tolist()):
         shift = -math.log(p)
-        row = slice(i, i + 1)
-        weights = param_weights(f.family, f.axis[row], f.mean_exp[row], f.cov_exp[row],
-                                f.resid_var[row], f.coeffs[row])
+        one = table.take(slice(i, i + 1))
+        weights = param_weights(one.family, one.axis, one.mean_exp, one.cov_exp, one.resid_var,
+                                one.coeffs)
         alone = np.empty(n)
         for cols, scores in score_blocks(*weights, design, [shift]):
             alone[cols] = scores[0]
@@ -139,7 +138,7 @@ def test_scores_match_long_double_reference(kind, d, log_scale, seed):
     table = _clusters_on(x, rng.integers(0, 3, x.shape[0]), builtin_family(kind, d - 1))
     assume(table is not None)
     # an intercept off the least-squares one, so the residuals have a mean
-    table.fits.coeffs[0, 0] += 0.1 * scale
+    table.coeffs[0, 0] += 0.1 * scale
     table = reweighted(table)
     got = _score_rows(DesignCache(x), table)
     for i, (row, weight) in enumerate(zip(got, table.weight)):
