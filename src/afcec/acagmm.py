@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BeyondCurvatureCenter
-from .numerics import simpson_blocks_2d
+from .numerics import is_count, simpson_blocks_2d
 
 # Jacobian factors at/below this are treated as folded (the map collapses)
 FOLD_EPS = 1e-9
@@ -78,10 +78,15 @@ def aca_log_density(m, point, corrected=False):
     ln|1 - kappa*eta| (kappa signed curvature at the foot, eta = +p above the
     graph / -p below), the area distortion of the arc-length/normal map.
 
-    Raises BeyondCurvatureCenter when the factor is <= 0, i.e. the point lies
-    at or past the curvature center on the concave side, where the map folds.
+    Raises ValueError unless the point has 2 coordinates, and
+    BeyondCurvatureCenter when the factor is <= 0, i.e. the point lies at or
+    past the curvature center on the concave side, where the map folds. The
+    point is solved as a one-node grid.
     """
-    raw, factor = _log_density_grid(m, float(point[0]), float(point[1]))
+    if len(point) != 2:
+        raise ValueError(f"point must have 2 coordinates, got {len(point)}")
+    px, py = np.asarray(point, dtype=float).reshape(2, 1)
+    (raw,), (factor,) = _log_density_grid(m, px, py)
     if not corrected:
         return float(raw)
     if factor <= FOLD_EPS:
@@ -98,7 +103,7 @@ def _jacobian_factor(a, t0, p, above):
 
 
 def _project_t0_grid(a, px, py):
-    """Nearest-foot parameter for points given as scalars or arrays.
+    """Nearest-foot parameter of each node of the 1-D arrays px and py.
 
     The feet are the real roots of 2 a^2 t^3 + (1 - 2 a py) t - px = 0. The
     nearest is sign(px) times the one non-negative root of the cubic with
@@ -122,14 +127,8 @@ def _project_t0_grid(a, px, py):
     so the discriminant neither under- nor overflows at any a whose a * a is
     finite. A power of two scales exactly, so wherever the unscaled solve
     neither under- nor overflows the two give the same bits. Every cube is a
-    product, which rounds the same in scalar and array code (numpy's power
-    does not, and is far slower for a negative base). Scalars are solved as
-    one-node arrays all the same, so a point takes the grid node's code path
-    and gets its foot.
+    product: numpy's power is far slower for a negative base.
     """
-    px, py = np.broadcast_arrays(np.asarray(px, dtype=float), np.asarray(py, dtype=float))
-    shape = px.shape
-    px, py = px.ravel(), py.ravel()
     # a numpy scalar, so an a * a beyond float64 raises under the caller's
     # errstate instead of collapsing every foot to t0 = 0
     a = np.float64(a)
@@ -154,27 +153,22 @@ def _project_t0_grid(a, px, py):
     phi = np.arccos(np.clip(r[three] / np.sqrt(mq * mq * mq), -1.0, 1.0))
     t0[three] = 2.0 * np.sqrt(mq) * np.cos(phi / 3.0)
     t0 = np.ldexp(t0, e)
-    return np.where(px > 0.0, t0, -t0).reshape(shape)
+    return np.where(px > 0.0, t0, -t0)
 
 
 def _foot_grid(a, px, py):
-    """(signed arc length, normal distance p, Jacobian factor) of each point's
-    nearest foot on y = a x^2. None of it depends on the sigmas, so one call
-    serves every (sigma1, sigma2) pair with the same a.
-
-    A point is solved as a one-node array, as in _project_t0_grid, and
-    returned in its input's shape.
-    """
-    px, py = np.broadcast_arrays(np.asarray(px, dtype=float), np.asarray(py, dtype=float))
-    bx, by = np.atleast_1d(px, py)
-    t0 = _project_t0_grid(a, bx, by)
-    p = np.hypot(bx - t0, by - a * t0 * t0)
-    feet = _signed_arc(a, t0), p, _jacobian_factor(a, t0, p, by > a * bx * bx)
-    return tuple(v.reshape(px.shape) for v in feet)
+    """(signed arc length, normal distance p, Jacobian factor) of the nearest
+    foot on y = a x^2 of each node of the 1-D arrays px and py. None of it
+    depends on the sigmas, so one call serves every (sigma1, sigma2) pair
+    with the same a."""
+    t0 = _project_t0_grid(a, px, py)
+    p = np.hypot(px - t0, py - a * t0 * t0)
+    return _signed_arc(a, t0), p, _jacobian_factor(a, t0, p, py > a * px * px)
 
 
 def _log_density_grid(m, px, py):
-    """(raw_log, factor) arrays for point grids; factor is the Jacobian term."""
+    """(raw_log, factor) of each node of the 1-D arrays px and py; factor is
+    the Jacobian term."""
     arc, p, factor = _foot_grid(m.a, px, py)
     raw = (
         -math.log(2.0 * math.pi * m.sigma1 * m.sigma2)
@@ -249,6 +243,8 @@ def normalization_table(
     """
     if not 0 < box < math.inf:
         raise ValueError(f"box must be finite and positive, got {box!r}")
+    if not is_count(n):
+        raise ValueError(f"n must be an integer, got {n!r}")
     # built before any projection (which divides by a), so a bad value late
     # in a grid fails before any work
     grid_models = [[AcaParabolaModel(a, s1, s2) for s1 in sigma_grid for s2 in sigma_grid]
@@ -281,8 +277,8 @@ def _table_rows(a, models, sig, box, n):
     raw, corr = np.zeros((sig.size, sig.size)), np.zeros((sig.size, sig.size))
     blocks = simpson_blocks_2d(-box, box, -box, box, n, FOOT_BLOCK_ROWS, even_x=True)
     for bx, by, w in blocks:
-        arc, p, factor = (v.reshape(1, -1) for v in _foot_grid(a, bx, by))
-        w = w.reshape(1, -1)
+        arc, p, factor = _foot_grid(a, bx.ravel(), by.ravel())
+        w = w.ravel()
         ok = factor > FOLD_EPS
         ea = np.exp(-0.5 * (arc / sig) ** 2)
         ep_t = np.exp(-0.5 * (p / sig) ** 2).T

@@ -11,6 +11,7 @@ from .curves import ClusterFits, CurveFit, FunctionFamily
 from .density import param_weights
 from .engine import AfcecModel
 from .errors import InvalidSpec, IoError, NotPositiveDefinite, ParseError, SchemaVersionMismatch
+from .numerics import is_count
 
 MODEL_SCHEMA = 1
 
@@ -66,6 +67,10 @@ class GeneratorSpec:
     def validate(self):
         if self.kind not in GENERATOR_KINDS:
             raise InvalidSpec(f"kind must be one of {GENERATOR_KINDS}")
+        for name in ("n", "seed"):
+            v = getattr(self, name)
+            if not is_count(v):
+                raise InvalidSpec(f"{name} must be an integer, got {v!r}")
         if self.n < 10:
             raise InvalidSpec("n must be >= 10")
         if self.noise_sigma < 0:
@@ -85,7 +90,7 @@ def generate(spec):
     STROKES glyph, or the helix (cos 2 pi t, sin 2 pi t, 1.5 t) for t in
     [0, 1], each with Gaussian noise of noise_sigma."""
     spec.validate()
-    rng = np.random.default_rng(spec.seed & 0xFFFFFFFFFFFFFFFF)
+    rng = np.random.default_rng(int(spec.seed) & 0xFFFFFFFFFFFFFFFF)
     n = spec.n
     if spec.kind == "circle":
         theta = rng.uniform(0.0, 2.0 * math.pi, n)

@@ -19,6 +19,7 @@ from .curves import ClusterFits, CurveFit, refit_segments, select_orientation  #
 # module's name as well
 from .density import fadapted_cross_entropy, fadapted_log_density, score_blocks  # noqa: F401
 from .errors import AllClustersDegenerate, DegenerateCluster, InvalidConfig
+from .numerics import is_count
 
 INITS = ("random_partition", "kmeanspp")
 
@@ -58,6 +59,10 @@ class EngineConfig:
     def validate(self, shape):
         """InvalidConfig unless the fields hold valid values and the (n, d)
         data shape has at least 2 coordinates and k_init*(d+1) points."""
+        for name in ("k_init", "max_iters", "seed"):
+            v = getattr(self, name)
+            if not is_count(v):
+                raise InvalidConfig(f"{name} must be an integer, got {v!r}")
         if self.k_init < 1:
             raise InvalidConfig("k_init must be >= 1")
         if not (self.epsilon > 0):
@@ -128,28 +133,20 @@ class DesignCache:
             self._family = family
         return self._design
 
-    def take(self, idx):
-        """A cache over rows[idx] holding this one's design restricted to idx.
-        The rows were checked when this cache was made, so not again."""
-        sub = object.__new__(DesignCache)
-        sub.rows, sub._family = self.rows[idx], self._family
-        sub._design = None if self._design is None else np.take(self._design, idx, axis=0)
-        return sub
-
 
 def design_cache(x):
     """x itself when it is a DesignCache, else a new one over x."""
     return x if isinstance(x, DesignCache) else DesignCache(x)
 
 
-def cluster_score_blocks(cache, tables):
-    """density.score_blocks of -ln p_i - log f_i(x) over the cache's points,
-    for the clusters of every ClusterFits of tables in order, all scored
-    from the cache's one design."""
+def cluster_score_blocks(design, tables):
+    """density.score_blocks of -ln p_i - log f_i(x) over the points whose
+    union design rows (DesignCache.design) design holds, for the clusters of
+    every ClusterFits of tables in order."""
     w, consts = np.concatenate([t.w for t in tables]), np.concatenate([t.consts for t in tables])
     # -ln p on math.log over Python floats, the bits every cost is summed from
     shift = [-math.log(p) for t in tables for p in t.weight.tolist()]
-    return score_blocks(w, consts, cache.design(tables[0].family), shift)
+    return score_blocks(w, consts, design, shift)
 
 
 def _argmin_rows(scores):
@@ -169,10 +166,10 @@ def _argmin_rows(scores):
     return labels
 
 
-def _nearest(cache, batch):
-    """(len(batch), n) labels: row r sends each of the cache's points to
-    argmin_i [-ln p_i - log f_i(x)] over the clusters of the ClusterFits
-    batch[r], ties to the lowest index.
+def _nearest(design, batch):
+    """(len(batch), n) labels of the n points whose union design rows design
+    holds: row r sends each to argmin_i [-ln p_i - log f_i(x)] over the
+    clusters of the ClusterFits batch[r], ties to the lowest index.
 
     One score_blocks walk scores the clusters of every table, and each block
     is reduced once per stretch of consecutive tables of one length; a score
@@ -187,8 +184,8 @@ def _nearest(cache, batch):
             groups[-1][1] += 1
         else:
             groups.append([r, 1, k])
-    labels = np.empty((len(batch), cache.rows.shape[0]), dtype=np.intp)
-    for cols, block in cluster_score_blocks(cache, batch):
+    labels = np.empty((len(batch), design.shape[0]), dtype=np.intp)
+    for cols, block in cluster_score_blocks(design, batch):
         lo = 0
         for r, m, k in groups:
             stack = block[lo : lo + m * k].reshape(m, k, -1)
@@ -203,13 +200,13 @@ def assign_step(cache, batch, labels):
     clusters; the other rows are kept.
 
     The Lloyd loop's assignment over every point of every running restart.
-    Orphan reassignment calls _nearest on its subset instead, so
-    bench/spans.py, which times this function by name and counts the points
-    each call moves against the last refit's labels, sees one call per
-    iteration.
+    Orphan reassignment calls _nearest on the orphans' rows of the design
+    instead, so bench/spans.py, which times this function by name and counts
+    the points each call moves against the last refit's labels, sees one
+    call per iteration.
     """
     live = [r for r, table in enumerate(batch) if table is not None]
-    found = _nearest(cache, [batch[r] for r in live])
+    found = _nearest(cache.design(batch[live[0]].family), [batch[r] for r in live])
     if len(live) == len(batch):  # no row to keep, so no copy of labels
         return found
     out = labels.copy()
@@ -269,8 +266,8 @@ def _drop(cache, labels, runs, ks, keeps, survivors):
     clusters is relabelled keeps[i][t] -> t, and each point of a cluster it
     drops goes to the kept cluster minimizing the assignment cost over
     survivors(runs[i], keeps[i]), the ClusterFits of its kept clusters,
-    scored from the cache's design, ties to the lowest index. Runs that keep
-    all or none of their clusters are left as they are.
+    scored from the orphans' rows of the cache's design, ties to the lowest
+    index. Runs that keep all or none of their clusters are left as they are.
 
     Returns (labels, moved, dropped): labels is a copy when some run was
     relabelled and the input array otherwise, moved lists the relabelled
@@ -287,7 +284,8 @@ def _drop(cache, labels, runs, ks, keeps, survivors):
         row = lookup[labels[r]]
         orphans = np.flatnonzero(row < 0)
         if orphans.size:
-            (row[orphans],) = _nearest(cache.take(orphans), [survivors(r, keep)])
+            table = survivors(r, keep)
+            (row[orphans],) = _nearest(cache.design(table.family)[orphans], [table])
         labels[r] = row
         moved.append(r)
         dropped += k - keep.size
@@ -383,14 +381,14 @@ def _init_partition(x, init, runs):
     if init == "random_partition":
         deal = np.arange(n)
         for row, (k, seed) in zip(out, runs):
-            rng = np.random.default_rng(seed & 0xFFFFFFFFFFFFFFFF)
+            rng = np.random.default_rng(int(seed) & 0xFFFFFFFFFFFFFFFF)
             row[order[rng.permutation(n)]] = deal % k
         return out
     # k-means++-style seeding on the sorted rows; each point keeps the first
     # centre at its smallest squared distance (ties to the lowest index)
     xs_t = np.take(x.T, order, axis=1)  # one copy, (d, n) and C-contiguous
     for row, (k, seed) in zip(out, runs):
-        rng = np.random.default_rng(seed & 0xFFFFFFFFFFFFFFFF)
+        rng = np.random.default_rng(int(seed) & 0xFFFFFFFFFFFFFFFF)
         d2 = _sq_dist(xs_t, xs_t[:, rng.integers(n)])
         nearest = np.zeros(n, dtype=int)
         for t in range(1, k):
@@ -490,8 +488,8 @@ def _best_per_k(cache, cfg, ks, restarts):
     """A generator of fit_restarts(cache, replace(cfg, k_init=k), restarts)
     for each k of ks in order; at a k where every restart failed, it raises
     that k's first failure instead. InvalidConfig is raised by the call
-    itself, before any fit, unless restarts >= 1 and cfg validates at every
-    k of ks (an empty ks reads as k = 0).
+    itself, before any fit, unless restarts is an integer >= 1 and cfg
+    validates at every k of ks (an empty ks reads as k = 0).
 
     The runs (k, cfg.seed + s) for s < restarts go through _lloyd in batches
     of consecutive k values: a batch holds as many whole k values as fit in
@@ -499,6 +497,8 @@ def _best_per_k(cache, cfg, ks, restarts):
     so once restarts x n reaches LOCKSTEP_POINTS each batch is one k. A batch
     is run when its first k is asked for.
     """
+    if not is_count(restarts):
+        raise InvalidConfig(f"restarts must be an integer, got {restarts!r}")
     if restarts < 1:
         raise InvalidConfig("restarts must be >= 1")
     ks = list(ks)

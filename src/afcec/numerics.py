@@ -1,8 +1,14 @@
-"""Dense least squares and the 2-D Simpson rule."""
+"""Dense least squares, the 2-D Simpson rule and the test for counts."""
 
 import numpy as np
 
 from .errors import RankDeficient
+
+
+def is_count(v):
+    """True when v is an int or a numpy integer, and not a bool: a value
+    that may stand for a count (range checks are the caller's)."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
 
 
 def least_squares(design, target):

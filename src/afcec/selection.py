@@ -36,9 +36,9 @@ def log_likelihood(x, model, mode="mixture"):
     block is formed."""
     if mode not in LL_MODES:
         raise ValueError(f"mode must be one of {LL_MODES}")
-    cache = design_cache(x)
-    per_point = np.empty(cache.rows.shape[0])
-    for cols, scores in cluster_score_blocks(cache, [model.clusters]):
+    design = design_cache(x).design(model.clusters.family)
+    per_point = np.empty(design.shape[0])
+    for cols, scores in cluster_score_blocks(design, [model.clusters]):
         # scores = -(ln p_i + ln f_i); its column minimum is the largest term
         low = scores.min(axis=0)
         if mode == "max":

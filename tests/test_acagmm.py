@@ -24,16 +24,16 @@ from afcec.numerics import simpson_blocks_2d
 def _project(a, px, py):
     """(t0, p, l) of the nearest point of y = a x^2: foot parameter, distance
     to the foot, and signed arc length from the vertex to it."""
-    t0 = float(acagmm._project_t0_grid(a, px, py))
+    (t0,) = acagmm._project_t0_grid(a, np.array([px]), np.array([py])).tolist()
     return t0, math.hypot(px - t0, py - a * t0 * t0), float(acagmm._signed_arc(a, t0))
 
 
 def _side(a, px, py):
     """The side of the graph that _foot_grid's Jacobian factor 1 - kappa*eta
     puts (px, py) on: eta = +p above, -p below."""
-    t0 = float(acagmm._project_t0_grid(a, px, py))
+    t0, _, _ = _project(a, px, py)
     kappa = 2.0 * a / (1.0 + 4.0 * a * a * t0 * t0) ** 1.5
-    (factor,) = acagmm._foot_grid(a, [px], [py])[2]
+    (factor,) = acagmm._foot_grid(a, np.array([px]), np.array([py]))[2]
     return "above" if (1.0 - factor) / kappa > 0 else "below"
 
 
@@ -157,11 +157,13 @@ def _zero_disc_py(a, px):
 
 
 def _assert_matches_all_branch_solver(a, px, py):
+    # the nodes as one array, and each as a one-node array
+    px, py = np.ravel(px), np.ravel(py)
     got = acagmm._project_t0_grid(a, px, py)
-    assert got.shape == np.shape(px)
+    assert got.shape == px.shape
     assert np.array_equal(got, _all_branch_t0(a, px, py))
-    for x, y, t in zip(np.ravel(px), np.ravel(py), np.ravel(got)):
-        assert acagmm._project_t0_grid(a, x, y) == t
+    for x, y, t in zip(px, py, got):
+        assert np.array_equal(acagmm._project_t0_grid(a, np.array([x]), np.array([y])), [t])
 
 
 @given(
@@ -205,8 +207,9 @@ def test_masked_projection_single_branch_blocks_and_scalar():
         q = (1.0 - 2.0 * a * inside) / (6.0 * a * a)
         assert np.all(q ** 3 + (near / (4.0 * a * a)) ** 2 < 0.0)
         _assert_matches_all_branch_solver(a, near, inside)
-    t0 = acagmm._project_t0_grid(1.0, 0.0, 2.0)
-    assert t0.shape == () and t0 == _all_branch_t0(1.0, 0.0, 2.0)
+    # a point is projected as a one-node array
+    t0 = acagmm._project_t0_grid(1.0, np.array([0.0]), np.array([2.0]))
+    assert t0.shape == (1,) and t0 == _all_branch_t0(1.0, 0.0, 2.0)
 
 
 # below about 1e-300, r = |px| / (4 a^2) or the foot it gives is subnormal, and
@@ -367,6 +370,34 @@ def test_raw_log_density_hand_value():
     assert got == pytest.approx(want, abs=1e-12)
 
 
+# aca_log_density's (raw, corrected) values as float.hex, recorded before the
+# projection took 1-D node arrays only: both sides of the axis, the axis
+# itself (px = 0 above the cusp, where two feet tie), a point on the curve and
+# |a| = 1e6 on either side of the graph
+POINT_PINS = [
+    ((1.0, 0.5, 2.0), (0.7, 1.5), "-0x1.0f0602f1daa51p+3", "-0x1.0cf776742878fp+3"),
+    ((1.0, 0.5, 2.0), (-0.7, 1.5), "-0x1.0f0602f1daa51p+3", "-0x1.0cf776742878fp+3"),
+    ((1.0, 0.5, 2.0), (-1.3, -0.4), "-0x1.6406cef99710dp+1", "-0x1.a32667e29eb2ep+1"),
+    ((1.0, 0.5, 2.0), (0.0, 2.0), "-0x1.48d6b3ed297a6p+3", "-0x1.43e7e6851905bp+3"),
+    ((-0.8, 1.0, 0.5), (1.1, -0.8 * 1.1 * 1.1), "-0x1.28312f19d61e6p+1", "-0x1.28312f19d61e6p+1"),
+    ((1e6, 1.0, 1.0), (0.3, 0.2), "-0x1.e71e93e332724p+0", "-0x1.e75549f9b57c3p+0"),
+    ((-1e6, 1.0, 1.0), (-1e-4, 0.05), "-0x1.d6d10820e4246p+0", "-0x1.ab4410438e5acp+3"),
+]
+
+
+@pytest.mark.parametrize("model, point, raw, corrected", POINT_PINS)
+def test_point_density_keeps_its_bits(model, point, raw, corrected):
+    m = AcaParabolaModel(*model)
+    assert aca_log_density(m, point).hex() == raw
+    assert aca_log_density(m, point, corrected=True).hex() == corrected
+
+
+@pytest.mark.parametrize("point", [(0.3,), (0.3, 0.2, 99.0), ()])
+def test_point_density_needs_two_coordinates(point):
+    with pytest.raises(ValueError, match=f"got {len(point)}"):
+        aca_log_density(AcaParabolaModel(0.5, 1.0, 1.0), point)
+
+
 def test_corrected_density_divides_by_factor():
     m = AcaParabolaModel(1.0, 1.0, 1.0)
     for pt in [(0.5, 1.2), (1.5, -0.5), (-2.0, 3.0)]:
@@ -514,7 +545,7 @@ def test_normalization_table_equals_per_configuration_recompute(n):
     rows = normalization_table(a_grid=a_grid, sigma_grid=sigma_grid, box=box, n=n)
     keys = [(r["a"], r["sigma1"], r["sigma2"]) for r in rows]
     assert keys == list(itertools.product(a_grid, sigma_grid, sigma_grid))
-    px, py, weights = _grid(-box, box, n)
+    px, py, weights = (v.ravel() for v in _grid(-box, box, n))
     for r in rows:
         m = AcaParabolaModel(r["a"], r["sigma1"], r["sigma2"])
         raw_log, factor = _log_density_grid(m, px, py)
@@ -588,6 +619,10 @@ def test_normalization_table_rejects_odd_n():
         {"sigma_grid": (0.01, 1.0), "n": 500},
         {"sigma_grid": (0.5, 100.0)},
         {"n": 0},
+        # simpson_blocks_2d would truncate 100.9 to 100 after the resolution
+        # check had used 100.9
+        {"n": 100.9},
+        {"n": "100"},
     ],
     ids=str,
 )

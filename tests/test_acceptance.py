@@ -331,7 +331,7 @@ def test_9_projection_and_arc_length_oracles():
 
 
 def _projection_dev(a, px, py):
-    t0 = float(_project_t0_grid(a, px, py))
+    (t0,) = _project_t0_grid(a, np.array([px]), np.array([py])).tolist()
     d2 = lambda t: (t - px) ** 2 + (a * t * t - py) ** 2
     span = max(3.0, 2.0 * abs(px), math.sqrt(max(abs(py), 1.0) / abs(a)) + 2.0)
     ts = np.linspace(-span, span, 2001)

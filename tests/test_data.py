@@ -65,6 +65,13 @@ def test_generator_spec_validation():
         GeneratorSpec(kind="circle", n=5).validate()
     with pytest.raises(InvalidSpec):
         GeneratorSpec(kind="circle", noise_sigma=-0.1).validate()
+    # a count is an int or a numpy integer, never a float or a bool
+    for bad in ({"n": 10.5}, {"n": 20.0}, {"seed": 1.5}, {"seed": True}):
+        with pytest.raises(InvalidSpec, match="must be an integer"):
+            GeneratorSpec(kind="circle", **bad).validate()
+    want = generate(GeneratorSpec(kind="circle", n=20, seed=3)).rows
+    got = generate(GeneratorSpec(kind="circle", n=np.int64(20), seed=np.int64(3))).rows
+    assert np.array_equal(got, want)
 
 
 def test_csv_round_trip(tmp_path):

@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from cluster_tables import row_params
+from cluster_tables import degenerate_mix, row_params
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -120,6 +120,24 @@ def test_config_validation():
         EngineConfig(k_init=2, family=QUAD1, max_iters=0).validate((100, 2))
     with pytest.raises(InvalidConfig):
         EngineConfig(k_init=2, family=QUAD1, init="grid").validate((100, 2))
+    # a count is an int or a numpy integer, never a float or a bool
+    for bad in ({"k_init": 2.5}, {"k_init": True}, {"max_iters": 2.5}, {"max_iters": True},
+                {"seed": 1.5}, {"seed": True}):
+        with pytest.raises(InvalidConfig, match="must be an integer"):
+            EngineConfig(**{"k_init": 2, "family": QUAD1, **bad}).validate((100, 2))
+    for restarts in (2.5, True):
+        with pytest.raises(InvalidConfig, match="restarts must be an integer"):
+            fit_restarts(np.zeros((100, 2)), EngineConfig(k_init=2, family=QUAD1), restarts)
+
+
+def test_numpy_integer_counts_fit_as_python_ints():
+    ds = _circle(seed=5)
+    cfg = EngineConfig(k_init=3, family=QUAD1, max_iters=20, seed=7)
+    want, want_costs = fit_restarts(ds, cfg, 2)
+    counts = {"k_init": np.int64(3), "max_iters": np.int32(20), "seed": np.int64(7)}
+    got, got_costs = fit_restarts(ds, replace(cfg, **counts), np.int64(2))
+    assert got_costs == want_costs
+    assert np.array_equal(got.assignment, want.assignment)
 
 
 def test_fit_rejects_small_or_thin_data():
@@ -332,7 +350,7 @@ def test_cached_assignment_matches_uncached_scores(kind, d, log_scale, seed):
     (labels,) = assign_step(cache, [table], np.zeros((1, x.shape[0]), dtype=np.intp))
     assert np.array_equal(labels, np.argmin(ref, axis=1))
     scores = np.empty((3, x.shape[0]))
-    for cols, block in engine.cluster_score_blocks(cache, [table]):
+    for cols, block in engine.cluster_score_blocks(cache.design(family), [table]):
         scores[:, cols] = block
     np.testing.assert_allclose(scores.T, ref, rtol=1e-12, atol=0)
 
@@ -361,7 +379,7 @@ def test_orphan_reassignment_ties_go_to_lowest_index():
     m = fit(ds, EngineConfig(k_init=3, family=QUAD1, seed=2))
     cache = DesignCache(ds.rows)
     # fills the cache
-    (expected,) = engine._nearest(cache, [m.clusters.take([0, 1])])
+    (expected,) = engine._nearest(cache.design(QUAD1), [m.clusters.take([0, 1])])
     # every point sits in label 3, which is dropped; survivors 0 and 2 are equal
     orphans = np.full(ds.n, 3)
     survivors = m.clusters.take([0, 1, 0])
@@ -433,16 +451,43 @@ def test_drop_step_gives_each_run_of_a_batch_what_it_gets_alone():
     assert dropped == sum(d for *_, d in alone) == 1
 
 
-def test_design_cache_take_equals_fresh_designs():
+def test_orphans_scored_from_design_rows_get_a_fresh_designs_labels():
     ds = generate(GeneratorSpec(kind="parametric3d", n=400, noise_sigma=0.1, seed=18))
     family = builtin_family("cubic", 2)
     m = fit(ds, EngineConfig(k_init=4, family=family, seed=1, max_iters=3))
     cache = DesignCache(ds.rows)
-    engine._nearest(cache, [m.clusters])  # fills the cache
-    rows = np.flatnonzero(np.arange(ds.n) % 7 == 3)
-    sub = cache.take(rows)
-    fresh = family._refit_layout.union.design_matrix(ds.rows[rows])
-    assert np.array_equal(sub.design(family), fresh)
+    # cluster 0 is dropped: its points are the orphans
+    keep = np.arange(1, m.k)
+    survivors = m.clusters.take(keep)
+    (out,), _, _ = engine._drop(
+        cache, m.assignment[None], [0], [m.k], [keep], lambda r, kept: survivors
+    )
+    orphans = np.flatnonzero(m.assignment == 0)
+    assert orphans.size and m.k > 2
+    fresh = family._refit_layout.union.design_matrix(ds.rows[orphans])
+    assert np.array_equal(cache.design(family)[orphans], fresh)
+    (want,) = engine._nearest(fresh, [survivors])
+    assert np.array_equal(out[orphans], want)
+    assert np.array_equal(out, np.where(m.assignment == 0, out, m.assignment - 1))
+
+
+def _recorded_designs(monkeypatch):
+    """The list of every array DesignCache.design returns from now on."""
+    original = DesignCache.design
+    designs = []
+
+    def recording(self, family):
+        designs.append(original(self, family))
+        return designs[-1]
+
+    monkeypatch.setattr(DesignCache, "design", recording)
+    return designs
+
+
+def _assert_one_full_design(designs, n):
+    # orphans are scored from rows of the one design, so every call returns it
+    assert designs and all(out is designs[0] for out in designs)
+    assert designs[0].shape[0] == n
 
 
 @pytest.mark.parametrize("command", ["fit", "sweep"])
@@ -450,19 +495,21 @@ def test_command_builds_its_scoring_design_once(tmp_path, monkeypatch, command):
     ds = generate(GeneratorSpec(kind="parametric3d", n=900, noise_sigma=0.1, seed=16))
     path = tmp_path / "in.csv"
     save_csv(ds, path)
-    original = DesignCache.design
-    full = []  # the distinct designs over every point
-
-    def recording(self, family):
-        out = original(self, family)
-        # orphan reassignment scores a cache over a subset of the points
-        if out.shape[0] == ds.n and not any(out is seen for seen in full):
-            full.append(out)
-        return out
-
-    monkeypatch.setattr(DesignCache, "design", recording)
+    designs = _recorded_designs(monkeypatch)
     size = ["--k", "6"] if command == "fit" else ["--k-max", "4", "--restarts", "2"]
     argv = [command, "--input", str(path), *size, "--family", "quadratic", "--max-iters", "5"]
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(argv) == 0
-    assert len(full) == 1
+    _assert_one_full_design(designs, ds.n)
+
+
+def test_first_refit_drop_scores_its_orphans_from_the_one_design(monkeypatch):
+    # the degenerate mix's first refit drops three of its six labels, before
+    # any assignment has built the design
+    x, labels = degenerate_mix()
+    monkeypatch.setattr(engine, "_init_partition", lambda rows, init, runs: labels[None].copy())
+    designs = _recorded_designs(monkeypatch)
+    with pytest.warns(ZeroResidualWarning):
+        m = fit(x, EngineConfig(k_init=6, family=builtin_family("quadratic", 2)))
+    assert m.deletion_iterations[0] == 0 and m.deleted_count >= 3
+    _assert_one_full_design(designs, len(x))

@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from cluster_tables import reweighted, table_of
+from cluster_tables import degenerate_mix, reweighted, table_of
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -99,22 +99,6 @@ def _per_cluster_reestimate(x, assignment, k, family):
         k = len(keep)
 
 
-def _degenerate_mix():
-    """Six labels in 3-d: a healthy cluster, one with fewer points than the
-    quadratic family has terms, an empty one, one point repeated 20 times, an
-    exact line, and a second healthy cluster."""
-    rng = np.random.default_rng(5)
-    healthy = rng.standard_normal((80, 3)) * [1.0, 2.0, 0.5]
-    healthy[:, 2] += 0.3 * healthy[:, 0] ** 2
-    few = rng.standard_normal((4, 3)) + 4.0
-    repeated = np.tile([[3.0, -2.0, 1.0]], (20, 1))
-    t = rng.uniform(-1.0, 1.0, 30)
-    line = np.column_stack([1.0 + t, 2.0 - 3.0 * t, 0.5 + 0.5 * t])
-    healthy2 = rng.standard_normal((60, 3)) * 0.7 + [-4.0, 0.0, 2.0]
-    x = np.vstack([healthy, few, repeated, line, healthy2])
-    return x, np.repeat([0, 1, 3, 4, 5], [80, 4, 20, 30, 60])
-
-
 def _run_recording(fn, *args):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -123,7 +107,7 @@ def _run_recording(fn, *args):
 
 
 def test_degenerate_mix_matches_per_cluster_refit(monkeypatch):
-    x, labels = _degenerate_mix()
+    x, labels = degenerate_mix()
     family = builtin_family("quadratic", 2)
     rungs = []
     reg = density._cholesky_reg
@@ -216,7 +200,7 @@ def test_refit_weights_equal_the_loaded_models_weights(kind, d, k, dup_frac, lin
 
 
 def test_regularized_and_floored_weights_equal_the_rebuilt_weights(monkeypatch):
-    x, labels = _degenerate_mix()
+    x, labels = degenerate_mix()
     family = builtin_family("quadratic", 2)
     plain = []
     reg = density._cholesky_reg

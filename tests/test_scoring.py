@@ -39,9 +39,9 @@ def _data(rng, n, d, scale=1.0):
 
 def _score_rows(cache, table):
     """(k, n) -ln p_i - log f_i(x) over the cache's points, gathered from
-    engine.cluster_score_blocks."""
+    engine.cluster_score_blocks over the cache's design."""
     scores = np.empty((len(table.weight), cache.rows.shape[0]))
-    for cols, block in engine.cluster_score_blocks(cache, [table]):
+    for cols, block in engine.cluster_score_blocks(cache.design(table.family), [table]):
         scores[:, cols] = block
     return scores
 
